@@ -25,6 +25,7 @@ Everything here is a pure function of its arguments; the sign convention
 sign(0) = +1 is fixed throughout for determinism.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -175,6 +176,7 @@ def _moments_quadrature(model: LinkModel, quad_order: int):
     return mu0, mu1, mu2
 
 
+@functools.lru_cache(maxsize=256)
 def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSummary:
     """Compute (mu0, mu1, mu2, phi) for a link model.
 
@@ -187,6 +189,9 @@ def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSum
     weight gives mu1 = E[f'(Z)] = (2/sigma) E[pdf(Z/sigma)], and the Gaussian
     convolution integral evaluates to the stated form (valid down to sigma = 0,
     where it is E|Z|).
+
+    Results are memoized on the (frozen, hashable) model and the order, so a
+    grid that asks once per trial pays for the quadrature once.
     """
     quad_order = _validate_quad_order(quad_order)
     if isinstance(model, FlippedLogistic):

@@ -28,8 +28,9 @@ class SparseConfig:
     """Tuning for the sparse pipeline.
 
     ``rho`` is the entrywise l1 regularization weight, ``s_hat`` the truncation
-    sparsity, ``t_max`` the truncated-power iteration cap.  ADMM uses a fixed
-    penalty ``admm_penalty`` and stops once both residuals fall below
+    sparsity, ``t_max`` the truncated-power iteration cap.  ADMM starts at
+    penalty ``admm_penalty``, adapts it by residual balancing (see
+    ``fantope_admm``), and stops once both residuals fall below
     ``admm_tol * p`` or at ``admm_max_iter``.
     """
 
@@ -64,6 +65,8 @@ class FantopeSolution:
     primal_residual: float
     dual_residual: float
     converged: bool
+    penalty: float  # tau at the last iteration
+    penalty_updates: int  # how often residual balancing changed tau
 
 
 def soft_threshold(a, t: float):
@@ -71,41 +74,54 @@ def soft_threshold(a, t: float):
     if t < 0.0:
         raise ConfigError(f"threshold must be >= 0, got {t}")
     a = np.asarray(a, dtype=float)
-    return np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
+    return a - np.clip(a, -t, t)
 
 
 def fantope_project(a: np.ndarray) -> np.ndarray:
     """Frobenius projection onto {0 <= Pi <= I, Tr Pi = 1}.
 
-    Eigenvalues are shifted by a scalar gamma and clipped to [0, 1], with gamma
-    chosen by bisection (to 1e-12) so the clipped values sum to one; the
-    eigenvectors are untouched.
+    Eigenvalues are shifted by a scalar gamma and clipped to [0, 1] so the
+    clipped values sum to one; the eigenvectors are untouched.  gamma is exact:
+    gamma >= lambda_max - 1, so only eigenvalues above lambda_max - 1 can carry
+    mass, and on that range the upper clip is inactive.  The trace equation is
+    then a projection onto the simplex, solved in closed form at its
+    breakpoints.  Pi is rebuilt from the k eigenvectors with nonzero weight.
     """
     a = np.asarray(a, dtype=float)
     fro = float(np.linalg.norm(a))
+    if not math.isfinite(fro):
+        raise NumericalError("fantope_project requires a finite matrix")
     if float(np.linalg.norm(a - a.T)) > 1e-8 * max(fro, 1e-300):
         raise ConfigError("fantope_project requires a symmetric matrix")
     lam, vecs = np.linalg.eigh(a)
-    lo = float(lam[0]) - 1.0
-    hi = float(lam[-1])
-    while hi - lo > 1e-12:
-        gamma = 0.5 * (lo + hi)
-        if float(np.sum(np.clip(lam - gamma, 0.0, 1.0))) > 1.0:
-            lo = gamma
-        else:
-            hi = gamma
-    d = np.clip(lam - 0.5 * (lo + hi), 0.0, 1.0)
-    out = (vecs * d) @ vecs.T
-    return 0.5 * (out + out.T)
+    # top eigenvalues in descending order, shifted by lambda_max into (-1, 0]
+    cut = int(np.searchsorted(lam, lam[-1] - 1.0, side="right"))
+    top = lam[cut:][::-1] - lam[-1]
+    shift = (np.cumsum(top) - 1.0) / np.arange(1, top.size + 1)
+    k = int(np.flatnonzero(top > shift)[-1]) + 1
+    root = np.sqrt(np.clip(top[k - 1::-1] - shift[k - 1], 0.0, 1.0))
+    w = vecs[:, -k:] * root
+    return w @ w.T  # A @ A.T is computed as a symmetric rank-k update
+
+
+# Residual balancing (Boyd et al. 2011, sec. 3.4.1): the penalty doubles when
+# the primal residual exceeds BALANCE_RATIO times the dual one and halves in
+# the opposite case.  Adaptation stops after BALANCE_ITERS iterations, so the
+# fixed-penalty convergence guarantee covers the rest of the run.
+BALANCE_RATIO = 10.0
+BALANCE_ITERS = 1000
 
 
 def fantope_admm(mtx, cfg: SparseConfig) -> FantopeSolution:
     """Solve the l1-penalized Fantope program by ADMM with splitting Pi = Z.
 
-    Scaled-dual iteration with fixed penalty tau: the Pi-update projects
-    Z - U + M/tau onto the Fantope, the Z-update soft-thresholds Pi + U at
-    rho/tau, and U accumulates Pi - Z.  Non-convergence at the iteration cap
-    returns the last iterate with ``converged=False``.
+    Scaled-dual iteration with penalty tau, starting at ``cfg.admm_penalty``:
+    the Pi-update projects Z - U + M/tau onto the Fantope, the Z-update
+    soft-thresholds Pi + U at rho/tau, and U accumulates Pi - Z.  During the
+    first ``BALANCE_ITERS`` iterations tau is doubled or halved to keep the
+    primal and dual residuals within ``BALANCE_RATIO`` of each other, and U is
+    rescaled by tau_old/tau_new.  Non-convergence at the iteration cap returns
+    the last iterate with ``converged=False``.
     """
     m = _as_matrix(mtx)
     p = m.shape[0]
@@ -114,18 +130,34 @@ def fantope_admm(mtx, cfg: SparseConfig) -> FantopeSolution:
     z = np.zeros((p, p))
     u = np.zeros((p, p))
     pi = np.zeros((p, p))
+    m_scaled = m / tau
+    t = cfg.rho / tau
     primal = dual = math.inf
-    iterations = 0
+    iterations = updates = 0
     for iterations in range(1, cfg.admm_max_iter + 1):
-        pi = fantope_project(z - u + m / tau)
+        pi = fantope_project(z - u + m_scaled)
         z_prev = z
-        z = soft_threshold(pi + u, cfg.rho / tau)
-        u = u + pi - z
+        w = pi + u
+        z = soft_threshold(w, t)
+        u = w - z
         primal = float(np.linalg.norm(pi - z))
         dual = tau * float(np.linalg.norm(z - z_prev))
         if primal < threshold and dual < threshold:
-            return FantopeSolution(pi, iterations, primal, dual, True)
-    return FantopeSolution(pi, iterations, primal, dual, False)
+            return FantopeSolution(pi, iterations, primal, dual, True, tau, updates)
+        if iterations > BALANCE_ITERS:
+            continue
+        if primal > BALANCE_RATIO * dual:
+            scale = 2.0
+        elif dual > BALANCE_RATIO * primal:
+            scale = 0.5
+        else:
+            continue
+        tau *= scale
+        u /= scale
+        m_scaled = m / tau
+        t = cfg.rho / tau
+        updates += 1
+    return FantopeSolution(pi, iterations, primal, dual, False, tau, updates)
 
 
 def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
@@ -204,6 +236,8 @@ def sparse_recover(
         "admm_primal_residual": fsol.primal_residual,
         "admm_dual_residual": fsol.dual_residual,
         "admm_converged": fsol.converged,
+        "admm_final_penalty": fsol.penalty,
+        "admm_penalty_updates": fsol.penalty_updates,
         "init_eigengap": lam1 - lam2,
     }
     return RecoveryReport(

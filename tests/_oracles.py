@@ -1,15 +1,17 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: quadrature oracles use
-scipy.integrate, the water-filling oracle solves the piecewise-linear equation
-exactly instead of bisecting, moment oracles recompute from first
-principles, and the eigenvalue oracle samples a spiked Wishart law directly.
+scipy.integrate, the water-filling oracle finds its shift with a bracketing
+root-finder instead of the breakpoint search, moment oracles recompute from
+first principles, and the eigenvalue oracle samples a spiked Wishart law
+directly.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import wishart
 
 
@@ -31,34 +33,25 @@ def split_domain_moment(f, k: int, cuts=()) -> float:
     return total
 
 
-def exact_fantope_gamma(lam: np.ndarray) -> float:
-    """Exact shift gamma with sum_i clip(lam_i - gamma, 0, 1) = 1.
+def root_fantope_gamma(lam: np.ndarray) -> float:
+    """Shift gamma with sum_i clip(lam_i - gamma, 0, 1) = 1, by Brent's method.
 
-    The sum is piecewise linear and non-increasing in gamma with breakpoints
-    at lam_i and lam_i - 1; locate the bracketing segment and interpolate.
+    The sum is continuous and non-increasing in gamma: it equals len(lam) >= 1
+    at min(lam) - 1 and 0 at max(lam), so that interval brackets a root.
     """
     lam = np.asarray(lam, dtype=float)
 
-    def total(gamma):
-        return float(np.sum(np.clip(lam - gamma, 0.0, 1.0)))
+    def excess(gamma):
+        return float(np.sum(np.clip(lam - gamma, 0.0, 1.0))) - 1.0
 
-    points = np.unique(np.concatenate([lam, lam - 1.0]))
-    values = np.array([total(g) for g in points])
-    # first breakpoint where the sum drops to <= 1
-    idx = int(np.searchsorted(-values, -1.0))
-    if idx == 0:
-        return float(points[0]) - (1.0 - values[0]) / len(lam)
-    g0, g1 = points[idx - 1], points[idx]
-    v0, v1 = values[idx - 1], values[idx]
-    if v0 == v1:
-        return float(g0)
-    return float(g0 + (1.0 - v0) * (g1 - g0) / (v1 - v0))
+    return brentq(excess, float(lam.min()) - 1.0, float(lam.max()),
+                  xtol=1e-15, rtol=4.0 * np.finfo(float).eps, maxiter=500)
 
 
 def exact_fantope_projection(a: np.ndarray) -> np.ndarray:
-    """Projection onto the Fantope using the exact gamma (no bisection)."""
+    """Projection onto the Fantope: full eigenbasis, gamma by root-finding."""
     lam, vecs = np.linalg.eigh(a)
-    gamma = exact_fantope_gamma(lam)
+    gamma = root_fantope_gamma(lam)
     d = np.clip(lam - gamma, 0.0, 1.0)
     out = (vecs * d) @ vecs.T
     return 0.5 * (out + out.T)

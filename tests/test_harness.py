@@ -3,11 +3,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bitspectral
 from bitspectral import (
     CSV_HEADER,
     ConfigError,
@@ -254,6 +259,23 @@ class TestCli:
                      "--out", str(out)]) == 0
         text = out.read_text()
         assert text.count("\n") == 1 + 2  # header + 2 trial rows
+
+    def test_tiny_admm_penalty_returns(self):
+        # M / tau has eigenvalues near 1e4 at this penalty, where the old
+        # bisection in fantope_project never closed its bracket.  A subprocess
+        # with a timeout turns a hang into a failure.
+        src = str(Path(bitspectral.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "bitspectral.cli", "sparse", "--model", "cs",
+             "--sigma", "0", "--p", "20", "--s", "2", "--n", "400", "--trials", "1",
+             "--admm-penalty", "0.0005", "--admm-max-iter", "5"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(CSV_HEADER)
+        assert len(done.stdout.strip().split("\n")) == 2
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"

@@ -158,6 +158,13 @@ class TestMoments:
             assert lo.phi == pytest.approx(hi.phi, abs=1e-6)
             assert lo.mu1 == pytest.approx(hi.mu1, abs=1e-6)
 
+    def test_memoized_per_model_and_order(self):
+        first = moments(FlippedLogistic(0.0, 0.15), quad_order=64)
+        assert moments(FlippedLogistic(0.0, 0.15), quad_order=64) is first
+        other = moments(FlippedLogistic(0.0, 0.15), quad_order=96)
+        assert other is not first and other.phi == pytest.approx(first.phi, abs=1e-6)
+        assert moments(FlippedLogistic(0.0, 0.25), quad_order=64).phi < first.phi
+
     @pytest.mark.parametrize("order", [0, 1, 7])
     def test_rejects_low_order(self, order):
         with pytest.raises(ConfigError):

@@ -1,10 +1,12 @@
 """Fantope projection, ADMM relaxation, and the truncated power pipeline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import bitspectral.sparse as sparse_mod
 from bitspectral import (
     ConfigError,
     Dataset,
@@ -78,6 +80,23 @@ class TestFantopeProject:
     def test_rejects_asymmetric(self):
         with pytest.raises(ConfigError):
             fantope_project(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_large_eigenvalues_return(self):
+        # adjacent doubles near 1e4 are 1.8e-12 apart: an absolute bisection
+        # bracket of 1e-12 never closed on this input
+        np.testing.assert_allclose(
+            fantope_project(np.diag(np.linspace(0.0, 1e4, 10))),
+            np.diag([0.0] * 9 + [1.0]), atol=1e-12,
+        )
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NumericalError):
+            fantope_project(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+
+    def test_output_symmetric(self):
+        rng = np.random.default_rng(11)
+        out = fantope_project(sym(rng.standard_normal((30, 30)) * 0.1))
+        np.testing.assert_allclose(out, out.T, rtol=0.0, atol=1e-15)
 
     def test_matches_exact_oracle(self):
         rng = np.random.default_rng(0)
@@ -173,6 +192,53 @@ class TestFantopeAdmm:
         sol = fantope_admm(m, base_cfg(rho=0.3, admm_max_iter=3))
         assert not sol.converged and sol.iterations == 3
         assert np.trace(sol.Pi) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.fixture(scope="class")
+    def capped_instance(self):
+        """p = 100, n = 1000, sigma = sqrt(0.1), where fixed tau = 1 stops at the
+        2,000 cap; returns the matrix, config, objective and the balanced run."""
+        rng = np.random.default_rng(50)
+        truth = sample_beta_sparse(100, 5, rng)
+        m = second_moment(generate_dataset(OneBitCS(math.sqrt(0.1)), truth, 1000, rng)).entries
+        rho = math.sqrt(math.log(100) / 1000)
+
+        def objective(pi):
+            return -float(np.sum(m * pi)) + rho * float(np.sum(np.abs(pi)))
+
+        cfg = base_cfg(rho=rho, s_hat=10)
+        return m, cfg, objective, fantope_admm(m, cfg)
+
+    def test_balancing_converges_where_fixed_penalty_caps(self, capped_instance, monkeypatch):
+        m, cfg, objective, balanced = capped_instance
+        monkeypatch.setattr(sparse_mod, "BALANCE_ITERS", 0)
+        fixed = fantope_admm(m, cfg)
+        assert not fixed.converged and fixed.iterations == cfg.admm_max_iter
+        assert fixed.penalty == 1.0 and fixed.penalty_updates == 0
+        assert balanced.converged and balanced.iterations < cfg.admm_max_iter
+        assert balanced.penalty_updates >= 1
+        assert objective(balanced.Pi) <= objective(fixed.Pi)
+
+    def test_tiny_start_penalty_converges(self, capped_instance):
+        m, cfg, objective, balanced = capped_instance
+        tiny = fantope_admm(m, replace(cfg, admm_penalty=5e-4))
+        assert tiny.converged
+        assert tiny.penalty > 1.0 and tiny.penalty_updates >= 11  # 5e-4 * 2**11 ~ 1
+        assert objective(tiny.Pi) == pytest.approx(objective(balanced.Pi), abs=1e-5)
+
+    def test_penalty_frozen_after_balancing_window(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        m = sym(rng.standard_normal((10, 10)))
+        # a start far below the balanced penalty, and a tolerance never met:
+        # without the window tau would still be doubling after 20 iterations
+        cfg = base_cfg(rho=0.1, admm_penalty=1e-9, admm_tol=1e-300, admm_max_iter=60)
+        unlimited = fantope_admm(m, cfg)
+        assert unlimited.penalty_updates > 20
+        monkeypatch.setattr(sparse_mod, "BALANCE_ITERS", 20)
+        at_window = fantope_admm(m, replace(cfg, admm_max_iter=20))
+        after = fantope_admm(m, cfg)
+        assert 1 <= at_window.penalty_updates <= 20
+        assert after.penalty == at_window.penalty
+        assert after.penalty_updates == at_window.penalty_updates
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -273,8 +339,13 @@ class TestSparseRecover:
         report = sparse_recover(data, cfg)
         stages = report.stages
         assert set(stages) == {"admm_iterations", "admm_primal_residual",
-                               "admm_dual_residual", "admm_converged", "init_eigengap"}
+                               "admm_dual_residual", "admm_converged", "init_eigengap",
+                               "admm_final_penalty", "admm_penalty_updates"}
         assert stages["init_eigengap"] >= -1e-9
+        # tau only ever doubles or halves, once per counted update
+        exponent = math.log2(stages["admm_final_penalty"] / cfg.admm_penalty)
+        assert exponent == round(exponent)
+        assert abs(exponent) <= stages["admm_penalty_updates"] <= stages["admm_iterations"]
 
     def test_degenerate_width_matches_dense_path(self):
         truth, data = self._cs_dataset(20, 20, 2000, 42)
