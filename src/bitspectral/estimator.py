@@ -16,15 +16,18 @@ so the signal direction b is the top eigenvector of E[M] when phi > 0 and of
 E[M'] when phi < 0.  ``expected_moment`` provides these exact matrices as a
 test oracle and for population-level studies.
 
-Both estimators are associative pair sums: chunked accumulation reproduces the
-serial result as long as chunk boundaries depend only on n.
+Labels lie in {-1, +1}, so each pair's weight is 0 or 4, and both matrices
+are built from the weighted pairs alone: M = (8/n) sum dx dx^T over the
+pairs whose weight is 4.  The covariates of zero-weight pairs never enter M,
+so they are not checked; a non-finite covariate of a weighted pair makes M
+non-finite, which ``MomentMatrix`` rejects.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .links import DEFAULT_QUAD_ORDER, LinkModel, moments
 from .synth import Dataset, GroundTruth
 
@@ -47,6 +50,8 @@ class MomentMatrix:
             raise ConfigError(f"matrix must be square, got shape {a.shape}")
         if self.kind not in _KINDS:
             raise ConfigError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if not np.isfinite(a).all():
+            raise NumericalError("second-moment matrix has non-finite entries")
         asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
             raise ConfigError(f"matrix not symmetric (max asymmetry {asym:.3g})")
@@ -64,10 +69,11 @@ def _pair_weighted_moment(data: Dataset, kind: str) -> MomentMatrix:
         dy = y[1::2] - y[0::2]
     else:
         dy = y[1::2] + y[0::2]
-    # exact {0, 4} integer weights before any float conversion
-    w = (dy * dy).astype(np.float64)
-    dx = x[1::2] - x[0::2]
-    m = (2.0 / n) * ((dx * w[:, None]).T @ dx)
+    # rows of the first member of each weight-4 pair; dx.T @ dx is a rank-k update
+    rows = 2 * np.flatnonzero(dy)
+    dx = np.take(x, rows + 1, axis=0)
+    dx -= np.take(x, rows, axis=0)
+    m = (8.0 / n) * (dx.T @ dx)
     m = 0.5 * (m + m.T)
     return MomentMatrix(entries=m, kind=kind, n_pairs=n // 2)
 

@@ -43,7 +43,7 @@ from .links import (
 )
 from .rng import derive_rng
 from .sparse import SparseConfig, sparse_recover
-from .spectral import power_method, top_two_eigs
+from .spectral import _check_unit, power_method, top_two_eigs
 from .synth import generate_dataset, sample_beta_dense, sample_beta_sparse
 
 DEFAULT_SIGMA = math.sqrt(0.1)  # noise variance 0.1
@@ -177,11 +177,8 @@ def _build_moment(data, kind):
 
 def estimation_error(beta_hat, beta_star, sign_invariant: bool = False) -> float:
     """l2 estimation error between unit vectors, optionally modulo sign."""
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    beta_star = np.asarray(beta_star, dtype=float)
-    for name, v in (("beta_hat", beta_hat), ("beta_star", beta_star)):
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
-            raise ConfigError(f"{name} must be unit norm")
+    beta_hat = _check_unit(beta_hat, "beta_hat")
+    beta_star = _check_unit(beta_star, "beta_star")
     plain = float(np.linalg.norm(beta_hat - beta_star))
     if not sign_invariant:
         return plain

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc, ndtr
 
 from .errors import ConfigError
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT1_2 = math.sqrt(0.5)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 DEFAULT_QUAD_ORDER = 64
@@ -124,11 +124,62 @@ def _sign_pos(z):
     return np.where(np.asarray(z, dtype=float) >= 0.0, 1.0, -1.0)
 
 
+# Rational approximations of erf on [0, 1] (T/U) and of exp(x^2) erfc(x) on
+# [1, 8) (P/Q) and [8, inf) (R/S), from Cephes ndtr.c (S. L. Moshier, 1989,
+# Methods and Programs for Mathematical Functions).  Q, S and U are monic;
+# their leading 1 is implicit.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # erfc(x) is taken as 0 once x^2 exceeds this
+
+
+def _polevl(x, coef, monic=False):
+    """Horner's rule in Cephes order; ``monic`` prepends an implicit leading 1."""
+    out = x + coef[0] if monic else coef[0] * x + coef[1]
+    for c in coef[1 if monic else 2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr(a):
+    """Standard normal CDF, elementwise: a numpy port of Cephes ``ndtr``.
+
+    With x = a/sqrt(2), Phi(a) = (1 + erf(x))/2 for |x| < 1 and erfc(|x|)/2,
+    reflected for x > 0, beyond.  Every branch is evaluated on the whole array
+    and the right one selected, which is cheaper than gathering the branches.
+    Phi(+inf) = 1, Phi(-inf) = 0 and NaN stays NaN.
+    """
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    z = np.minimum(np.abs(x), 64.0)  # keeps z * z finite; NaN passes through
+    w = z * z
+    erf = z * _polevl(w, _ERF_T) / _polevl(w, _ERF_U, monic=True)
+    p = _polevl(z, _ERFC_P)
+    q = _polevl(z, _ERFC_Q, monic=True)
+    far = z >= 8.0
+    if far.any():
+        p = np.where(far, _polevl(z, _ERFC_R), p)
+        q = np.where(far, _polevl(z, _ERFC_S, monic=True), q)
+    half = np.where(w > _MAXLOG, 0.0, 0.5 * (np.exp(-w) * p / q))
+    return np.where(z < 1.0, 0.5 + 0.5 * np.copysign(erf, x), np.where(x > 0.0, 1.0 - half, half))
+
+
 def normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    if np.isscalar(x):
-        return 0.5 * erfc(-float(x) / _SQRT2)
-    return ndtr(np.asarray(x, dtype=float))
+    """Standard normal CDF; a float for a scalar, an array for an array."""
+    out = _ndtr(x)
+    return float(out) if out.ndim == 0 else out
 
 
 def normal_pdf(x):
@@ -150,7 +201,7 @@ def link_eval(model: LinkModel, z):
         if model.sigma == 0.0:
             out = _sign_pos(z)
         else:
-            out = 2.0 * ndtr(z / model.sigma) - 1.0
+            out = 2.0 * _ndtr(z / model.sigma) - 1.0
     elif isinstance(model, OneBitPR):
         out = _sign_pos(np.abs(z) - model.theta)
     else:
@@ -204,7 +255,7 @@ def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSum
         method = "closed_form"
     elif isinstance(model, OneBitPR):
         theta = model.theta
-        p1 = float(erfc(theta / _SQRT2))  # P(|Z| >= theta)
+        p1 = 2.0 * normal_cdf(-theta)  # P(|Z| >= theta)
         mu0 = 2.0 * p1 - 1.0
         # E[Z^2 1{|Z|>=theta}] = 2 theta pdf(theta) + p1, by integration by parts
         mu1 = 0.0
@@ -219,19 +270,10 @@ def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSum
 def theta_median() -> float:
     """Median of |Z| for standard normal Z: the root of P(|Z| >= t) = 1/2.
 
-    Solved by bisection on the normal CDF to 1e-12 (the root is the 0.75
-    normal quantile, ~0.6744897502).
+    That root is the 0.75 normal quantile, Phi^{-1}(3/4), given here as the
+    double nearest to it.
     """
-    lo, hi = 0.0, 1.0
-    while normal_cdf(hi) < 0.75:
-        hi *= 2.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < 0.75:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 0.6744897501960817
 
 
 def theory_diagnostics(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .estimator import KIND_DIFFERENCE, KIND_SUM, second_moment, second_moment_sum
-from .spectral import RecoveryReport, _as_matrix, _check_unit, sign_normalize, top_two_eigs
+from .spectral import RecoveryReport, _as_matrix, _check_unit, _power_iterate, top_two_eigs
 from .synth import Dataset
 
 
@@ -168,7 +168,7 @@ def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     keep = np.argsort(-np.abs(v), kind="stable")[:s_hat]
     out = np.zeros_like(v)
     out[keep] = v[keep]
-    norm = float(np.linalg.norm(out))
+    norm = math.sqrt(out @ out)
     if norm == 0.0:
         raise NumericalError("truncation annihilated the vector")
     return out / norm
@@ -187,26 +187,7 @@ def truncated_power_method(
     """
     m = _as_matrix(mtx)
     b = _check_unit(beta0, "beta0")
-    if not np.any(m):
-        raise NumericalError("no dominant direction: matrix is zero")
-    trace = []
-    converged = False
-    iterations = 0
-    for _ in range(cfg.t_max):
-        v = truncate(m @ b, cfg.s_hat)
-        iterations += 1
-        trace.append(float(v @ (m @ v)))
-        diff = min(float(np.linalg.norm(v - b)), float(np.linalg.norm(v + b)))
-        b = v
-        if diff <= tol:
-            converged = True
-            break
-    return RecoveryReport(
-        beta_hat=sign_normalize(b),
-        iterations=iterations,
-        rayleigh_trace=np.asarray(trace),
-        converged=converged,
-    )
+    return _power_iterate(m, b, cfg.t_max, tol, lambda mb: truncate(mb, cfg.s_hat))
 
 
 def sparse_recover(

@@ -1,5 +1,6 @@
 """Dense-regime recovery: power iteration and top-eigenpair extraction."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,38 +40,38 @@ def sign_normalize(v: np.ndarray) -> np.ndarray:
 
 def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
-        raise ConfigError(f"{what} must be unit norm")
+    # written so that a NaN or infinite norm fails too
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
+        raise ConfigError(f"{what} must be finite and unit norm")
     return v
 
 
-def power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryReport:
-    """Power iteration b <- M b / ||M b|| from a unit starting vector.
+def _normalize(v: np.ndarray) -> np.ndarray:
+    norm = math.sqrt(v @ v)  # what np.linalg.norm computes for a real vector
+    if not 0.0 < norm < math.inf:
+        raise NumericalError("no dominant direction: iterate annihilated or not finite")
+    return v / norm
 
-    Stops early once successive iterates differ by at most ``tol`` after sign
-    alignment (``tol=0`` reproduces a fixed-iteration run), or after ``t_max``
-    multiplies.  The returned vector is sign-normalized.  A zero matrix, or an
-    iterate that M annihilates, has no dominant direction and raises
-    ``NumericalError``.
+
+def _power_iterate(m: np.ndarray, b: np.ndarray, t_max: int, tol: float, step) -> RecoveryReport:
+    """Iterate b <- step(M b) from the unit vector b, one multiply per step.
+
+    ``step`` maps M b to the next unit iterate.  The product M v taken for the
+    Rayleigh quotient is reused as the next step's M b.
     """
-    m = _as_matrix(mtx)
-    b = _check_unit(beta0, "beta0")
-    if t_max < 1:
-        raise ConfigError(f"t_max must be >= 1, got {t_max}")
     if not np.any(m):
         raise NumericalError("no dominant direction: matrix is zero")
     trace = []
     converged = False
     iterations = 0
+    mb = m @ b
     for _ in range(t_max):
-        v = m @ b
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise NumericalError("no dominant direction: iterate annihilated")
-        v = v / norm
+        v = step(mb)
+        mb = m @ v
         iterations += 1
-        trace.append(float(v @ (m @ v)))
-        diff = min(float(np.linalg.norm(v - b)), float(np.linalg.norm(v + b)))
+        trace.append(float(v @ mb))
+        minus, plus = v - b, v + b
+        diff = min(math.sqrt(minus @ minus), math.sqrt(plus @ plus))
         b = v
         if diff <= tol:
             converged = True
@@ -81,6 +82,23 @@ def power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryRe
         rayleigh_trace=np.asarray(trace),
         converged=converged,
     )
+
+
+def power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryReport:
+    """Power iteration b <- M b / ||M b|| from a unit starting vector.
+
+    Stops early once successive iterates differ by at most ``tol`` after sign
+    alignment (``tol=0`` reproduces a fixed-iteration run), or after ``t_max``
+    multiplies.  Each step costs one matrix-vector product: the product taken
+    for the Rayleigh quotient is the next step's.  The returned vector is
+    sign-normalized.  A zero matrix, or an iterate that M annihilates or makes
+    non-finite, has no dominant direction and raises ``NumericalError``.
+    """
+    m = _as_matrix(mtx)
+    b = _check_unit(beta0, "beta0")
+    if t_max < 1:
+        raise ConfigError(f"t_max must be >= 1, got {t_max}")
+    return _power_iterate(m, b, t_max, tol, _normalize)
 
 
 def top_two_eigs(mtx):

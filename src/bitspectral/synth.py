@@ -44,6 +44,8 @@ class Dataset:
             raise ConfigError(f"dataset needs an even number n >= 2 of rows, got {n}")
         if self.covariates.shape[0] != n:
             raise ConfigError("labels and covariates disagree on n")
+        if not ((self.labels == 1) | (self.labels == -1)).all():
+            raise ConfigError("labels must lie in {-1, +1}")
 
     @property
     def n(self) -> int:

@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: quadrature oracles use
 scipy.integrate, the water-filling oracle finds its shift with a bracketing
 root-finder instead of the breakpoint search, moment oracles recompute from
 first principles, and the eigenvalue oracle samples a spiked Wishart law
-directly.
+directly.  The reference power loop and the reference moment are the
+straightforward forms that the production code computes faster: two products
+per power step, and a weighted sum over every pair.
 """
 
 import math
@@ -88,3 +90,37 @@ def random_fantope_point(p: int, rng: np.random.Generator) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     d = rng.dirichlet(np.ones(p))
     return (q * d) @ q.T
+
+
+def reference_power_method(m: np.ndarray, b: np.ndarray, t_max: int, tol: float):
+    """Power iteration with two matrix-vector products per step.
+
+    Returns (beta_hat, iterations, rayleigh_trace, converged), with beta_hat's
+    largest-magnitude coordinate made positive (ties: lowest index).
+    """
+    trace = []
+    converged = False
+    iterations = 0
+    for _ in range(t_max):
+        v = m @ b
+        v = v / float(np.linalg.norm(v))
+        iterations += 1
+        trace.append(float(v @ (m @ v)))
+        diff = min(float(np.linalg.norm(v - b)), float(np.linalg.norm(v + b)))
+        b = v
+        if diff <= tol:
+            converged = True
+            break
+    if b[int(np.argmax(np.abs(b)))] < 0.0:
+        b = -b
+    return b, iterations, np.asarray(trace), converged
+
+
+def reference_moment(labels: np.ndarray, covariates: np.ndarray, kind: str) -> np.ndarray:
+    """(2/n) sum_i w_i dx_i dx_i^T over every consecutive pair, w_i = (y_2i -+ y_2i-1)^2."""
+    y = np.asarray(labels)
+    x = np.asarray(covariates, dtype=float)
+    dy = y[1::2] - y[0::2] if kind == "difference" else y[1::2] + y[0::2]
+    w = (dy * dy).astype(np.float64)
+    dx = x[1::2] - x[0::2]
+    return (2.0 / y.shape[0]) * ((dx * w[:, None]).T @ dx)

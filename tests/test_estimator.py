@@ -11,6 +11,7 @@ from bitspectral import (
     FlippedLogistic,
     GroundTruth,
     MomentMatrix,
+    NumericalError,
     OneBitCS,
     OneBitPR,
     expected_moment,
@@ -22,6 +23,8 @@ from bitspectral import (
     theta_median,
     write_matrix_csv,
 )
+
+from _oracles import reference_moment
 
 
 def op_norm(a):
@@ -164,7 +167,53 @@ class TestConcentration:
         assert err < 0.3
 
 
+class TestWeightedPairBuild:
+    """M is built from the weight-4 pairs alone; it must match the sum over every pair."""
+
+    @pytest.mark.parametrize("kind", ["difference", "sum"])
+    def test_matches_every_pair_formula(self, kind):
+        build = second_moment if kind == "difference" else second_moment_sum
+        rng = np.random.default_rng([44, 0])
+        cases = [
+            (OneBitCS(0.3), 20, 2000),
+            (FlippedLogistic(pe=0.1), 5, 7840),
+            (OneBitPR(1.0), 40, 1000),
+            (OneBitPR(theta_median() / 2.0), 3, 4),
+        ]
+        for model, p, n in cases:
+            data = generate_dataset(model, sample_beta_dense(p, rng), n, rng)
+            got = build(data).entries
+            ref = reference_moment(data.labels, data.covariates, kind)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_no_weighted_pair_gives_zero(self):
+        x = np.arange(8.0).reshape(4, 2)
+        assert not np.any(second_moment(make_data([1, 1, -1, -1], x)).entries)
+        assert not np.any(second_moment_sum(make_data([1, -1, -1, 1], x)).entries)
+
+    def test_nan_covariate_in_weighted_pair_rejected(self):
+        x = np.ones((4, 2))
+        x[2, 1] = np.nan
+        with pytest.raises(NumericalError):
+            second_moment(make_data([1, 1, 1, -1], x))
+
+    def test_covariates_of_zero_weight_pairs_do_not_enter(self):
+        # documented: covariates of zero-weight pairs are not read
+        x = np.ones((4, 2))
+        x[1, 0] = 5.0
+        x[2, 1] = np.nan
+        m = second_moment(make_data([1, -1, 1, 1], x)).entries
+        np.testing.assert_array_equal(m, (8.0 / 4.0) * np.array([[16.0, 0.0], [0.0, 0.0]]))
+
+
 class TestMomentMatrixType:
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            a = np.eye(2)
+            a[0, 0] = bad
+            with pytest.raises(NumericalError):
+                MomentMatrix(entries=a, kind="difference", n_pairs=1)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ConfigError):
             MomentMatrix(entries=np.array([[1.0, 2.0], [0.0, 1.0]]),

@@ -57,6 +57,13 @@ class TestEstimationError:
         with pytest.raises(ConfigError):
             estimation_error(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0], [1.0, np.nan]])
+    def test_rejects_non_finite(self, bad):
+        good = np.array([1.0, 0.0])
+        for args in ((np.array(bad), good), (good, np.array(bad))):
+            with pytest.raises(ConfigError):
+                estimation_error(*args, sign_invariant=True)
+
 
 class TestMatrixSelection:
     def test_auto_uses_sum_below_median_threshold(self):
@@ -276,6 +283,18 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith(CSV_HEADER)
         assert len(done.stdout.strip().split("\n")) == 2
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(bitspectral.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, bitspectral.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.stats import norm
 
 from bitspectral import (
@@ -16,6 +17,7 @@ from bitspectral import (
     theory_diagnostics,
     theta_median,
 )
+from bitspectral.links import _ndtr, normal_cdf, normal_pdf
 
 from _oracles import split_domain_moment
 
@@ -189,7 +191,52 @@ class TestEigengapSigns:
             assert moments(OneBitPR(tm - d)).phi < 0
 
 
+def ulps(got, ref):
+    """|got - ref| in units in the last place of ref (NaN where both are NaN)."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+class TestNormalCdf:
+    """The Cephes port that replaces scipy.special.ndtr."""
+
+    def test_within_four_ulp_of_scipy(self):
+        grid = np.linspace(-38.0, 38.0, 760_001)
+        assert float(np.max(ulps(_ndtr(grid), scipy.special.ndtr(grid)))) <= 4.0
+
+    def test_special_points_equal_scipy(self):
+        for a in (0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 1e308, -1e308):
+            with np.errstate(over="raise", invalid="raise"):  # no inf * inf or inf / inf
+                assert _ndtr(a) == scipy.special.ndtr(a)
+        assert (_ndtr(np.inf), _ndtr(-np.inf)) == (1.0, 0.0)
+        assert np.isnan(_ndtr(np.nan))
+        assert np.isnan(_ndtr(np.array([0.0, np.nan]))).tolist() == [False, True]
+
+    def test_scalar_in_float_out(self):
+        assert type(normal_cdf(0.3)) is float
+        assert normal_cdf(0.3) == float(_ndtr(np.array([0.3]))[0])
+        out = normal_cdf([0.3, -0.3])
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+
+    def test_pr_moments_match_scipy_closed_form(self):
+        # P(|Z| >= theta) = 2 Phi(-theta), taken from scipy; mu2 and phi are sums,
+        # so their ulp is that of their largest term
+        for theta in np.linspace(0.01, 8.0, 801):
+            theta = float(theta)
+            got = moments(OneBitPR(theta))
+            mu0 = 2.0 * (2.0 * float(scipy.special.ndtr(-theta))) - 1.0
+            term = 4.0 * theta * float(normal_pdf(theta))
+            mu2 = mu0 + term
+            phi = -mu0 * mu2 + mu0 * mu0
+            assert ulps(got.mu0, mu0) <= 4.0
+            assert abs(got.mu2 - mu2) <= 4.0 * np.spacing(max(abs(mu0), term))
+            assert abs(got.phi - phi) <= 4.0 * np.spacing(max(abs(mu0 * mu2), mu0 * mu0))
+
+
 class TestThetaMedian:
+    def test_equals_scipy_quantile(self):
+        assert theta_median() == float(scipy.special.ndtri(0.75))
+
     def test_value(self):
         # bisection oracle on the scipy CDF, run to 1e-12
         lo, hi = 0.0, 2.0

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bitspectral import (
     ConfigError,
@@ -15,6 +18,8 @@ from bitspectral import (
     sign_normalize,
     top_two_eigs,
 )
+
+from _oracles import reference_power_method
 
 
 def random_psd(p, rng, scale=1.0):
@@ -116,6 +121,63 @@ class TestPowerMethod:
         report = power_method(m, unit(rng.standard_normal(6)), t_max=3, tol=0.0)
         assert report.iterations == 3
         assert not report.converged
+
+
+    def test_rejects_non_finite_start(self):
+        for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ConfigError):
+                power_method(np.eye(2), np.array(bad))
+
+    def test_non_finite_matrix_fails_at_once(self):
+        m = np.eye(3)
+        m[1, 1] = np.nan
+        with pytest.raises(NumericalError):
+            power_method(m, unit([1.0, 1.0, 1.0]))
+
+
+class TestOneProductPerStep:
+    """The loop reuses its Rayleigh product; it must match the two-product loop bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # p rows and k columns: k < p gives a rank-deficient PSD matrix
+        factor=st.tuples(st.integers(1, 10), st.integers(1, 12)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.floats(-4.0, 4.0, width=64))),
+        start=st.integers(0, 2**32 - 1),
+        t_max=st.integers(1, 120),
+        tol=st.sampled_from([0.0, 1e-10]),
+    )
+    def test_matches_reference_bitwise(self, factor, start, t_max, tol):
+        m = factor @ factor.T
+        assume(np.any(m))
+        b0 = unit(np.random.default_rng(start).standard_normal(m.shape[0]))
+        try:
+            got = power_method(m, b0, t_max=t_max, tol=tol)
+        except NumericalError:
+            assume(False)
+        beta, iterations, trace, converged = reference_power_method(m, b0, t_max, tol)
+        assert np.array_equal(got.beta_hat, beta)
+        assert np.array_equal(got.rayleigh_trace, trace)
+        assert got.iterations == iterations
+        assert got.converged == converged
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-10])
+    def test_cap_hit_and_early_stop_match_reference(self, tol):
+        # a relative gap of 1e-3 stops on the cap; a gap of 1/2 stops early at tol 1e-10
+        rng = np.random.default_rng(21)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        b0 = unit(rng.standard_normal(12))
+        outcomes = set()
+        for top in (1.001, 2.0):
+            m = (q * np.r_[top, np.linspace(1.0, 0.1, 11)]) @ q.T
+            got = power_method(m, b0, t_max=500, tol=tol)
+            beta, iterations, trace, converged = reference_power_method(m, b0, 500, tol)
+            assert np.array_equal(got.beta_hat, beta)
+            assert np.array_equal(got.rayleigh_trace, trace)
+            assert (got.iterations, got.converged) == (iterations, converged)
+            outcomes.add((top, got.converged))
+        assert (1.001, False) in outcomes
+        assert tol == 0.0 or (2.0, True) in outcomes
 
 
 class TestTopTwoEigs:

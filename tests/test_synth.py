@@ -153,6 +153,16 @@ class TestDatasetInvariants:
         with pytest.raises(ConfigError):
             Dataset(labels=np.array([1, -1]), covariates=np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [7, 0, -2])
+    def test_rejects_labels_outside_plus_minus_one(self, bad):
+        # a label of 7 would weight its pair (7 - 1)^2 = 36, not the 0 or 4 the moment assumes
+        with pytest.raises(ConfigError):
+            Dataset(labels=np.array([1, bad, -1, 1]), covariates=np.zeros((4, 2)))
+
+    def test_rejects_nan_label(self):
+        with pytest.raises(ConfigError):
+            Dataset(labels=np.array([1.0, np.nan]), covariates=np.zeros((2, 2)))
+
 
 class TestCsvDump:
     def test_roundtrip(self, tmp_path):
