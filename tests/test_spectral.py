@@ -122,7 +122,6 @@ class TestPowerMethod:
         assert report.iterations == 3
         assert not report.converged
 
-
     def test_rejects_non_finite_start(self):
         for bad in ([np.nan, 0.0], [np.inf, 0.0]):
             with pytest.raises(ConfigError):
