@@ -14,7 +14,6 @@ from .estimator import (
     expected_moment,
     second_moment,
     second_moment_sum,
-    write_matrix_csv,
 )
 from .harness import (
     CSV_HEADER,
@@ -62,7 +61,6 @@ from .synth import (
     generate_dataset,
     sample_beta_dense,
     sample_beta_sparse,
-    write_dataset_csv,
 )
 
 __version__ = "0.1.0"
@@ -87,14 +85,12 @@ __all__ = [
     "generate_dataset",
     "sample_beta_dense",
     "sample_beta_sparse",
-    "write_dataset_csv",
     "MomentMatrix",
     "KIND_DIFFERENCE",
     "KIND_SUM",
     "second_moment",
     "second_moment_sum",
     "expected_moment",
-    "write_matrix_csv",
     "RecoveryReport",
     "power_method",
     "top_two_eigs",

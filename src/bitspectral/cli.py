@@ -1,65 +1,78 @@
 """Command-line interface.
 
-Subcommands: ``eigs``, ``lowdim``, ``sparse``, ``diag``.  Flags mirror the
-fields of ``harness.RunConfig``; ``--config FILE`` supplies the same settings
-as JSON, with explicit flags taking precedence over the file.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+Subcommands: ``eigs``, ``lowdim``, ``sparse``, ``diag``.  There is one flag
+per field of ``harness.RunConfig`` but ``experiment`` (``rho_const`` is
+``--rho-const``), typed by the field's annotation; grids are comma separated.
+``--config FILE`` supplies the same settings as JSON, with explicit flags
+taking precedence over the file.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure.
 """
 
 import argparse
 import json
 import sys
+import typing
+from dataclasses import fields
 
 from .errors import ConfigError, NumericalError
-from .harness import RunConfig, default_config, run_experiment, write_csv
+from .harness import _MATRIX_KINDS, _MODELS, RunConfig, default_config, run_experiment, write_csv
 
-_GRID_FLOAT_KEYS = ("pe", "sigma", "theta")
-_GRID_INT_KEYS = ("n", "p", "s")
-_SCALAR_KEYS = {
-    "zeta": float, "trials": int, "seed": int, "tmax": int, "tol": float,
-    "rho_const": float, "shat": int, "admm_tol": float, "admm_penalty": float,
-    "admm_max_iter": int, "quad_order": int, "matrix": str, "model": str,
-    "out": str,
+_CHOICES = {"model": tuple(_MODELS), "matrix": tuple(_MATRIX_KINDS)}
+_HELP = {
+    "pe": "flip probability (comma grid for eigs)",
+    "sigma": "noise standard deviation; variance v means sigma=sqrt(v)",
+    "theta": "quantization threshold (> 0)",
+    "zeta": "logistic intercept",
+    "n": "sample-size grid, comma separated",
+    "p": "dimension grid, comma separated",
+    "s": "sparsity grid, comma separated",
+    "tmax": "power-iteration cap",
+    "tol": "power-iteration stop tolerance",
+    "rho_const": "rho = rho_const * sqrt(log p / n)",
+    "shat": "truncation sparsity (default min(2 s, p))",
+    "matrix": "force the difference or sum estimator",
+    "out": "output CSV path (default stdout)",
 }
 
 
-def _parse_grid(raw, cast) -> tuple:
-    if isinstance(raw, (list, tuple)):
-        return tuple(cast(v) for v in raw)
-    if isinstance(raw, (int, float)):
-        return (cast(raw),)
+def _field_type(annotation) -> tuple[type, bool]:
+    """Scalar type of a field and whether it is a grid (``tuple[T, ...]``)."""
+    args = [a for a in typing.get_args(annotation) if a not in (type(None), Ellipsis)]
+    return (args[0] if args else annotation), typing.get_origin(annotation) is tuple
+
+
+_FIELDS = {f.name: _field_type(f.type) for f in fields(RunConfig)[1:]}  # all but experiment
+
+
+def _cast(raw, cast):
+    """One flag or JSON value; an int field takes no bool and no fraction."""
+    if cast is int and (isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return cast(raw)
+
+
+def _parse(name: str, raw):
+    """A flag string or JSON value as its field's type; grid strings split on commas."""
+    cast, grid = _FIELDS[name]
+    if grid and isinstance(raw, str):
+        items = [tok for tok in raw.split(",") if tok != ""]
+    else:
+        items = raw if grid and isinstance(raw, (list, tuple)) else [raw]
     try:
-        return tuple(cast(tok) for tok in str(raw).split(",") if tok != "")
-    except ValueError as exc:
-        raise ConfigError(f"bad grid value {raw!r}: {exc}") from None
+        values = tuple(_cast(v, cast) for v in items)
+    except (TypeError, ValueError) as exc:
+        what = f"grid value {raw!r}" if grid else f"value for {name}"
+        raise ConfigError(f"bad {what}: {exc}") from None
+    return values if grid else values[0]
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", choices=("flr", "cs", "pr"), default=None)
-    sub.add_argument("--pe", default=None, help="flip probability (comma grid for eigs)")
-    sub.add_argument("--sigma", default=None,
-                     help="noise standard deviation; variance v means sigma=sqrt(v)")
-    sub.add_argument("--theta", default=None, help="quantization threshold (> 0)")
-    sub.add_argument("--zeta", type=float, default=None, help="logistic intercept")
-    sub.add_argument("--n", default=None, help="sample-size grid, comma separated")
-    sub.add_argument("--p", default=None, help="dimension grid, comma separated")
-    sub.add_argument("--s", default=None, help="sparsity grid, comma separated")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--tmax", type=int, default=None, help="power-iteration cap")
-    sub.add_argument("--tol", type=float, default=None, help="power-iteration stop tolerance")
-    sub.add_argument("--rho-const", dest="rho_const", type=float, default=None,
-                     help="rho = rho_const * sqrt(log p / n)")
-    sub.add_argument("--shat", type=int, default=None,
-                     help="truncation sparsity (default min(2 s, p))")
-    sub.add_argument("--admm-tol", dest="admm_tol", type=float, default=None)
-    sub.add_argument("--admm-penalty", dest="admm_penalty", type=float, default=None)
-    sub.add_argument("--admm-max-iter", dest="admm_max_iter", type=int, default=None)
-    sub.add_argument("--matrix", choices=("auto", "diff", "sum"), default=None,
-                     help="force the difference or sum estimator")
-    sub.add_argument("--quad-order", dest="quad_order", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    sub.add_argument("--config", default=None, help="JSON file mirroring these flags")
+    for name, (cast, grid) in _FIELDS.items():
+        sub.add_argument(
+            "--" + name.replace("_", "-"), dest=name, type=None if grid else cast,
+            choices=_CHOICES.get(name), help=_HELP.get(name),
+        )
+    sub.add_argument("--config", help="JSON file mirroring these flags")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,38 +105,16 @@ def _load_config_file(path: str) -> dict:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file(args.config) if args.config else {}
     for key in file_values:
-        if key not in _SCALAR_KEYS and key not in _GRID_FLOAT_KEYS and key not in _GRID_INT_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-
-    def pick(key):
-        flag = getattr(args, key, None)
-        return flag if flag is not None else file_values.get(key)
-
-    model = pick("model") or "cs"
-    cfg = default_config(args.experiment, model)
     updates = {}
-    for key in _GRID_FLOAT_KEYS:
-        raw = pick(key)
+    for name in _FIELDS:
+        raw = getattr(args, name)
+        if raw is None:
+            raw = file_values.get(name)
         if raw is not None:
-            updates[key] = _parse_grid(raw, float)
-    for key in _GRID_INT_KEYS:
-        raw = pick(key)
-        if raw is not None:
-            updates[key] = _parse_grid(raw, int)
-    for key, cast in _SCALAR_KEYS.items():
-        if key in ("model", "out"):
-            continue
-        raw = pick(key)
-        if raw is not None:
-            try:
-                updates[key] = cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {exc}") from None
-    updates["out"] = pick("out")
-    try:
-        return RunConfig(**{**cfg.__dict__, **updates})
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+            updates[name] = _parse(name, raw)
+    return default_config(args.experiment, **updates)
 
 
 def main(argv=None) -> int:

@@ -106,10 +106,3 @@ def expected_moment(
         m = -4.0 * summ.phi * np.outer(b, b) + 4.0 * (1.0 + summ.mu0**2) * np.eye(p)
     m = 0.5 * (m + m.T)
     return MomentMatrix(entries=m, kind=kind, n_pairs=0)
-
-
-def write_matrix_csv(mtx: MomentMatrix, path) -> None:
-    """Dump the matrix as CSV: p rows of p comma-separated 17-digit floats."""
-    with open(path, "w", newline="") as fh:
-        for row in mtx.entries:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -26,7 +26,8 @@ corresponds to sigma = sqrt(0.1).
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,22 +47,21 @@ from .sparse import SparseConfig, sparse_recover
 from .spectral import _check_unit, power_method, top_two_eigs
 from .synth import generate_dataset, sample_beta_dense, sample_beta_sparse
 
-DEFAULT_SIGMA = math.sqrt(0.1)  # noise variance 0.1
 
-CSV_HEADER = (
-    "experiment,model,param_name,param_value,n,p,s,trial,abscissa,"
-    "lambda1_over4,lambda2_over4,err,err_signfree,iters,converged"
-)
+class _Model(NamedTuple):
+    noise: str  # the RunConfig field that holds this model's noise grid
+    link: Callable  # (cfg, noise value) -> LinkModel
+    eigs_grid: tuple  # default noise grid of the eigs experiment
 
-_EXPERIMENTS = ("eigs", "lowdim", "sparse", "diag")
-_MODELS = ("flr", "cs", "pr")
-_PARAM_NAMES = {"flr": "pe", "cs": "sigma", "pr": "theta"}
 
-_EIGS_NOISE_DEFAULTS = {
-    "flr": (0.0, 0.1, 0.2, 0.3, 0.4),
-    "cs": (0.0, 0.5, 1.0, 1.5, 2.0),
-    "pr": (0.25, 0.45, 0.675, 0.9, 1.2),
+_MODELS = {
+    "flr": _Model("pe", lambda cfg, v: FlippedLogistic(zeta=cfg.zeta, pe=v),
+                  (0.0, 0.1, 0.2, 0.3, 0.4)),
+    "cs": _Model("sigma", lambda cfg, v: OneBitCS(sigma=v), (0.0, 0.5, 1.0, 1.5, 2.0)),
+    "pr": _Model("theta", lambda cfg, v: OneBitPR(theta=v), (0.25, 0.45, 0.675, 0.9, 1.2)),
 }
+# --matrix value -> forced estimator kind; "auto" picks by the sign of phi
+_MATRIX_KINDS = {"auto": None, "diff": KIND_DIFFERENCE, "sum": KIND_SUM}
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,15 @@ class RunConfig:
 
     experiment: str
     model: str = "cs"
-    pe: tuple = (0.1,)
-    sigma: tuple = (DEFAULT_SIGMA,)
-    theta: tuple = (1.0,)
+    pe: tuple[float, ...] = (0.1,)
+    sigma: tuple[float, ...] = (math.sqrt(0.1),)  # noise variance 0.1
+    theta: tuple[float, ...] = (1.0,)
     zeta: float = 0.0
-    n: tuple = (3000,)
-    p: tuple = (20,)
-    s: tuple = ()
+    n: tuple[int, ...] = (3000,)
+    p: tuple[int, ...] = (20,)
+    s: tuple[int, ...] = ()
     trials: int = 1
     seed: int = 0
-    out: str | None = None
     tmax: int = 500
     tol: float = 1e-10
     rho_const: float = 1.0
@@ -89,6 +88,14 @@ class RunConfig:
     admm_max_iter: int = 2000
     matrix: str = "auto"
     quad_order: int = DEFAULT_QUAD_ORDER
+    out: str | None = None  # CSV path; None writes to stdout
+
+    def __post_init__(self):
+        if self.experiment not in _RUNNERS:
+            raise ConfigError(
+                f"experiment must be one of {tuple(_RUNNERS)}, got {self.experiment!r}")
+        if self.model not in _MODELS:
+            raise ConfigError(f"model must be one of {tuple(_MODELS)}, got {self.model!r}")
 
 
 @dataclass(frozen=True)
@@ -112,16 +119,16 @@ class ExperimentRow:
     converged: bool | None = None
 
 
+_COLUMNS = tuple(f.name for f in fields(ExperimentRow))
+CSV_HEADER = ",".join(_COLUMNS)
+
+
 def default_config(experiment: str, model: str = "cs", **overrides) -> RunConfig:
     """Config with the standard desk-scale grids for the given experiment."""
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {experiment!r}")
-    if model not in _MODELS:
-        raise ConfigError(f"model must be one of {_MODELS}, got {model!r}")
     cfg = RunConfig(experiment=experiment, model=model)
     if experiment == "eigs":
-        grid = _EIGS_NOISE_DEFAULTS[model]
-        cfg = replace(cfg, trials=10, **{_PARAM_NAMES[model]: grid})
+        spec = _MODELS[model]
+        cfg = replace(cfg, trials=10, **{spec.noise: spec.eigs_grid})
     elif experiment == "lowdim":
         cfg = replace(cfg, trials=100, n=(500, 2000, 8000), p=(20,))
     elif experiment == "sparse":
@@ -130,44 +137,38 @@ def default_config(experiment: str, model: str = "cs", **overrides) -> RunConfig
 
 
 def _noise_grid(cfg: RunConfig) -> tuple:
-    return getattr(cfg, _PARAM_NAMES[cfg.model])
+    return getattr(cfg, _MODELS[cfg.model].noise)
 
 
 def _make_model(cfg: RunConfig, param_value: float) -> LinkModel:
-    if cfg.model == "flr":
-        return FlippedLogistic(zeta=cfg.zeta, pe=param_value)
-    if cfg.model == "cs":
-        return OneBitCS(sigma=param_value)
-    if cfg.model == "pr":
-        return OneBitPR(theta=param_value)
-    raise ConfigError(f"model must be one of {_MODELS}, got {cfg.model!r}")
+    return _MODELS[cfg.model].link(cfg, param_value)
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.experiment not in _EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {cfg.experiment!r}")
-    if cfg.model not in _MODELS:
-        raise ConfigError(f"model must be one of {_MODELS}, got {cfg.model!r}")
+    grid = _noise_grid(cfg)
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-    if not cfg.n or not cfg.p or not _noise_grid(cfg):
+    if not cfg.n or not cfg.p or not grid:
         raise ConfigError("grids must be nonempty")
     if cfg.experiment == "sparse" and not cfg.s:
         raise ConfigError("sparse experiment needs an s grid")
-    if cfg.matrix not in ("auto", "diff", "sum"):
-        raise ConfigError(f"matrix must be auto|diff|sum, got {cfg.matrix!r}")
-    for value in _noise_grid(cfg):
+    if cfg.matrix not in _MATRIX_KINDS:
+        raise ConfigError(f"matrix must be {'|'.join(_MATRIX_KINDS)}, got {cfg.matrix!r}")
+    for value in grid:
         _make_model(cfg, value)  # validates the noise parameter range
+    if cfg.experiment != "eigs" and len(grid) != 1:
+        raise ConfigError(
+            f"experiment {cfg.experiment!r} takes a single noise value, got grid {grid}"
+        )
 
 
 def select_matrix_kind(
     model: LinkModel, override: str = "auto", quad_order: int = DEFAULT_QUAD_ORDER
 ) -> str:
     """Difference vs sum estimator: by flag, else by the sign of phi."""
-    if override == "diff":
-        return KIND_DIFFERENCE
-    if override == "sum":
-        return KIND_SUM
+    forced = _MATRIX_KINDS.get(override)
+    if forced is not None:
+        return forced
     return KIND_SUM if moments(model, quad_order=quad_order).phi < 0.0 else KIND_DIFFERENCE
 
 
@@ -193,19 +194,33 @@ def trial_rng(cfg: RunConfig, param_value: float, n: int, p: int, s: int | None,
     )
 
 
+def _draw(cfg: RunConfig, param_value: float, n: int, p: int, s: int | None, trial: int):
+    """One trial's stream, truth (s-sparse unless s is None), data and estimator kind."""
+    rng = trial_rng(cfg, param_value, n, p, s, trial)
+    model = _make_model(cfg, param_value)
+    truth = sample_beta_dense(p, rng) if s is None else sample_beta_sparse(p, s, rng)
+    data = generate_dataset(model, truth, n, rng)
+    return rng, truth, data, select_matrix_kind(model, cfg.matrix, cfg.quad_order)
+
+
+def _row(cfg: RunConfig, experiment: str, param_value: float, n: int, p: int, s: int | None,
+         trial: int, abscissa: float, truth=None, report=None, **columns) -> ExperimentRow:
+    """One trial's row; given a recovery report, also its error against the truth."""
+    if report is not None:
+        signfree = estimation_error(report.beta_hat, truth.beta_star, True)
+        err = signfree if cfg.model == "pr" else estimation_error(report.beta_hat, truth.beta_star)
+        columns.update(err=err, err_signfree=signfree, iters=report.iterations,
+                       converged=report.converged)
+    return ExperimentRow(experiment, cfg.model, _MODELS[cfg.model].noise, param_value,
+                         n, p, s, trial, abscissa, **columns)
+
+
 def eigs_trial(cfg: RunConfig, param_value: float, trial: int) -> ExperimentRow:
     n, p = cfg.n[0], cfg.p[0]
-    rng = trial_rng(cfg, param_value, n, p, None, trial)
-    model = _make_model(cfg, param_value)
-    truth = sample_beta_dense(p, rng)
-    data = generate_dataset(model, truth, n, rng)
-    kind = select_matrix_kind(model, cfg.matrix, cfg.quad_order)
+    _, _, data, kind = _draw(cfg, param_value, n, p, None, trial)
     lam1, lam2, _ = top_two_eigs(_build_moment(data, kind))
-    return ExperimentRow(
-        experiment="eigs", model=cfg.model, param_name=_PARAM_NAMES[cfg.model],
-        param_value=param_value, n=n, p=p, s=None, trial=trial,
-        abscissa=param_value, lambda1_over4=lam1 / 4.0, lambda2_over4=lam2 / 4.0,
-    )
+    return _row(cfg, "eigs", param_value, n, p, None, trial, param_value,
+                lambda1_over4=lam1 / 4.0, lambda2_over4=lam2 / 4.0)
 
 
 def run_eigenstructure(cfg: RunConfig) -> list[ExperimentRow]:
@@ -224,31 +239,18 @@ def run_eigenstructure(cfg: RunConfig) -> list[ExperimentRow]:
 
 
 def lowdim_trial(cfg: RunConfig, param_value: float, n: int, p: int, trial: int) -> ExperimentRow:
-    rng = trial_rng(cfg, param_value, n, p, None, trial)
-    model = _make_model(cfg, param_value)
-    truth = sample_beta_dense(p, rng)
-    data = generate_dataset(model, truth, n, rng)
-    kind = select_matrix_kind(model, cfg.matrix, cfg.quad_order)
+    rng, truth, data, kind = _draw(cfg, param_value, n, p, None, trial)
     mtx = _build_moment(data, kind)
     beta0 = rng.standard_normal(p)
     beta0 /= np.linalg.norm(beta0)
     report = power_method(mtx, beta0, t_max=cfg.tmax, tol=cfg.tol)
-    err_signfree = estimation_error(report.beta_hat, truth.beta_star, True)
-    err = err_signfree if cfg.model == "pr" else estimation_error(
-        report.beta_hat, truth.beta_star, False
-    )
-    return ExperimentRow(
-        experiment="lowdim", model=cfg.model, param_name=_PARAM_NAMES[cfg.model],
-        param_value=param_value, n=n, p=p, s=None, trial=trial,
-        abscissa=math.sqrt(p / n), err=err, err_signfree=err_signfree,
-        iters=report.iterations, converged=report.converged,
-    )
+    return _row(cfg, "lowdim", param_value, n, p, None, trial, math.sqrt(p / n), truth, report)
 
 
 def run_lowdim(cfg: RunConfig) -> list[ExperimentRow]:
     """Dense recovery error over a (p, n) grid at a fixed noise setting."""
     _validate(cfg)
-    param_value = _single_noise_value(cfg)
+    param_value = _noise_grid(cfg)[0]
     return [
         lowdim_trial(cfg, param_value, n, p, t)
         for p in cfg.p
@@ -258,34 +260,21 @@ def run_lowdim(cfg: RunConfig) -> list[ExperimentRow]:
 
 
 def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int, trial: int) -> ExperimentRow:
-    rng = trial_rng(cfg, param_value, n, p, s, trial)
-    model = _make_model(cfg, param_value)
-    truth = sample_beta_sparse(p, s, rng)
-    data = generate_dataset(model, truth, n, rng)
-    kind = select_matrix_kind(model, cfg.matrix, cfg.quad_order)
-    s_hat = cfg.shat if cfg.shat is not None else min(2 * s, p)
+    _, truth, data, kind = _draw(cfg, param_value, n, p, s, trial)
     scfg = SparseConfig(
         rho=cfg.rho_const * math.sqrt(math.log(p) / n),
-        s_hat=s_hat, t_max=cfg.tmax, admm_penalty=cfg.admm_penalty,
-        admm_tol=cfg.admm_tol, admm_max_iter=cfg.admm_max_iter,
+        s_hat=cfg.shat if cfg.shat is not None else min(2 * s, p), t_max=cfg.tmax,
+        admm_penalty=cfg.admm_penalty, admm_tol=cfg.admm_tol, admm_max_iter=cfg.admm_max_iter,
     )
     report = sparse_recover(data, scfg, kind=kind)
-    err_signfree = estimation_error(report.beta_hat, truth.beta_star, True)
-    err = err_signfree if cfg.model == "pr" else estimation_error(
-        report.beta_hat, truth.beta_star, False
-    )
-    return ExperimentRow(
-        experiment="sparse", model=cfg.model, param_name=_PARAM_NAMES[cfg.model],
-        param_value=param_value, n=n, p=p, s=s, trial=trial,
-        abscissa=math.sqrt(s * math.log(p) / n), err=err, err_signfree=err_signfree,
-        iters=report.iterations, converged=report.converged,
-    )
+    return _row(cfg, "sparse", param_value, n, p, s, trial,
+                math.sqrt(s * math.log(p) / n), truth, report)
 
 
 def run_sparse(cfg: RunConfig) -> list[ExperimentRow]:
     """Sparse-pipeline recovery error over an (s, p, n) grid."""
     _validate(cfg)
-    param_value = _single_noise_value(cfg)
+    param_value = _noise_grid(cfg)[0]
     for s in cfg.s:
         if s < 1 or s > max(cfg.p):
             raise ConfigError(f"sparsity grid value {s} out of range for p grid {cfg.p}")
@@ -298,15 +287,6 @@ def run_sparse(cfg: RunConfig) -> list[ExperimentRow]:
     ]
 
 
-def _single_noise_value(cfg: RunConfig) -> float:
-    grid = _noise_grid(cfg)
-    if len(grid) != 1:
-        raise ConfigError(
-            f"experiment {cfg.experiment!r} takes a single noise value, got grid {grid}"
-        )
-    return grid[0]
-
-
 def run_diag(cfg: RunConfig, stream=None) -> list[ExperimentRow]:
     """Print the moment summary and theory constants; pure computation.
 
@@ -315,7 +295,7 @@ def run_diag(cfg: RunConfig, stream=None) -> list[ExperimentRow]:
     """
     _validate(cfg)
     out = stream if stream is not None else sys.stdout
-    param_value = _single_noise_value(cfg)
+    param_value = _noise_grid(cfg)[0]
     model = _make_model(cfg, param_value)
     if len(cfg.p) != 1 or len(cfg.s) > 1:
         raise ConfigError(
@@ -324,7 +304,7 @@ def run_diag(cfg: RunConfig, stream=None) -> list[ExperimentRow]:
     p = cfg.p[0]
     s = cfg.s[0] if cfg.s else None
     summ = moments(model, quad_order=cfg.quad_order)
-    print(f"model={cfg.model} {_PARAM_NAMES[cfg.model]}={param_value:.17g} "
+    print(f"model={cfg.model} {_MODELS[cfg.model].noise}={param_value:.17g} "
           f"p={p} s={'-' if s is None else s}", file=out)
     print(f"mu0={summ.mu0:.12g} mu1={summ.mu1:.12g} mu2={summ.mu2:.12g} "
           f"phi={summ.phi:.12g} method={summ.method}", file=out)
@@ -340,15 +320,17 @@ def run_diag(cfg: RunConfig, stream=None) -> list[ExperimentRow]:
     return []
 
 
+_RUNNERS = {
+    "eigs": run_eigenstructure,
+    "lowdim": run_lowdim,
+    "sparse": run_sparse,
+    "diag": run_diag,
+}
+
+
 def run_experiment(cfg: RunConfig) -> list[ExperimentRow]:
     """Dispatch on cfg.experiment."""
-    runner = {
-        "eigs": run_eigenstructure,
-        "lowdim": run_lowdim,
-        "sparse": run_sparse,
-        "diag": run_diag,
-    }[cfg.experiment]
-    return runner(cfg)
+    return _RUNNERS[cfg.experiment](cfg)
 
 
 def _cell(value) -> str:
@@ -367,11 +349,7 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
     """Render rows deterministically: header plus one line per row, LF endings."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join(_cell(v) for v in (
-            r.experiment, r.model, r.param_name, r.param_value, r.n, r.p, r.s,
-            r.trial, r.abscissa, r.lambda1_over4, r.lambda2_over4, r.err,
-            r.err_signfree, r.iters, r.converged,
-        )))
+        lines.append(",".join(_cell(getattr(r, name)) for name in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -281,15 +281,14 @@ def theory_diagnostics(
     p: int,
     s: int | None = None,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    c_nmin: float = 1.0,
 ) -> TheoryDiagnostics:
     """Evaluate the theory constants gamma, xi, kappa and the n_min scale.
 
     Requires a positive eigengap statistic; for phi <= 0 the difference-type
     estimator has no top-eigenvector signal and a ConfigError pointing at the
     sum-type estimator is raised.  ``s`` is needed for ``n_min`` (NaN when
-    omitted).  The unspecified absolute constant in ``n_min`` is exposed as
-    ``c_nmin`` (default 1) and the value is a relative scale, not a gate.
+    omitted).  The source leaves ``n_min``'s absolute constant unspecified;
+    it is taken as 1 here, so the value is a relative scale, not a gate.
     """
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")
@@ -311,8 +310,7 @@ def theory_diagnostics(
         if not 1 <= s <= p:
             raise ConfigError(f"sparsity must satisfy 1 <= s <= p, got s={s}, p={p}")
         n_min = (
-            c_nmin
-            * s * s * math.log(p)
+            s * s * math.log(p)
             * phi * phi
             * min(kappa * (1.0 - math.sqrt(kappa)) / 2.0, kappa / 8.0)
             / (one_minus + phi) ** 2

@@ -48,10 +48,10 @@ class SparseConfig:
             raise ConfigError(f"s_hat must be >= 1, got {self.s_hat}")
         if self.t_max < 1:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
-        if self.admm_penalty <= 0.0:
-            raise ConfigError(f"admm_penalty must be > 0, got {self.admm_penalty}")
-        if self.admm_tol <= 0.0:
-            raise ConfigError(f"admm_tol must be > 0, got {self.admm_tol}")
+        if not (math.isfinite(self.admm_penalty) and self.admm_penalty > 0.0):
+            raise ConfigError(f"admm_penalty must be finite and > 0, got {self.admm_penalty}")
+        if not (math.isfinite(self.admm_tol) and self.admm_tol > 0.0):
+            raise ConfigError(f"admm_tol must be finite and > 0, got {self.admm_tol}")
         if self.admm_max_iter < 1:
             raise ConfigError(f"admm_max_iter must be >= 1, got {self.admm_max_iter}")
 

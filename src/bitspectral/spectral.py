@@ -59,6 +59,8 @@ def _power_iterate(m: np.ndarray, b: np.ndarray, t_max: int, tol: float, step) -
     ``step`` maps M b to the next unit iterate.  The product M v taken for the
     Rayleigh quotient is reused as the next step's M b.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
     if not np.any(m):
         raise NumericalError("no dominant direction: matrix is zero")
     trace = []

@@ -120,13 +120,3 @@ def generate_dataset(model: LinkModel, truth: GroundTruth, n: int, seed) -> Data
         log.info("odd n=%d: trimming the last observation to n=%d", n, n - 1)
         x, y = x[:-1], y[:-1]
     return Dataset(labels=y, covariates=x)
-
-
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Dump a dataset as CSV: header ``y,x1,...,xp``, 17-significant-digit floats."""
-    cols = ",".join(f"x{j + 1}" for j in range(dataset.p))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"y,{cols}\n")
-        for yi, row in zip(dataset.labels, dataset.covariates):
-            vals = ",".join(f"{v:.17g}" for v in row)
-            fh.write(f"{int(yi)},{vals}\n")

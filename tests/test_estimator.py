@@ -21,7 +21,6 @@ from bitspectral import (
     second_moment,
     second_moment_sum,
     theta_median,
-    write_matrix_csv,
 )
 
 from _oracles import reference_moment
@@ -222,15 +221,6 @@ class TestMomentMatrixType:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             MomentMatrix(entries=np.eye(2), kind="product", n_pairs=1)
-
-    def test_csv_dump(self, tmp_path):
-        truth = sample_beta_dense(3, 8)
-        m = expected_moment(OneBitCS(0.0), truth)
-        path = tmp_path / "m.csv"
-        write_matrix_csv(m, path)
-        rows = [[float(tok) for tok in ln.split(",")]
-                for ln in path.read_text().splitlines()]
-        np.testing.assert_array_equal(np.array(rows), m.entries)
 
 
 class TestAbsoluteScaleConcentration:

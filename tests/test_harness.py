@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from bitspectral import (
     run_sparse,
     select_matrix_kind,
 )
-from bitspectral.cli import main
+from bitspectral.cli import build_parser, config_from_args, main
 from bitspectral.harness import RunConfig, lowdim_trial
 from bitspectral.links import OneBitPR
 
@@ -295,6 +296,58 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["lowdim", "--tol", "nan"],
+        ["lowdim", "--tol", "-1"],
+        ["sparse", "--admm-tol", "nan"],
+        ["sparse", "--admm-penalty", "inf"],
+        ["sparse", "--admm-penalty", "nan"],
+    ])
+    def test_bad_stopping_scalar_exit_code(self, argv, capsys):
+        # a stop rule that can never hold, or a penalty ADMM cannot use, is a config error
+        grid = ["--n", "100", "--p", "6", "--s", "2", "--trials", "1", "--admm-max-iter", "5"]
+        assert main(argv + grid) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [
+        {"n": 401.7}, {"trials": 2.9}, {"seed": 1.5}, {"trials": True}, {"p": [4, 5.5]},
+    ])
+    def test_config_file_integers_not_truncated(self, tmp_path, capsys, values):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"n": 100, "p": 4, "trials": 1, **values}))
+        assert main(["lowdim", "--config", str(cfgfile)]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+
+    def test_every_field_has_a_flag_and_a_key(self, tmp_path, capsys):
+        values = {
+            "model": "flr", "pe": (0.2, 0.3), "sigma": (0.4,), "theta": (0.5, 2.0),
+            "zeta": 0.25, "n": (100, 200), "p": (3,), "s": (1, 2), "trials": 4,
+            "seed": 7, "tmax": 9, "tol": 0.001, "rho_const": 0.5, "shat": 2,
+            "admm_tol": 0.0001, "admm_penalty": 2.0, "admm_max_iter": 11,
+            "matrix": "sum", "quad_order": 16, "out": "rows.csv",
+        }
+        assert set(values) == {f.name for f in fields(RunConfig)} - {"experiment"}
+        expected = RunConfig(experiment="lowdim", **values)
+        defaults = default_config("lowdim")
+        assert all(getattr(expected, key) != getattr(defaults, key) for key in values)
+
+        argv = ["lowdim"]
+        for key, value in values.items():
+            argv += ["--" + key.replace("_", "-"),
+                     ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+        assert config_from_args(build_parser().parse_args(argv)) == expected
+
+        # integral floats are integers too
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({**values, "n": [100.0, 200], "trials": 4.0}))
+        args = build_parser().parse_args(["lowdim", "--config", str(cfgfile)])
+        assert config_from_args(args) == expected
+
+        # experiment is the subcommand, not a key
+        cfgfile.write_text(json.dumps({"experiment": "eigs"}))
+        assert main(["lowdim", "--config", str(cfgfile)]) == 2
+        assert "unknown config key 'experiment'" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bitspectral.sparse as sparse_mod
 from bitspectral import (
@@ -129,6 +131,26 @@ class TestFantopeProject:
                 other = random_fantope_point(6, rng)
                 assert float(np.sum((a - proj) * (other - proj))) <= 1e-8
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # dyadic values, so max(lam) - 1 is exact and eigenvalues repeat often
+        lam=st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0]),
+                     min_size=1, max_size=6),
+        at_cut=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_eigenvalues(self, lam, at_cut, seed):
+        if at_cut:
+            lam = lam + [max(lam) - 1.0]
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(lam), len(lam))))
+        a = sym((q * np.array(lam)) @ q.T)
+        out = fantope_project(a)
+        vals = np.linalg.eigvalsh(out)
+        assert np.trace(out) == pytest.approx(1.0, abs=1e-6)
+        assert vals.min() >= -1e-6 and vals.max() <= 1.0 + 1e-6
+        np.testing.assert_allclose(fantope_project(out), out, atol=1e-10)
+        np.testing.assert_allclose(out, exact_fantope_projection(a), atol=1e-8)
+
     def test_commutes_with_spectrum(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
@@ -249,6 +271,11 @@ class TestFantopeAdmm:
             SparseConfig(rho=0.1, s_hat=2, admm_penalty=0.0)
         with pytest.raises(ConfigError):
             SparseConfig(rho=0.1, s_hat=2, admm_tol=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                SparseConfig(rho=0.1, s_hat=2, admm_penalty=bad)
+            with pytest.raises(ConfigError):
+                SparseConfig(rho=0.1, s_hat=2, admm_tol=bad)
 
 
 class TestTruncate:

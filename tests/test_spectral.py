@@ -13,10 +13,12 @@ from bitspectral import (
     GroundTruth,
     NumericalError,
     OneBitCS,
+    SparseConfig,
     expected_moment,
     power_method,
     sign_normalize,
     top_two_eigs,
+    truncated_power_method,
 )
 
 from _oracles import reference_power_method
@@ -105,6 +107,14 @@ class TestPowerMethod:
     def test_rejects_bad_tmax(self):
         with pytest.raises(ConfigError):
             power_method(np.eye(2), np.array([1.0, 0.0]), t_max=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        b0 = np.array([1.0, 0.0])
+        with pytest.raises(ConfigError):
+            power_method(np.eye(2), b0, tol=tol)
+        with pytest.raises(ConfigError):
+            truncated_power_method(np.eye(2), b0, SparseConfig(rho=0.0, s_hat=1), tol=tol)
 
     def test_report_invariants(self):
         rng = np.random.default_rng(3)

@@ -18,7 +18,6 @@ from bitspectral import (
     generate_dataset,
     sample_beta_dense,
     sample_beta_sparse,
-    write_dataset_csv,
 )
 
 
@@ -163,16 +162,3 @@ class TestDatasetInvariants:
         with pytest.raises(ConfigError):
             Dataset(labels=np.array([1.0, np.nan]), covariates=np.zeros((2, 2)))
 
-
-class TestCsvDump:
-    def test_roundtrip(self, tmp_path):
-        truth = sample_beta_dense(3, 1)
-        data = generate_dataset(OneBitCS(1.0), truth, 10, 2)
-        path = tmp_path / "data.csv"
-        write_dataset_csv(data, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "y,x1,x2,x3"
-        assert len(lines) == 11
-        parsed = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-        np.testing.assert_array_equal(parsed[:, 0].astype(int), data.labels)
-        np.testing.assert_array_equal(parsed[:, 1:], data.covariates)
