@@ -45,9 +45,10 @@ _FIELDS = {f.name: _field_type(f.type) for f in fields(RunConfig)[1:]}  # all bu
 
 
 def _cast(raw, cast):
-    """One flag or JSON value; an int field takes no bool and no fraction."""
-    if cast is int and (isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())):
-        raise ValueError(f"expected an integer, got {raw!r}")
+    """One flag or JSON value; no field takes a bool, and an int field no fraction."""
+    if isinstance(raw, bool) or (cast is int and isinstance(raw, float) and not raw.is_integer()):
+        expected = {int: "an integer", float: "a number"}.get(cast, "a string")
+        raise ValueError(f"expected {expected}, got {raw!r}")
     return cast(raw)
 
 

@@ -44,8 +44,8 @@ from .links import (
 )
 from .rng import derive_rng
 from .sparse import SparseConfig, sparse_recover
-from .spectral import _check_unit, power_method, top_two_eigs
-from .synth import generate_dataset, sample_beta_dense, sample_beta_sparse
+from .spectral import _check_tol, _check_unit, power_method, top_two_eigs
+from .synth import _unit_gaussian, generate_dataset, sample_beta_dense, sample_beta_sparse
 
 
 class _Model(NamedTuple):
@@ -160,6 +160,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"experiment {cfg.experiment!r} takes a single noise value, got grid {grid}"
         )
+    # every solver setting is checked, whichever experiment uses it
+    _check_tol(cfg.tol)
+    _sparse_config(cfg, cfg.rho_const, 1 if cfg.shat is None else cfg.shat)
+
+
+def _sparse_config(cfg: RunConfig, rho: float, s_hat: int) -> SparseConfig:
+    return SparseConfig(rho=rho, s_hat=s_hat, t_max=cfg.tmax, admm_penalty=cfg.admm_penalty,
+                        admm_tol=cfg.admm_tol, admm_max_iter=cfg.admm_max_iter)
 
 
 def select_matrix_kind(
@@ -241,9 +249,7 @@ def run_eigenstructure(cfg: RunConfig) -> list[ExperimentRow]:
 def lowdim_trial(cfg: RunConfig, param_value: float, n: int, p: int, trial: int) -> ExperimentRow:
     rng, truth, data, kind = _draw(cfg, param_value, n, p, None, trial)
     mtx = _build_moment(data, kind)
-    beta0 = rng.standard_normal(p)
-    beta0 /= np.linalg.norm(beta0)
-    report = power_method(mtx, beta0, t_max=cfg.tmax, tol=cfg.tol)
+    report = power_method(mtx, _unit_gaussian(p, rng), t_max=cfg.tmax, tol=cfg.tol)
     return _row(cfg, "lowdim", param_value, n, p, None, trial, math.sqrt(p / n), truth, report)
 
 
@@ -261,11 +267,8 @@ def run_lowdim(cfg: RunConfig) -> list[ExperimentRow]:
 
 def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int, trial: int) -> ExperimentRow:
     _, truth, data, kind = _draw(cfg, param_value, n, p, s, trial)
-    scfg = SparseConfig(
-        rho=cfg.rho_const * math.sqrt(math.log(p) / n),
-        s_hat=cfg.shat if cfg.shat is not None else min(2 * s, p), t_max=cfg.tmax,
-        admm_penalty=cfg.admm_penalty, admm_tol=cfg.admm_tol, admm_max_iter=cfg.admm_max_iter,
-    )
+    scfg = _sparse_config(cfg, cfg.rho_const * math.sqrt(math.log(p) / n),
+                          cfg.shat if cfg.shat is not None else min(2 * s, p))
     report = sparse_recover(data, scfg, kind=kind)
     return _row(cfg, "sparse", param_value, n, p, s, trial,
                 math.sqrt(s * math.log(p) / n), truth, report)

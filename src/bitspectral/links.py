@@ -12,6 +12,11 @@ reals into [-1, 1].  Three concrete families are provided:
   f(z) = sign(|z| - theta).  This link is even, so the direction is only
   identifiable up to sign.
 
+A family is one frozen class with two methods: ``f(z)``, the link on an array,
+and ``_moments(quad_order)``, which returns ``(mu0, mu1, mu2, method)``.
+``link_eval`` and ``moments`` only call them.  Adding a family means adding
+that class (and naming it in ``LinkModel``) and one ``harness._MODELS`` row.
+
 The moment functionals mu_k = E[f(Z) Z^k] for standard normal Z (k = 0, 1, 2)
 determine the eigengap statistic
 
@@ -55,6 +60,20 @@ class FlippedLogistic:
         if not math.isfinite(self.zeta):
             raise ConfigError(f"intercept must be finite, got {self.zeta}")
 
+    def f(self, z):
+        return (1.0 - 2.0 * self.pe) * np.tanh(0.5 * (z + self.zeta))
+
+    def _moments(self, quad_order: int):
+        # E[g(Z)] = pi^{-1/2} * sum_i w_i g(sqrt(2) x_i) with Hermite nodes x_i.
+        nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
+        z = _SQRT2 * nodes
+        fz = self.f(z)
+        inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
+        mu0 = float(np.sum(weights * fz)) * inv_sqrt_pi
+        mu1 = float(np.sum(weights * fz * z)) * inv_sqrt_pi
+        mu2 = float(np.sum(weights * fz * z * z)) * inv_sqrt_pi
+        return mu0, mu1, mu2, "quadrature"
+
 
 @dataclass(frozen=True)
 class OneBitCS:
@@ -67,6 +86,16 @@ class OneBitCS:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ConfigError(f"noise standard deviation must be >= 0, got {self.sigma}")
 
+    def f(self, z):
+        return _sign_pos(z) if self.sigma == 0.0 else 2.0 * _ndtr(z / self.sigma) - 1.0
+
+    def _moments(self, quad_order: int):
+        # Writing f(z) = 2 Phi(z/sigma) - 1 and integrating by parts against
+        # the Gaussian weight gives mu1 = E[f'(Z)] = (2/sigma) E[pdf(Z/sigma)];
+        # the Gaussian convolution integral evaluates to
+        # sqrt(2/pi) / sqrt(1 + sigma^2), valid down to sigma = 0 (E|Z|).
+        return 0.0, _SQRT_2_OVER_PI / math.sqrt(1.0 + self.sigma**2), 0.0, "closed_form"
+
 
 @dataclass(frozen=True)
 class OneBitPR:
@@ -78,6 +107,16 @@ class OneBitPR:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and self.theta > 0.0):
             raise ConfigError(f"threshold must be > 0, got {self.theta}")
+
+    def f(self, z):
+        return _sign_pos(np.abs(z) - self.theta)
+
+    def _moments(self, quad_order: int):
+        p1 = 2.0 * normal_cdf(-self.theta)  # P(|Z| >= theta)
+        mu0 = 2.0 * p1 - 1.0
+        # E[Z^2 1{|Z|>=theta}] = 2 theta pdf(theta) + p1, by integration by parts
+        mu2 = mu0 + 4.0 * self.theta * float(normal_pdf(self.theta))
+        return mu0, 0.0, mu2, "closed_form"
 
 
 LinkModel = Union[FlippedLogistic, OneBitCS, OneBitPR]
@@ -194,37 +233,8 @@ def link_eval(model: LinkModel, z):
     Output is always in [-1, 1].  Total over the reals: no error cases.
     """
     scalar = np.isscalar(z)
-    z = np.asarray(z, dtype=float)
-    if isinstance(model, FlippedLogistic):
-        out = (1.0 - 2.0 * model.pe) * np.tanh(0.5 * (z + model.zeta))
-    elif isinstance(model, OneBitCS):
-        if model.sigma == 0.0:
-            out = _sign_pos(z)
-        else:
-            out = 2.0 * _ndtr(z / model.sigma) - 1.0
-    elif isinstance(model, OneBitPR):
-        out = _sign_pos(np.abs(z) - model.theta)
-    else:
-        raise TypeError(f"not a link model: {model!r}")
+    out = model.f(np.asarray(z, dtype=float))
     return float(out) if scalar else out
-
-
-def _validate_quad_order(quad_order: int) -> int:
-    if int(quad_order) < 8:
-        raise ConfigError(f"quadrature order must be >= 8, got {quad_order}")
-    return int(quad_order)
-
-
-def _moments_quadrature(model: LinkModel, quad_order: int):
-    # E[g(Z)] = pi^{-1/2} * sum_i w_i g(sqrt(2) x_i) with Hermite nodes x_i.
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
-    z = _SQRT2 * nodes
-    fz = link_eval(model, z)
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    mu0 = float(np.sum(weights * fz)) * inv_sqrt_pi
-    mu1 = float(np.sum(weights * fz * z)) * inv_sqrt_pi
-    mu2 = float(np.sum(weights * fz * z * z)) * inv_sqrt_pi
-    return mu0, mu1, mu2
 
 
 @functools.lru_cache(maxsize=256)
@@ -234,35 +244,14 @@ def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSum
     Smooth links (flipped logistic) integrate by Gauss-Hermite quadrature of
     the requested order.  Sign-type links always take closed forms in the
     normal CDF/PDF; quadrature on a discontinuous integrand is not permitted.
-
-    For the noisy sign link, mu1 = sqrt(2/pi) / sqrt(1 + sigma^2): writing
-    f(z) = 2 Phi(z/sigma) - 1 and integrating by parts against the Gaussian
-    weight gives mu1 = E[f'(Z)] = (2/sigma) E[pdf(Z/sigma)], and the Gaussian
-    convolution integral evaluates to the stated form (valid down to sigma = 0,
-    where it is E|Z|).
+    Each family computes its own moments in ``_moments``.
 
     Results are memoized on the (frozen, hashable) model and the order, so a
     grid that asks once per trial pays for the quadrature once.
     """
-    quad_order = _validate_quad_order(quad_order)
-    if isinstance(model, FlippedLogistic):
-        mu0, mu1, mu2 = _moments_quadrature(model, quad_order)
-        method = "quadrature"
-    elif isinstance(model, OneBitCS):
-        mu0 = 0.0
-        mu2 = 0.0
-        mu1 = _SQRT_2_OVER_PI / math.sqrt(1.0 + model.sigma**2)
-        method = "closed_form"
-    elif isinstance(model, OneBitPR):
-        theta = model.theta
-        p1 = 2.0 * normal_cdf(-theta)  # P(|Z| >= theta)
-        mu0 = 2.0 * p1 - 1.0
-        # E[Z^2 1{|Z|>=theta}] = 2 theta pdf(theta) + p1, by integration by parts
-        mu1 = 0.0
-        mu2 = mu0 + 4.0 * theta * float(normal_pdf(theta))
-        method = "closed_form"
-    else:
-        raise TypeError(f"not a link model: {model!r}")
+    if int(quad_order) < 8:
+        raise ConfigError(f"quadrature order must be >= 8, got {quad_order}")
+    mu0, mu1, mu2, method = model._moments(int(quad_order))
     phi = mu1 * mu1 - mu0 * mu2 + mu0 * mu0
     return MomentSummary(mu0=mu0, mu1=mu1, mu2=mu2, phi=phi, method=method)
 

@@ -13,13 +13,15 @@ iteration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .estimator import KIND_DIFFERENCE, KIND_SUM, second_moment, second_moment_sum
-from .spectral import RecoveryReport, _as_matrix, _check_unit, _power_iterate, top_two_eigs
+from .spectral import (
+    RecoveryReport, _as_matrix, _check_unit, _normalize, _power_iterate, top_two_eigs,
+)
 from .synth import Dataset
 
 
@@ -168,10 +170,7 @@ def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     keep = np.argsort(-np.abs(v), kind="stable")[:s_hat]
     out = np.zeros_like(v)
     out[keep] = v[keep]
-    norm = math.sqrt(out @ out)
-    if norm == 0.0:
-        raise NumericalError("truncation annihilated the vector")
-    return out / norm
+    return _normalize(out)
 
 
 def truncated_power_method(
@@ -221,10 +220,4 @@ def sparse_recover(
         "admm_penalty_updates": fsol.penalty_updates,
         "init_eigengap": lam1 - lam2,
     }
-    return RecoveryReport(
-        beta_hat=report.beta_hat,
-        iterations=report.iterations,
-        rayleigh_trace=report.rayleigh_trace,
-        converged=bool(report.converged and fsol.converged),
-        stages=stages,
-    )
+    return replace(report, converged=bool(report.converged and fsol.converged), stages=stages)

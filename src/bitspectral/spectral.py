@@ -46,6 +46,11 @@ def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _normalize(v: np.ndarray) -> np.ndarray:
     norm = math.sqrt(v @ v)  # what np.linalg.norm computes for a real vector
     if not 0.0 < norm < math.inf:
@@ -59,8 +64,7 @@ def _power_iterate(m: np.ndarray, b: np.ndarray, t_max: int, tol: float, step) -
     ``step`` maps M b to the next unit iterate.  The product M v taken for the
     Rayleigh quotient is reused as the next step's M b.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     if not np.any(m):
         raise NumericalError("no dominant direction: matrix is zero")
     trace = []

@@ -62,17 +62,21 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _unit_gaussian(k: int, rng: np.random.Generator) -> np.ndarray:
+    """A direction drawn uniformly from the unit sphere in R^k."""
+    v = rng.standard_normal(k)
+    norm = np.linalg.norm(v)
+    while norm == 0.0:  # probability-zero guard
+        v = rng.standard_normal(k)
+        norm = np.linalg.norm(v)
+    return v / norm
+
+
 def sample_beta_dense(p: int, seed) -> GroundTruth:
     """Draw a direction uniformly from the unit sphere in R^p."""
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")
-    rng = _as_rng(seed)
-    v = rng.standard_normal(p)
-    norm = np.linalg.norm(v)
-    while norm == 0.0:  # probability-zero guard
-        v = rng.standard_normal(p)
-        norm = np.linalg.norm(v)
-    return GroundTruth(beta_star=v / norm, support=np.arange(p))
+    return GroundTruth(beta_star=_unit_gaussian(p, _as_rng(seed)), support=np.arange(p))
 
 
 def sample_beta_sparse(p: int, s: int, seed) -> GroundTruth:
@@ -81,13 +85,8 @@ def sample_beta_sparse(p: int, s: int, seed) -> GroundTruth:
         raise ConfigError(f"sparsity must satisfy 1 <= s <= p, got s={s}, p={p}")
     rng = _as_rng(seed)
     support = np.sort(rng.choice(p, size=s, replace=False))
-    v = rng.standard_normal(s)
-    norm = np.linalg.norm(v)
-    while norm == 0.0:
-        v = rng.standard_normal(s)
-        norm = np.linalg.norm(v)
     beta = np.zeros(p)
-    beta[support] = v / norm
+    beta[support] = _unit_gaussian(s, rng)
     return GroundTruth(beta_star=beta, support=support)
 
 

@@ -303,6 +303,9 @@ class TestCli:
         ["sparse", "--admm-tol", "nan"],
         ["sparse", "--admm-penalty", "inf"],
         ["sparse", "--admm-penalty", "nan"],
+        # checked even where the experiment does not use them
+        ["diag", "--admm-penalty", "nan", "--tol", "nan"],
+        ["eigs", "--tol", "nan"],
     ])
     def test_bad_stopping_scalar_exit_code(self, argv, capsys):
         # a stop rule that can never hold, or a penalty ADMM cannot use, is a config error
@@ -318,6 +321,18 @@ class TestCli:
         cfgfile.write_text(json.dumps({"n": 100, "p": 4, "trials": 1, **values}))
         assert main(["lowdim", "--config", str(cfgfile)]) == 2
         assert "expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values,expected", [
+        ({"sigma": True}, "expected a number"),
+        ({"zeta": False}, "expected a number"),
+        ({"model": True}, "expected a string"),
+        ({"n": [400, True]}, "expected an integer"),
+    ])
+    def test_config_file_rejects_booleans(self, tmp_path, capsys, values, expected):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"p": 4, "trials": 1, **values}))
+        assert main(["diag", "--config", str(cfgfile)]) == 2
+        assert expected in capsys.readouterr().err
 
     def test_every_field_has_a_flag_and_a_key(self, tmp_path, capsys):
         values = {

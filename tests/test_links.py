@@ -1,6 +1,7 @@
 """Link models, moment functionals, and theory constants."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bitspectral import (
     theory_diagnostics,
     theta_median,
 )
-from bitspectral.links import _ndtr, normal_cdf, normal_pdf
+from bitspectral.links import LinkModel, _ndtr, normal_cdf, normal_pdf
 
 from _oracles import split_domain_moment
 
@@ -171,6 +172,33 @@ class TestMoments:
     def test_rejects_low_order(self, order):
         with pytest.raises(ConfigError):
             moments(OneBitCS(1.0), quad_order=order)
+
+
+# every family at 2-3 parameter values, with the cut points of its link
+_FAMILY_CASES = [
+    (FlippedLogistic(zeta=0.7, pe=0.2), ()),
+    (FlippedLogistic(zeta=-1.5, pe=0.0), ()),
+    (FlippedLogistic(zeta=0.3, pe=0.45), ()),
+    (OneBitCS(sigma=0.0), ()),  # sign(z): its jump at 0 is always a cut
+    (OneBitCS(sigma=0.4), ()),
+    (OneBitCS(sigma=2.0), ()),
+    (OneBitPR(theta=theta_median() - 0.3), (-(theta_median() - 0.3), theta_median() - 0.3)),
+    (OneBitPR(theta=theta_median() + 0.3), (-(theta_median() + 0.3), theta_median() + 0.3)),
+    (OneBitPR(theta=1.8), (-1.8, 1.8)),
+]
+
+
+class TestFamilyContract:
+    def test_every_family_is_covered(self):
+        assert {type(model) for model, _ in _FAMILY_CASES} == set(typing.get_args(LinkModel))
+
+    @pytest.mark.parametrize("model,cuts", _FAMILY_CASES, ids=repr)
+    def test_moments_agree_with_own_link(self, model, cuts):
+        # each family's moments must be those of its own link function
+        summ = moments(model)
+        f = lambda z: link_eval(model, z)
+        for k, got in ((0, summ.mu0), (1, summ.mu1), (2, summ.mu2)):
+            assert got == pytest.approx(split_domain_moment(f, k, cuts), abs=1e-9)
 
 
 class TestEigengapSigns:

@@ -150,6 +150,11 @@ class TestFantopeProject:
         assert vals.min() >= -1e-6 and vals.max() <= 1.0 + 1e-6
         np.testing.assert_allclose(fantope_project(out), out, atol=1e-10)
         np.testing.assert_allclose(out, exact_fantope_projection(a), atol=1e-8)
+        # KKT: <a - Pi, P - Pi> <= 0 for every feasible P
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            other = random_fantope_point(len(lam), rng)
+            assert float(np.sum((a - out) * (other - out))) <= 1e-8
 
     def test_commutes_with_spectrum(self):
         rng = np.random.default_rng(4)
@@ -295,6 +300,33 @@ class TestTruncate:
     def test_rejects_annihilation(self):
         with pytest.raises(NumericalError, match="annihilated"):
             truncate(np.array([0.0, 0.0, 1.0e-300 * 0.0]), 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # few distinct magnitudes, so |.| ties are common
+        v=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                   min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_tie_rule_property(self, v, data):
+        s_hat = data.draw(st.integers(1, len(v)))
+        v = np.array(v)
+        keep = sorted(range(len(v)), key=lambda i: (-abs(v[i]), i))[:s_hat]
+        kept_norm = float(np.linalg.norm(v[keep]))
+        if kept_norm == 0.0:
+            with pytest.raises(NumericalError):
+                truncate(v, s_hat)
+            return
+        out = truncate(v, s_hat)
+        dropped = np.setdiff1d(np.arange(len(v)), keep)
+        assert np.all(out[dropped] == 0.0)
+        np.testing.assert_allclose(out[keep], v[keep] / kept_norm, rtol=0.0, atol=1e-15)
+        assert float(np.linalg.norm(out)) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("v", [[np.inf, 1.0], [1.0, -np.inf, 0.5], [np.inf, np.inf]])
+    def test_rejects_infinite_entry(self, v):
+        with pytest.raises(NumericalError):
+            truncate(np.array(v), 1)
 
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigError):

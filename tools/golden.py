@@ -1,0 +1,150 @@
+"""Fingerprint the CLI's output on a fixed list of configs, for refactor checks.
+
+    python tools/golden.py CHECKOUT > golden.txt
+
+CHECKOUT is the root of a checkout; the package is imported from its
+``src/`` and every config runs in this one process through ``cli.main``, with
+one BLAS thread.  Each run prints one line: the exit code, the sha256 of
+stdout + stderr (+ the file an ``--out`` run writes), the argv and the first
+line of stderr.  A change that must keep the output byte-identical runs this
+on its parent and on itself and ``diff``s the two outputs.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+EIGS = ["--n", "600", "--p", "6", "--trials", "3", "--seed", "4"]
+LOWDIM = ["--n", "400,1600", "--p", "5,10", "--trials", "3", "--seed", "4"]
+SPARSE = ["--p", "20", "--n", "400,800", "--trials", "2", "--seed", "4",
+          "--admm-max-iter", "60"]
+
+# file name -> JSON content, written to the working directory before the runs
+FILES = {
+    "str_grids.json": {"model": "cs", "sigma": "0,0.5", "n": "400", "p": "5", "trials": 2},
+    "list_grids.json": {"model": "pr", "theta": [0.4], "n": [400, 800], "p": [5], "trials": 2},
+    "num_grids.json": {"sigma": 0.5, "n": 400, "p": 5, "trials": 2},
+    "null_model.json": {"model": None, "n": 400, "p": 5, "trials": 1},
+    "unknown_key.json": {"bogus": 1},
+    "not_object.json": [1, 2],
+    "bad_grid.json": {"n": ["a"]},
+    "bad_scalar.json": {"trials": "x"},
+    "bool_float.json": {"sigma": True},
+}
+
+CONFIGS = [
+    # eigenstructure
+    ["eigs", "--model", "flr", "--pe", "0,0.2,0.4", *EIGS],
+    ["eigs", "--model", "cs", "--sigma", "0,0.5,1", *EIGS],
+    ["eigs", "--model", "pr", "--theta", "0.4,1", *EIGS],
+    ["eigs", "--model", "cs"],
+    # dense recovery
+    ["lowdim", "--model", "flr", *LOWDIM],
+    ["lowdim", "--model", "cs", "--sigma", "0.31622776601683794", *LOWDIM],
+    ["lowdim", "--model", "cs", *LOWDIM],
+    ["lowdim", "--model", "pr", "--theta", "0.4", *LOWDIM],
+    ["lowdim", "--model", "pr", "--theta", "1", "--matrix", "sum", *LOWDIM],
+    ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "7", *LOWDIM],
+    # sparse recovery
+    ["sparse", "--model", "cs", "--sigma", "0", "--s", "2,3", *SPARSE],
+    ["sparse", "--model", "flr", "--s", "2", "--shat", "3", "--rho-const", "0.5", *SPARSE],
+    ["sparse", "--model", "pr", "--theta", "0.4", "--s", "2", *SPARSE],
+    ["sparse", "--model", "cs", "--s", "2", "--admm-penalty", "0.3", "--admm-tol", "1e-4",
+     *SPARSE],
+    # moment summary and theory constants
+    ["diag", "--model", "cs", "--sigma", "0.5", "--p", "20", "--s", "5"],
+    ["diag", "--model", "pr", "--theta", "1", "--p", "20"],
+    ["diag", "--model", "pr", "--theta", "0.3", "--p", "100", "--s", "5"],
+    ["diag", "--model", "flr", "--pe", "0.1", "--p", "20"],
+    ["diag", "--model", "cs", "--sigma", "0", "--p", "100", "--s", "5"],
+    ["diag", "--model", "flr", "--pe", "0.49", "--p", "10", "--s", "2"],
+    ["diag", "--model", "flr", "--zeta", "0.5", "--quad-order", "32", "--p", "10"],
+    ["diag"],
+    # config files, flag precedence and --out
+    ["eigs", "--config", "str_grids.json"],
+    ["lowdim", "--config", "list_grids.json"],
+    ["lowdim", "--config", "list_grids.json", "--n", "200"],
+    ["lowdim", "--config", "num_grids.json"],
+    ["lowdim", "--config", "null_model.json"],
+    ["lowdim", "--n", "400", "--p", "5", "--trials", "2", "--out", "out.csv"],
+    # error paths
+    ["lowdim", "--model", "flr", "--pe", "0.6"],
+    ["lowdim", "--model", "pr", "--theta", "50", "--n", "100", "--p", "5", "--trials", "1"],
+    ["lowdim", "--sigma", "0.1,0.2"],
+    ["sparse", "--s", ","],
+    ["lowdim", "--n", "1x"],
+    ["lowdim", "--trials", "x"],
+    ["lowdim", "--zeta", "abc"],
+    ["lowdim", "--trials", "0"],
+    ["lowdim", "--model", "xyz"],
+    ["lowdim", "--matrix", "foo"],
+    ["eigs", "--n", "100,200"],
+    ["sparse", "--s", "50", "--p", "10"],
+    ["diag", "--p", "5,10"],
+    ["lowdim", "--n", ","],
+    ["lowdim", "--config", "unknown_key.json"],
+    ["lowdim", "--config", "not_object.json"],
+    ["lowdim", "--config", "missing.json"],
+    ["lowdim", "--config", "bad_grid.json"],
+    ["lowdim", "--config", "bad_scalar.json"],
+    [],
+    ["--help"],
+    ["lowdim", "--help"],
+    # settings that no experiment may ignore, and a JSON boolean for a float
+    ["diag", "--admm-penalty", "nan", "--tol", "nan"],
+    ["eigs", "--tol", "nan", "--n", "200", "--p", "4", "--trials", "1"],
+    ["diag", "--config", "bool_float.json"],
+]
+
+
+def run(main, argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code or 0
+    blob = out.getvalue() + err.getvalue()
+    if os.path.exists("out.csv"):
+        with open("out.csv") as fh:
+            blob += fh.read()
+        os.remove("out.csv")
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    first = (err.getvalue().splitlines() or [""])[0]
+    return f"{code} {digest} {' '.join(argv) or '(none)'} | {first}"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy is first imported
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    src = os.path.join(os.path.abspath(args[0]), "src")
+    sys.path.insert(0, src)
+    import bitspectral.cli
+
+    if not bitspectral.cli.__file__.startswith(src + os.sep):
+        print(f"bitspectral imported from {bitspectral.cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # relative file names keep argv and messages the same on every run
+        try:
+            for name, content in FILES.items():
+                with open(name, "w") as fh:
+                    json.dump(content, fh)
+            for config in CONFIGS:
+                print(run(bitspectral.cli.main, config), flush=True)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
