@@ -95,8 +95,6 @@ def expected_moment(
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> MomentMatrix:
     """Exact population matrix E[M] or E[M'] for the given model and truth."""
-    if kind not in _KINDS:
-        raise ConfigError(f"kind must be one of {_KINDS}, got {kind!r}")
     summ = moments(model, quad_order=quad_order)
     b = truth.beta_star
     p = b.shape[0]

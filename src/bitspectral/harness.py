@@ -44,7 +44,7 @@ from .links import (
 )
 from .rng import derive_rng
 from .sparse import SparseConfig, sparse_recover
-from .spectral import _check_tol, _check_unit, power_method, top_two_eigs
+from .spectral import _check_unit, power_method, top_two_eigs
 from .synth import _unit_gaussian, generate_dataset, sample_beta_dense, sample_beta_sparse
 
 
@@ -79,13 +79,13 @@ class RunConfig:
     s: tuple[int, ...] = ()
     trials: int = 1
     seed: int = 0
-    tmax: int = 500
-    tol: float = 1e-10
+    tmax: int = SparseConfig.t_max
+    tol: float = SparseConfig.tol
     rho_const: float = 1.0
     shat: int | None = None
-    admm_tol: float = 1e-6
-    admm_penalty: float = 1.0
-    admm_max_iter: int = 2000
+    admm_tol: float = SparseConfig.admm_tol
+    admm_penalty: float = SparseConfig.admm_penalty
+    admm_max_iter: int = SparseConfig.admm_max_iter
     matrix: str = "auto"
     quad_order: int = DEFAULT_QUAD_ORDER
     out: str | None = None  # CSV path; None writes to stdout
@@ -152,32 +152,36 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("grids must be nonempty")
     if cfg.experiment == "sparse" and not cfg.s:
         raise ConfigError("sparse experiment needs an s grid")
-    if cfg.matrix not in _MATRIX_KINDS:
-        raise ConfigError(f"matrix must be {'|'.join(_MATRIX_KINDS)}, got {cfg.matrix!r}")
-    for value in grid:
-        _make_model(cfg, value)  # validates the noise parameter range
+    for name in (spec.noise for spec in _MODELS.values()):
+        if name != _MODELS[cfg.model].noise and getattr(cfg, name) != getattr(RunConfig, name):
+            raise ConfigError(f"{name} is not a parameter of model {cfg.model!r}")
+    for value in grid:  # checks the noise range, the matrix override and the quadrature order
+        select_matrix_kind(_make_model(cfg, value), cfg.matrix, cfg.quad_order)
     if cfg.experiment != "eigs" and len(grid) != 1:
         raise ConfigError(
             f"experiment {cfg.experiment!r} takes a single noise value, got grid {grid}"
         )
     # every solver setting is checked, whichever experiment uses it
-    _check_tol(cfg.tol)
     _sparse_config(cfg, cfg.rho_const, 1 if cfg.shat is None else cfg.shat)
 
 
 def _sparse_config(cfg: RunConfig, rho: float, s_hat: int) -> SparseConfig:
-    return SparseConfig(rho=rho, s_hat=s_hat, t_max=cfg.tmax, admm_penalty=cfg.admm_penalty,
-                        admm_tol=cfg.admm_tol, admm_max_iter=cfg.admm_max_iter)
+    return SparseConfig(rho=rho, s_hat=s_hat, t_max=cfg.tmax, tol=cfg.tol,
+                        admm_penalty=cfg.admm_penalty, admm_tol=cfg.admm_tol,
+                        admm_max_iter=cfg.admm_max_iter)
 
 
 def select_matrix_kind(
     model: LinkModel, override: str = "auto", quad_order: int = DEFAULT_QUAD_ORDER
 ) -> str:
-    """Difference vs sum estimator: by flag, else by the sign of phi."""
-    forced = _MATRIX_KINDS.get(override)
-    if forced is not None:
-        return forced
-    return KIND_SUM if moments(model, quad_order=quad_order).phi < 0.0 else KIND_DIFFERENCE
+    """Difference vs sum estimator: by flag, else by the sign of phi.
+
+    phi is evaluated under a forced flag too, so a bad ``quad_order`` fails.
+    """
+    if override not in _MATRIX_KINDS:
+        raise ConfigError(f"matrix must be {'|'.join(_MATRIX_KINDS)}, got {override!r}")
+    auto = KIND_SUM if moments(model, quad_order=quad_order).phi < 0.0 else KIND_DIFFERENCE
+    return _MATRIX_KINDS[override] or auto
 
 
 def _build_moment(data, kind):

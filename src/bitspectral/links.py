@@ -52,7 +52,6 @@ class FlippedLogistic:
 
     zeta: float = 0.0
     pe: float = 0.0
-    kind = "flr"
 
     def __post_init__(self):
         if not 0.0 <= self.pe < 0.5:
@@ -80,7 +79,6 @@ class OneBitCS:
     """Noisy sign link: sign of the index plus N(0, sigma^2) noise."""
 
     sigma: float = 0.0
-    kind = "cs"
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
@@ -102,7 +100,6 @@ class OneBitPR:
     """Thresholded-magnitude link: sign(|z| - theta) with theta > 0."""
 
     theta: float = 1.0
-    kind = "pr"
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and self.theta > 0.0):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .estimator import KIND_DIFFERENCE, KIND_SUM, second_moment, second_moment_sum
 from .spectral import (
-    RecoveryReport, _as_matrix, _check_unit, _normalize, _power_iterate, top_two_eigs,
+    RecoveryReport, _as_matrix, _check_stop, _normalize, _power_iterate, top_two_eigs,
 )
 from .synth import Dataset
 
@@ -30,15 +30,16 @@ class SparseConfig:
     """Tuning for the sparse pipeline.
 
     ``rho`` is the entrywise l1 regularization weight, ``s_hat`` the truncation
-    sparsity, ``t_max`` the truncated-power iteration cap.  ADMM starts at
-    penalty ``admm_penalty``, adapts it by residual balancing (see
-    ``fantope_admm``), and stops once both residuals fall below
-    ``admm_tol * p`` or at ``admm_max_iter``.
+    sparsity, ``t_max`` and ``tol`` the truncated-power cap and stop tolerance
+    (the rule of ``power_method``).  ADMM starts at penalty ``admm_penalty``,
+    adapts it by residual balancing (see ``fantope_admm``), and stops once both
+    residuals fall below ``admm_tol * p`` or at ``admm_max_iter``.
     """
 
     rho: float
     s_hat: int
     t_max: int = 500
+    tol: float = 1e-10
     admm_penalty: float = 1.0
     admm_tol: float = 1e-6
     admm_max_iter: int = 2000
@@ -48,8 +49,7 @@ class SparseConfig:
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
         if self.s_hat < 1:
             raise ConfigError(f"s_hat must be >= 1, got {self.s_hat}")
-        if self.t_max < 1:
-            raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
+        _check_stop(self.t_max, self.tol)
         if not (math.isfinite(self.admm_penalty) and self.admm_penalty > 0.0):
             raise ConfigError(f"admm_penalty must be finite and > 0, got {self.admm_penalty}")
         if not (math.isfinite(self.admm_tol) and self.admm_tol > 0.0):
@@ -173,20 +173,16 @@ def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     return _normalize(out)
 
 
-def truncated_power_method(
-    mtx, beta0, cfg: SparseConfig, tol: float = 1e-10
-) -> RecoveryReport:
+def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
     """Power iteration with per-step truncation to s_hat coordinates.
 
     With s_hat = p the truncation is the identity and the iterate sequence
     coincides exactly with ``power_method``.  A denser-than-s_hat start is
     accepted; the first multiply-and-truncate makes every iterate s_hat-sparse.
-    Stops when successive iterates differ by at most ``tol`` after sign
+    Stops when successive iterates differ by at most ``cfg.tol`` after sign
     alignment, or at ``cfg.t_max``.
     """
-    m = _as_matrix(mtx)
-    b = _check_unit(beta0, "beta0")
-    return _power_iterate(m, b, cfg.t_max, tol, lambda mb: truncate(mb, cfg.s_hat))
+    return _power_iterate(mtx, beta0, cfg.t_max, cfg.tol, lambda mb: truncate(mb, cfg.s_hat))
 
 
 def sparse_recover(

@@ -46,7 +46,9 @@ def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def _check_tol(tol: float) -> None:
+def _check_stop(t_max: int, tol: float) -> None:
+    if t_max < 1:
+        raise ConfigError(f"t_max must be >= 1, got {t_max}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"tol must be finite and >= 0, got {tol}")
 
@@ -58,13 +60,15 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _power_iterate(m: np.ndarray, b: np.ndarray, t_max: int, tol: float, step) -> RecoveryReport:
-    """Iterate b <- step(M b) from the unit vector b, one multiply per step.
+def _power_iterate(mtx, beta0, t_max: int, tol: float, step) -> RecoveryReport:
+    """Iterate b <- step(M b) from the unit vector beta0, one multiply per step.
 
     ``step`` maps M b to the next unit iterate.  The product M v taken for the
     Rayleigh quotient is reused as the next step's M b.
     """
-    _check_tol(tol)
+    m = _as_matrix(mtx)
+    b = _check_unit(beta0, "beta0")
+    _check_stop(t_max, tol)
     if not np.any(m):
         raise NumericalError("no dominant direction: matrix is zero")
     trace = []
@@ -100,11 +104,7 @@ def power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryRe
     sign-normalized.  A zero matrix, or an iterate that M annihilates or makes
     non-finite, has no dominant direction and raises ``NumericalError``.
     """
-    m = _as_matrix(mtx)
-    b = _check_unit(beta0, "beta0")
-    if t_max < 1:
-        raise ConfigError(f"t_max must be >= 1, got {t_max}")
-    return _power_iterate(m, b, t_max, tol, _normalize)
+    return _power_iterate(mtx, beta0, t_max, tol, _normalize)
 
 
 def top_two_eigs(mtx):

@@ -75,6 +75,14 @@ class TestMatrixSelection:
         assert select_matrix_kind(OneBitPR(0.4), override="diff") == "difference"
         assert select_matrix_kind(OneBitPR(1.0), override="sum") == "sum"
 
+    def test_rejects_unknown_override(self):
+        with pytest.raises(ConfigError, match=r"matrix must be auto\|diff\|sum, got 'xyz'"):
+            select_matrix_kind(OneBitPR(0.3), "xyz")
+
+    def test_forced_override_still_checks_quad_order(self):
+        with pytest.raises(ConfigError, match="quadrature order"):
+            select_matrix_kind(OneBitPR(0.3), "sum", quad_order=3)
+
 
 class TestRows:
     def test_lowdim_rows_shape_and_abscissa(self):
@@ -306,6 +314,9 @@ class TestCli:
         # checked even where the experiment does not use them
         ["diag", "--admm-penalty", "nan", "--tol", "nan"],
         ["eigs", "--tol", "nan"],
+        # a noise grid of another model, and a quadrature order under a forced estimator
+        ["lowdim", "--model", "flr", "--sigma", "0.5"],
+        ["lowdim", "--matrix", "sum", "--quad-order", "3"],
     ])
     def test_bad_stopping_scalar_exit_code(self, argv, capsys):
         # a stop rule that can never hold, or a penalty ADMM cannot use, is a config error

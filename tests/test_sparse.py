@@ -25,6 +25,7 @@ from bitspectral import (
     second_moment,
     soft_threshold,
     sparse_recover,
+    top_two_eigs,
     truncate,
     truncated_power_method,
 )
@@ -355,7 +356,7 @@ class TestTruncatedPower:
         b0 = rng.standard_normal(8)
         b0 /= np.linalg.norm(b0)
         dense = power_method(m, b0, t_max=60, tol=1e-10)
-        sparse = truncated_power_method(m, b0, base_cfg(s_hat=8, t_max=60), tol=1e-10)
+        sparse = truncated_power_method(m, b0, base_cfg(s_hat=8, t_max=60, tol=1e-10))
         np.testing.assert_array_equal(dense.beta_hat, sparse.beta_hat)
         np.testing.assert_array_equal(dense.rayleigh_trace, sparse.rayleigh_trace)
         assert dense.iterations == sparse.iterations
@@ -423,6 +424,18 @@ class TestSparseRecover:
         cfg = SparseConfig(rho=0.01, s_hat=3, admm_max_iter=50)
         with pytest.raises(NumericalError, match="zero"):
             sparse_recover(data, cfg)
+
+    def test_stop_tolerance_reaches_truncated_power(self):
+        truth, data = self._cs_dataset(3, 30, 400, 47)
+        loose = SparseConfig(rho=0.05, s_hat=6, admm_max_iter=50, tol=0.5)
+        report = sparse_recover(data, loose)
+        m = second_moment(data)
+        beta0 = truncate(top_two_eigs(fantope_admm(m, loose).Pi)[2], loose.s_hat)
+        direct = truncated_power_method(m, beta0, loose)
+        np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
+        assert report.iterations == direct.iterations
+        default = sparse_recover(data, replace(loose, tol=SparseConfig.tol))
+        assert report.iterations < default.iterations
 
     def test_rejects_oversized_width(self):
         truth, data = self._cs_dataset(3, 10, 200, 45)

@@ -114,7 +114,7 @@ class TestPowerMethod:
         with pytest.raises(ConfigError):
             power_method(np.eye(2), b0, tol=tol)
         with pytest.raises(ConfigError):
-            truncated_power_method(np.eye(2), b0, SparseConfig(rho=0.0, s_hat=1), tol=tol)
+            truncated_power_method(np.eye(2), b0, SparseConfig(rho=0.0, s_hat=1, tol=tol))
 
     def test_report_invariants(self):
         rng = np.random.default_rng(3)

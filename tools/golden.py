@@ -34,6 +34,7 @@ FILES = {
     "bad_grid.json": {"n": ["a"]},
     "bad_scalar.json": {"trials": "x"},
     "bool_float.json": {"sigma": True},
+    "bad_matrix.json": {"matrix": "foo"},
 }
 
 CONFIGS = [
@@ -55,6 +56,8 @@ CONFIGS = [
     ["sparse", "--model", "pr", "--theta", "0.4", "--s", "2", *SPARSE],
     ["sparse", "--model", "cs", "--s", "2", "--admm-penalty", "0.3", "--admm-tol", "1e-4",
      *SPARSE],
+    ["sparse", "--model", "cs", "--sigma", "0", "--s", "2", "--p", "20", "--n", "400",
+     "--trials", "2", "--admm-max-iter", "30", "--tol", "0.5"],
     # moment summary and theory constants
     ["diag", "--model", "cs", "--sigma", "0.5", "--p", "20", "--s", "5"],
     ["diag", "--model", "pr", "--theta", "1", "--p", "20"],
@@ -98,6 +101,10 @@ CONFIGS = [
     ["diag", "--admm-penalty", "nan", "--tol", "nan"],
     ["eigs", "--tol", "nan", "--n", "200", "--p", "4", "--trials", "1"],
     ["diag", "--config", "bool_float.json"],
+    # settings the chosen model or estimator cannot use
+    ["lowdim", "--model", "cs", "--matrix", "sum", "--quad-order", "3", *LOWDIM],
+    ["lowdim", "--model", "flr", "--sigma", "0.5", *LOWDIM],
+    ["lowdim", "--config", "bad_matrix.json"],
 ]
 
 
