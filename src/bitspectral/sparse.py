@@ -6,10 +6,13 @@ The pipeline solves, over the Fantope {0 <= Pi <= I, Tr Pi = 1},
 
 by ADMM to obtain an initializer whose leading eigenvector is close enough to
 the signal direction, then refines it with power iterations interleaved with
-hard truncation to the top-s_hat coordinates.  ADMM that stops on its
-iteration cap is demoted to ``converged=False`` but still used: the
-initializer only has to land in the attraction basin of the truncated
-iteration.
+hard truncation to the top-s_hat coordinates.  The initializer only has to
+land in the attraction basin of the truncated iteration ("tighten after
+relax"), so ``sparse_recover`` stops ADMM as soon as the leading direction of
+its iterate has settled: same top-s_hat support and a sine below
+``SETTLE_SIN`` for ``SETTLE_RUNS`` iterations in a row.  The residual rule and
+the iteration cap stay as upper bounds; ADMM that stops on its cap is demoted
+to ``converged=False`` but still used.
 """
 
 import math
@@ -33,7 +36,8 @@ class SparseConfig:
     sparsity, ``t_max`` and ``tol`` the truncated-power cap and stop tolerance
     (the rule of ``power_method``).  ADMM starts at penalty ``admm_penalty``,
     adapts it by residual balancing (see ``fantope_admm``), and stops once both
-    residuals fall below ``admm_tol * p`` or at ``admm_max_iter``.
+    residuals fall below ``admm_tol * p`` or at ``admm_max_iter``;
+    ``sparse_recover`` also stops it once its leading direction settles.
     """
 
     rho: float
@@ -66,9 +70,10 @@ class FantopeSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
-    converged: bool
+    converged: bool  # stopped by the residual rule or by settling, not by the cap
     penalty: float  # tau at the last iteration
     penalty_updates: int  # how often residual balancing changed tau
+    stop: str  # "residual", "settled" or "cap"
 
 
 def soft_threshold(a, t: float):
@@ -113,8 +118,14 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
 BALANCE_RATIO = 10.0
 BALANCE_ITERS = 1000
 
+# Settle rule of fantope_admm(settle=True): stop once the tracked leading
+# direction keeps its top-s_hat support and moves by a sine below SETTLE_SIN
+# for SETTLE_RUNS consecutive iterations.
+SETTLE_SIN = 1e-3
+SETTLE_RUNS = 5
 
-def fantope_admm(mtx, cfg: SparseConfig) -> FantopeSolution:
+
+def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolution:
     """Solve the l1-penalized Fantope program by ADMM with splitting Pi = Z.
 
     Scaled-dual iteration with penalty tau, starting at ``cfg.admm_penalty``:
@@ -122,8 +133,19 @@ def fantope_admm(mtx, cfg: SparseConfig) -> FantopeSolution:
     soft-thresholds Pi + U at rho/tau, and U accumulates Pi - Z.  During the
     first ``BALANCE_ITERS`` iterations tau is doubled or halved to keep the
     primal and dual residuals within ``BALANCE_RATIO`` of each other, and U is
-    rescaled by tau_old/tau_new.  Non-convergence at the iteration cap returns
-    the last iterate with ``converged=False``.
+    rescaled by tau_old/tau_new.  The run stops with ``stop="residual"`` once
+    both residuals fall below ``cfg.admm_tol * p``.
+
+    With ``settle`` the loop also tracks a unit vector, one product
+    v <- Pi v / ||Pi v|| per iteration, started from Pi's column with the
+    largest diagonal entry (should Pi v vanish, v turns NaN and only the
+    residual rule and the cap remain).  After the residual test, the loop
+    stops with ``stop="settled"`` once ``SETTLE_RUNS`` consecutive products
+    kept the top-``cfg.s_hat`` support of v (stable argsort of -|v|) and moved
+    v by a sine below ``SETTLE_SIN``, so this rule never stops it before
+    iteration ``SETTLE_RUNS + 1``.  Either stop reports ``converged=True``;
+    the cap returns the last iterate with ``stop="cap"`` and
+    ``converged=False``.
     """
     m = _as_matrix(mtx)
     p = m.shape[0]
@@ -135,7 +157,8 @@ def fantope_admm(mtx, cfg: SparseConfig) -> FantopeSolution:
     m_scaled = m / tau
     t = cfg.rho / tau
     primal = dual = math.inf
-    iterations = updates = 0
+    iterations = updates = runs = 0
+    v = support = None
     for iterations in range(1, cfg.admm_max_iter + 1):
         pi = fantope_project(z - u + m_scaled)
         z_prev = z
@@ -145,7 +168,19 @@ def fantope_admm(mtx, cfg: SparseConfig) -> FantopeSolution:
         primal = float(np.linalg.norm(pi - z))
         dual = tau * float(np.linalg.norm(z - z_prev))
         if primal < threshold and dual < threshold:
-            return FantopeSolution(pi, iterations, primal, dual, True, tau, updates)
+            return FantopeSolution(pi, iterations, primal, dual, True, tau, updates, "residual")
+        if settle:
+            v_prev = v
+            pv = pi[:, int(np.argmax(np.diag(pi)))] if v is None else pi @ v
+            v = pv / np.linalg.norm(pv)
+            support_prev, support = support, _top_support(v, cfg.s_hat)
+            if v_prev is not None:
+                sine = float(np.linalg.norm(v - (v @ v_prev) * v_prev))
+                still = sine < SETTLE_SIN and np.array_equal(support, support_prev)
+                runs = runs + 1 if still else 0
+                if runs >= SETTLE_RUNS:
+                    return FantopeSolution(pi, iterations, primal, dual, True, tau, updates,
+                                           "settled")
         if iterations > BALANCE_ITERS:
             continue
         if primal > BALANCE_RATIO * dual:
@@ -159,7 +194,12 @@ def fantope_admm(mtx, cfg: SparseConfig) -> FantopeSolution:
         m_scaled = m / tau
         t = cfg.rho / tau
         updates += 1
-    return FantopeSolution(pi, iterations, primal, dual, False, tau, updates)
+    return FantopeSolution(pi, iterations, primal, dual, False, tau, updates, "cap")
+
+
+def _top_support(v: np.ndarray, s_hat: int) -> np.ndarray:
+    """Indices of the s_hat largest |v_i| (ties: lower index), in increasing order."""
+    return np.sort(np.argsort(-np.abs(v), kind="stable")[:s_hat])
 
 
 def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
@@ -167,7 +207,7 @@ def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not 1 <= s_hat <= v.shape[0]:
         raise ConfigError(f"s_hat must satisfy 1 <= s_hat <= p, got {s_hat}")
-    keep = np.argsort(-np.abs(v), kind="stable")[:s_hat]
+    keep = _top_support(v, s_hat)
     out = np.zeros_like(v)
     out[keep] = v[keep]
     return _normalize(out)
@@ -191,9 +231,11 @@ def sparse_recover(
     """Full sparse pipeline: second moment, ADMM initializer, truncated power.
 
     The initializer is the leading eigenvector of the ADMM solution, truncated
-    to s_hat and renormalized.  The report's ``stages`` dict carries the ADMM
-    residuals and the eigengap of the relaxation solution; ``converged`` is
-    the conjunction of the ADMM and power-stage flags.
+    to s_hat and renormalized; ADMM runs with the settle rule
+    (``fantope_admm(..., settle=True)``).  The report's ``stages`` dict carries
+    the ADMM residuals and stop reason and the eigengap of the relaxation
+    solution; ``converged`` is the conjunction of the ADMM and power-stage
+    flags.
     """
     if cfg.s_hat > data.p:
         raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={data.p}")
@@ -203,7 +245,7 @@ def sparse_recover(
         mtx = second_moment_sum(data)
     else:
         raise ConfigError(f"kind must be '{KIND_DIFFERENCE}' or '{KIND_SUM}'")
-    fsol = fantope_admm(mtx, cfg)
+    fsol = fantope_admm(mtx, cfg, settle=True)
     lam1, lam2, v1 = top_two_eigs(fsol.Pi)
     beta0 = truncate(v1, cfg.s_hat)
     report = truncated_power_method(mtx, beta0, cfg)
@@ -212,6 +254,7 @@ def sparse_recover(
         "admm_primal_residual": fsol.primal_residual,
         "admm_dual_residual": fsol.dual_residual,
         "admm_converged": fsol.converged,
+        "admm_stop": fsol.stop,
         "admm_final_penalty": fsol.penalty,
         "admm_penalty_updates": fsol.penalty_updates,
         "init_eigengap": lam1 - lam2,

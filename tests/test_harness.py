@@ -1,5 +1,6 @@
 """Experiment drivers, CSV contract, determinism, CLI exit codes."""
 
+import csv
 import io
 import json
 import math
@@ -379,6 +380,16 @@ class TestCli:
         cfgfile = tmp_path / "bad.json"
         cfgfile.write_text(json.dumps({"modle": "cs"}))
         assert main(["diag", "--config", str(cfgfile)]) == 2
+
+    def test_settled_initializer_counts_as_converged(self, capsys):
+        # 75 ADMM iterations stop short of the residual tolerance here; the
+        # initializer settles first, and the truncated power method meets tol
+        assert main(["sparse", "--model", "cs", "--sigma", "0", "--s", "3", "--p", "60",
+                     "--n", "1000,4000", "--trials", "4", "--seed", "3",
+                     "--admm-max-iter", "75"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 8
+        assert [r["converged"] for r in rows] == ["True"] * 8
 
     def test_eigs_stdout(self, capsys):
         assert main(["eigs", "--model", "flr", "--pe", "0,0.2", "--n", "300",

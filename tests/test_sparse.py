@@ -284,6 +284,116 @@ class TestFantopeAdmm:
                 SparseConfig(rho=0.1, s_hat=2, admm_tol=bad)
 
 
+class TestSettleRule:
+    """fantope_admm(settle=True): stop once the tracked leading direction settles."""
+
+    def test_default_solver_never_settles(self):
+        rng = np.random.default_rng(13)
+        stops = set()
+        for max_iter in (3, 50, 2000):
+            for _ in range(4):
+                m = sym(rng.standard_normal((8, 8)))
+                sol = fantope_admm(m, base_cfg(rho=0.1, admm_max_iter=max_iter))
+                assert sol.stop in ("residual", "cap")
+                assert sol.converged == (sol.stop == "residual")
+                stops.add(sol.stop)
+        assert stops == {"residual", "cap"}
+
+    @staticmethod
+    def _project_onto(monkeypatch, *directions):
+        """Make the k-th Fantope projection d d^T for the k-th of ``directions``
+        (in a cycle), scaled by 1.5 and 1 in turn: the directions are exact,
+        while the iterates, and so the dual residual, keep moving and the
+        residual rule cannot fire."""
+        calls = []
+
+        def project(a):
+            calls.append(None)
+            d = directions[(len(calls) - 1) % len(directions)]
+            return np.outer(d, d) * (1.0 + 0.5 * (len(calls) % 2))
+
+        monkeypatch.setattr(sparse_mod, "fantope_project", project)
+
+    @pytest.mark.parametrize("runs", [1, 3, sparse_mod.SETTLE_RUNS, 8])
+    def test_never_settles_before_runs_plus_one(self, runs, monkeypatch):
+        monkeypatch.setattr(sparse_mod, "SETTLE_RUNS", runs)
+        self._project_onto(monkeypatch, np.array([0.0, 1.0, 0.0]))
+        sol = fantope_admm(np.eye(3), base_cfg(rho=0.0, admm_tol=1e-300), settle=True)
+        assert (sol.stop, sol.iterations, sol.converged) == ("settled", runs + 1, True)
+
+    def test_settled_stops_come_late_enough(self):
+        rng = np.random.default_rng(14)
+        settled = 0
+        for _ in range(10):
+            m = sym(rng.standard_normal((8, 8)))
+            sol = fantope_admm(m, base_cfg(rho=0.1, admm_tol=1e-9), settle=True)
+            if sol.stop == "settled":
+                settled += 1
+                assert sol.iterations >= sparse_mod.SETTLE_RUNS + 1
+        assert settled >= 5
+
+    def test_residual_rule_wins_a_tie(self, monkeypatch):
+        # rho = 0 and a gap above 1: every iterate is exactly e1 e1^T, so at
+        # iteration 2 both residuals are 0 and the tracked direction has held
+        # for one step; with SETTLE_RUNS = 1 both rules hold there
+        monkeypatch.setattr(sparse_mod, "SETTLE_RUNS", 1)
+        tie = fantope_admm(np.diag([3.0, 1.0]), base_cfg(rho=0.0), settle=True)
+        assert (tie.stop, tie.iterations, tie.converged) == ("residual", 2, True)
+        assert tie.primal_residual == 0.0 and tie.dual_residual == 0.0
+
+    @pytest.mark.parametrize("ratio, stop, iterations", [
+        (0.5, "settled", sparse_mod.SETTLE_RUNS + 1), (2.0, "cap", 30)])
+    def test_sine_threshold(self, ratio, stop, iterations, monkeypatch):
+        # the direction swings between e1 and a vector at sine ratio * SETTLE_SIN
+        # from it, on the same top-1 support
+        sine = ratio * sparse_mod.SETTLE_SIN
+        self._project_onto(monkeypatch, np.array([1.0, 0.0]),
+                           np.array([math.sqrt(1.0 - sine**2), sine]))
+        cfg = base_cfg(rho=0.0, s_hat=1, admm_tol=1e-300, admm_max_iter=30)
+        sol = fantope_admm(np.eye(2), cfg, settle=True)
+        assert (sol.stop, sol.iterations) == (stop, iterations)
+
+    def test_support_change_resets_the_count(self, monkeypatch):
+        # two directions 1e-5 apart whose top-2 supports differ: {0, 1}, {0, 2}
+        eps = 1e-5
+        self._project_onto(monkeypatch, np.array([1.0, 0.5 + eps, 0.5 - eps]) / math.sqrt(1.5),
+                           np.array([1.0, 0.5 - eps, 0.5 + eps]) / math.sqrt(1.5))
+        cfg = base_cfg(rho=0.0, s_hat=2, admm_tol=1e-300, admm_max_iter=30)
+        sol = fantope_admm(np.eye(3), cfg, settle=True)
+        assert (sol.stop, sol.iterations) == ("cap", 30)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_annihilated_direction_leaves_the_other_rules(self, monkeypatch):
+        # Pi v = 0 at iteration 2: the rule can no longer fire, so the run
+        # ends at the cap
+        self._project_onto(monkeypatch, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        cfg = base_cfg(rho=0.0, s_hat=1, admm_tol=1e-300, admm_max_iter=20)
+        sol = fantope_admm(np.eye(2), cfg, settle=True)
+        assert (sol.stop, sol.iterations, sol.converged) == ("cap", 20, False)
+
+    def test_accuracy_matches_full_admm(self):
+        # p = 50, s = 3, sigma^2 = 0.1, four instances at each n; the full
+        # solver runs to its residual tolerance
+        errs = {False: [], True: []}
+        iters = {False: [], True: []}
+        for k in range(12):
+            rng = np.random.default_rng([60, k])
+            n = (500, 1000, 2000)[k % 3]
+            truth = sample_beta_sparse(50, 3, rng)
+            m = second_moment(generate_dataset(OneBitCS(math.sqrt(0.1)), truth, n, rng))
+            cfg = SparseConfig(rho=math.sqrt(math.log(50) / n), s_hat=6)
+            for settle in (False, True):
+                sol = fantope_admm(m, cfg, settle=settle)
+                assert sol.stop == ("settled" if settle else "residual")
+                beta0 = truncate(top_two_eigs(sol.Pi)[2], cfg.s_hat)
+                beta = truncated_power_method(m, beta0, cfg).beta_hat
+                errs[settle].append(min(np.linalg.norm(beta - truth.beta_star),
+                                        np.linalg.norm(beta + truth.beta_star)))
+                iters[settle].append(sol.iterations)
+        assert abs(np.median(errs[True]) - np.median(errs[False])) <= 0.02
+        assert np.median(iters[True]) <= np.median(iters[False]) / 5
+
+
 class TestTruncate:
     def test_keeps_top_two(self):
         np.testing.assert_allclose(
@@ -400,7 +510,8 @@ class TestSparseRecover:
         stages = report.stages
         assert set(stages) == {"admm_iterations", "admm_primal_residual",
                                "admm_dual_residual", "admm_converged", "init_eigengap",
-                               "admm_final_penalty", "admm_penalty_updates"}
+                               "admm_final_penalty", "admm_penalty_updates", "admm_stop"}
+        assert stages["admm_stop"] in ("residual", "settled", "cap")
         assert stages["init_eigengap"] >= -1e-9
         # tau only ever doubles or halves, once per counted update
         exponent = math.log2(stages["admm_final_penalty"] / cfg.admm_penalty)
@@ -430,7 +541,7 @@ class TestSparseRecover:
         loose = SparseConfig(rho=0.05, s_hat=6, admm_max_iter=50, tol=0.5)
         report = sparse_recover(data, loose)
         m = second_moment(data)
-        beta0 = truncate(top_two_eigs(fantope_admm(m, loose).Pi)[2], loose.s_hat)
+        beta0 = truncate(top_two_eigs(fantope_admm(m, loose, settle=True).Pi)[2], loose.s_hat)
         direct = truncated_power_method(m, beta0, loose)
         np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
         assert report.iterations == direct.iterations

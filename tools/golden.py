@@ -58,6 +58,11 @@ CONFIGS = [
      *SPARSE],
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "2", "--p", "20", "--n", "400",
      "--trials", "2", "--admm-max-iter", "30", "--tol", "0.5"],
+    # the ADMM initializer at its default stop rules, and settling before a cap of 75
+    ["sparse", "--model", "cs", "--s", "2", "--p", "20", "--n", "400,800", "--trials", "2",
+     "--seed", "4"],
+    ["sparse", "--model", "cs", "--sigma", "0", "--s", "3", "--p", "60", "--n", "1000,4000",
+     "--trials", "4", "--seed", "3", "--admm-max-iter", "75"],
     # moment summary and theory constants
     ["diag", "--model", "cs", "--sigma", "0.5", "--p", "20", "--s", "5"],
     ["diag", "--model", "pr", "--theta", "1", "--p", "20"],
