@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _lapack
 from .errors import ConfigError, NumericalError
 from .estimator import KIND_DIFFERENCE, KIND_SUM, second_moment, second_moment_sum
 from .spectral import (
@@ -76,12 +77,15 @@ class FantopeSolution:
     stop: str  # "residual", "settled" or "cap"
 
 
-def soft_threshold(a, t: float):
-    """Entrywise sign(a) * max(|a| - t, 0); the l1 proximal map."""
+def soft_threshold(a, t: float, out=None):
+    """Entrywise sign(a) * max(|a| - t, 0); the l1 proximal map.
+
+    ``out``, as for a numpy ufunc, receives the result; it must not be ``a``.
+    """
     if t < 0.0:
         raise ConfigError(f"threshold must be >= 0, got {t}")
     a = np.asarray(a, dtype=float)
-    return a - np.clip(a, -t, t)
+    return np.subtract(a, np.clip(a, -t, t, out=out), out=out)
 
 
 def fantope_project(a: np.ndarray) -> np.ndarray:
@@ -93,6 +97,13 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
     mass, and on that range the upper clip is inactive.  The trace equation is
     then a projection onto the simplex, solved in closed form at its
     breakpoints.  Pi is rebuilt from the k eigenvectors with nonzero weight.
+
+    The eigenpairs come from numpy's bundled LAPACK: one reduction to
+    tridiagonal form, every eigenvalue from the tridiagonal, then eigenvectors
+    for the k weighted eigenvalues only (MRRR), mapped back.  Where that
+    LAPACK is not present, or it does not deliver k finite eigenvectors (MRRR
+    can fail on a cluster of tied eigenvalues that k splits), the eigenpairs
+    come from ``np.linalg.eigh`` instead.
     """
     a = np.asarray(a, dtype=float)
     fro = float(np.linalg.norm(a))
@@ -100,15 +111,28 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
         raise NumericalError("fantope_project requires a finite matrix")
     if float(np.linalg.norm(a - a.T)) > 1e-8 * max(fro, 1e-300):
         raise ConfigError("fantope_project requires a symmetric matrix")
-    lam, vecs = np.linalg.eigh(a)
+    lam, top = _lapack.spectrum(a)
+    vecs = None
+    if lam is not None:
+        root = _fantope_roots(lam)
+        vecs = top(root.size)
+    if vecs is None:
+        lam, vecs = np.linalg.eigh(a)
+        root = _fantope_roots(lam)
+        vecs = vecs[:, -root.size:]
+    w = vecs * root
+    return w @ w.T  # A @ A.T is computed as a symmetric rank-k update
+
+
+def _fantope_roots(lam: np.ndarray) -> np.ndarray:
+    """Square roots of the k nonzero projected eigenvalues, for the ascending
+    eigenvalues ``lam``; the k entries belong to the k largest, in ascending order."""
     # top eigenvalues in descending order, shifted by lambda_max into (-1, 0]
     cut = int(np.searchsorted(lam, lam[-1] - 1.0, side="right"))
     top = lam[cut:][::-1] - lam[-1]
     shift = (np.cumsum(top) - 1.0) / np.arange(1, top.size + 1)
     k = int(np.flatnonzero(top > shift)[-1]) + 1
-    root = np.sqrt(np.clip(top[k - 1::-1] - shift[k - 1], 0.0, 1.0))
-    w = vecs[:, -k:] * root
-    return w @ w.T  # A @ A.T is computed as a symmetric rank-k update
+    return np.sqrt(np.clip(top[k - 1::-1] - shift[k - 1], 0.0, 1.0))
 
 
 # Residual balancing (Boyd et al. 2011, sec. 3.4.1): the penalty doubles when
@@ -151,22 +175,22 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     p = m.shape[0]
     tau = cfg.admm_penalty
     threshold = cfg.admm_tol * p
-    z = np.zeros((p, p))
-    u = np.zeros((p, p))
-    pi = np.zeros((p, p))
+    z, z_prev, u, pi = (np.zeros((p, p)) for _ in range(4))
+    arg, w, diff = (np.empty((p, p)) for _ in range(3))  # reused every iteration
     m_scaled = m / tau
     t = cfg.rho / tau
     primal = dual = math.inf
     iterations = updates = runs = 0
     v = support = None
     for iterations in range(1, cfg.admm_max_iter + 1):
-        pi = fantope_project(z - u + m_scaled)
-        z_prev = z
-        w = pi + u
-        z = soft_threshold(w, t)
-        u = w - z
-        primal = float(np.linalg.norm(pi - z))
-        dual = tau * float(np.linalg.norm(z - z_prev))
+        np.subtract(z, u, out=arg)
+        pi = fantope_project(np.add(arg, m_scaled, out=arg))
+        z, z_prev = z_prev, z
+        np.add(pi, u, out=w)
+        soft_threshold(w, t, out=z)
+        np.subtract(w, z, out=u)
+        primal = float(np.linalg.norm(np.subtract(pi, z, out=diff)))
+        dual = tau * float(np.linalg.norm(np.subtract(z, z_prev, out=diff)))
         if primal < threshold and dual < threshold:
             return FantopeSolution(pi, iterations, primal, dual, True, tau, updates, "residual")
         if settle:
@@ -191,7 +215,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
             continue
         tau *= scale
         u /= scale
-        m_scaled = m / tau
+        np.divide(m, tau, out=m_scaled)
         t = cfg.rho / tau
         updates += 1
     return FantopeSolution(pi, iterations, primal, dual, False, tau, updates, "cap")

@@ -1,7 +1,10 @@
 """Fantope projection, ADMM relaxation, and the truncated power pipeline."""
 
+import ctypes
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitspectral.sparse as sparse_mod
+from bitspectral import _lapack
 from bitspectral import (
     ConfigError,
     Dataset,
@@ -61,6 +65,12 @@ class TestSoftThreshold:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ConfigError):
             soft_threshold(np.eye(2), -0.1)
+
+    def test_out_holds_the_same_result(self):
+        a = np.random.default_rng(16).standard_normal((5, 5))
+        out = np.empty_like(a)
+        assert soft_threshold(a, 0.3, out=out) is out
+        np.testing.assert_array_equal(out, soft_threshold(a, 0.3))
 
 
 class TestFantopeProject:
@@ -165,6 +175,104 @@ class TestFantopeProject:
         proj = fantope_project(a)
         off = q.T @ proj @ q
         np.testing.assert_allclose(off - np.diag(np.diag(off)), 0.0, atol=1e-8)
+
+
+def eigh_fallback(a):
+    """fantope_project with the LAPACK binding absent, as on a numpy build without it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lapack, "_LAPACKE", None)
+        return fantope_project(a)
+
+
+def count_eigh(monkeypatch):
+    """Count the calls of np.linalg.eigh from here on; returns the counter list."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(None) or eigh(a))
+    return calls
+
+
+@pytest.mark.skipif(_lapack._LAPACKE is None, reason="numpy's bundled LAPACK is not present")
+class TestFantopeLapackPath:
+    """fantope_project's eigenpairs from numpy's LAPACK, against the np.linalg.eigh path."""
+
+    def test_random_input_takes_lapack_path(self, monkeypatch):
+        a = sym(np.random.default_rng(15).standard_normal((30, 30)))
+        calls = count_eigh(monkeypatch)
+        out = fantope_project(a)
+        assert calls == []
+        np.testing.assert_allclose(out, eigh_fallback(a), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(fantope_project(np.asfortranarray(a)), out)
+
+    def test_split_cluster_falls_back(self, monkeypatch):
+        # k = 3 splits the tied 1.5 triple; on this input dstemr reports
+        # success with a NaN eigenvector
+        lam = [0.5, 1.5, 1.5, 1.5, 2.0, 2.0]
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+        a = sym((q * np.array(lam)) @ q.T)
+        _, top = _lapack.spectrum(a)
+        assert top(3) is None
+        calls = count_eigh(monkeypatch)
+        out = fantope_project(a)
+        assert len(calls) == 1
+        np.testing.assert_allclose(out, exact_fantope_projection(a), atol=1e-8)
+
+    def test_diagonal_input(self, monkeypatch):
+        # a fully split tridiagonal: every off-diagonal entry is zero
+        a = np.diag([0.3, 2.0, -1.0, 1.6, 1.2, 0.0])
+        lam, top = _lapack.spectrum(a)
+        np.testing.assert_array_equal(lam, np.sort(np.diag(a)))
+        calls = count_eigh(monkeypatch)
+        out = fantope_project(a)
+        assert calls == []
+        np.testing.assert_allclose(out, np.diag([0, 0.7, 0, 0.3, 0, 0]), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("a, error", [(np.ones(3), np.linalg.LinAlgError),
+                                          (np.ones((0, 0)), IndexError)])
+    def test_malformed_shape_fails_as_eigh_does(self, a, error):
+        # LAPACK would read an n x n matrix past the end of these buffers
+        assert _lapack.spectrum(a) == (None, None)
+        with pytest.raises(error):
+            fantope_project(a)
+
+    def test_missing_library_falls_back(self, monkeypatch):
+        monkeypatch.setattr(_lapack, "_LAPACKE", None)
+        assert _lapack.spectrum(np.eye(2)) == (None, None)
+        calls = count_eigh(monkeypatch)
+        out = fantope_project(np.diag([0.6, 0.6, 0.0]))
+        assert len(calls) == 1
+        np.testing.assert_allclose(out, np.diag([0.5, 0.5, 0.0]), atol=1e-11)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # dyadic values repeat often and make max(lam) - 1 exact; the float
+        # draws give untied spectra
+        lam=st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0]),
+                               st.floats(-3.0, 3.0)), min_size=1, max_size=12),
+        at_cut=st.integers(0, 3),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_eigh_path(self, lam, at_cut, scale, seed):
+        lam = np.array(lam) * scale
+        lam = np.append(lam, [lam.max() - 1.0] * at_cut)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((lam.size, lam.size)))
+        a = sym((q * lam) @ q.T)
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
+        np.testing.assert_allclose(fantope_project(a), eigh_fallback(a), rtol=0.0, atol=tol)
+
+
+def test_suite_runs_one_blas_thread():
+    # tests/conftest.py sets the thread count before numpy is imported;
+    # numpy ignores a change made after that
+    if os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1":
+        pytest.skip("the environment sets another BLAS thread count")
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not found:
+        pytest.skip("numpy's bundled OpenBLAS is not present")
+    get = ctypes.CDLL(str(found[0])).scipy_openblas_get_num_threads64_
+    get.restype = ctypes.c_int
+    assert get() == 1
 
 
 class TestFantopeAdmm:

@@ -63,6 +63,9 @@ CONFIGS = [
      "--seed", "4"],
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "3", "--p", "60", "--n", "1000,4000",
      "--trials", "4", "--seed", "3", "--admm-max-iter", "75"],
+    # a start penalty that puts up to 45 of 60 eigenvalues in the projection's active set
+    ["sparse", "--model", "cs", "--s", "3", "--p", "60", "--n", "1000", "--trials", "2",
+     "--seed", "5", "--admm-max-iter", "40", "--admm-penalty", "100"],
     # moment summary and theory constants
     ["diag", "--model", "cs", "--sigma", "0.5", "--p", "20", "--s", "5"],
     ["diag", "--model", "pr", "--theta", "1", "--p", "20"],
