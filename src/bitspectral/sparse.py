@@ -39,6 +39,9 @@ class SparseConfig:
     adapts it by residual balancing (see ``fantope_admm``), and stops once both
     residuals fall below ``admm_tol * p`` or at ``admm_max_iter``;
     ``sparse_recover`` also stops it once its leading direction settles.
+    ``sparse_recover`` runs ADMM on (M/s, rho/s) with s = tr(M)/p, which has
+    the same minimizer and puts M's mean eigenvalue at 1; there
+    ``admm_penalty`` and ``admm_tol`` apply to that normalized problem.
     """
 
     rho: float
@@ -71,10 +74,14 @@ class FantopeSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
-    converged: bool  # stopped by the residual rule or by settling, not by the cap
     penalty: float  # tau at the last iteration
     penalty_updates: int  # how often residual balancing changed tau
     stop: str  # "residual", "settled" or "cap"
+
+    @property
+    def converged(self) -> bool:
+        """Stopped by the residual rule or by settling, not by the cap."""
+        return self.stop != "cap"
 
 
 def soft_threshold(a, t: float, out=None):
@@ -106,11 +113,7 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
     come from ``np.linalg.eigh`` instead.
     """
     a = np.asarray(a, dtype=float)
-    fro = float(np.linalg.norm(a))
-    if not math.isfinite(fro):
-        raise NumericalError("fantope_project requires a finite matrix")
-    if float(np.linalg.norm(a - a.T)) > 1e-8 * max(fro, 1e-300):
-        raise ConfigError("fantope_project requires a symmetric matrix")
+    _check_symmetric(a, "fantope_project")
     lam, top = _lapack.spectrum(a)
     vecs = None
     if lam is not None:
@@ -122,6 +125,15 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
         vecs = vecs[:, -root.size:]
     w = vecs * root
     return w @ w.T  # A @ A.T is computed as a symmetric rank-k update
+
+
+def _check_symmetric(a: np.ndarray, caller: str) -> None:
+    """NumericalError for a non-finite ``a``, ConfigError for an asymmetric one."""
+    fro = float(np.linalg.norm(a))
+    if not math.isfinite(fro):
+        raise NumericalError(f"{caller} requires a finite matrix")
+    if float(np.linalg.norm(a - a.T)) > 1e-8 * max(fro, 1e-300):
+        raise ConfigError(f"{caller} requires a symmetric matrix")
 
 
 def _fantope_roots(lam: np.ndarray) -> np.ndarray:
@@ -158,7 +170,9 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     first ``BALANCE_ITERS`` iterations tau is doubled or halved to keep the
     primal and dual residuals within ``BALANCE_RATIO`` of each other, and U is
     rescaled by tau_old/tau_new.  The run stops with ``stop="residual"`` once
-    both residuals fall below ``cfg.admm_tol * p``.
+    both residuals fall below ``cfg.admm_tol * p``.  Before the first
+    iteration, a non-finite M raises ``NumericalError`` and an asymmetric one
+    ``ConfigError``.
 
     With ``settle`` the loop also tracks a unit vector, one product
     v <- Pi v / ||Pi v|| per iteration, started from Pi's column with the
@@ -172,6 +186,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     ``converged=False``.
     """
     m = _as_matrix(mtx)
+    _check_symmetric(m, "fantope_admm")
     p = m.shape[0]
     tau = cfg.admm_penalty
     threshold = cfg.admm_tol * p
@@ -192,7 +207,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
         primal = float(np.linalg.norm(np.subtract(pi, z, out=diff)))
         dual = tau * float(np.linalg.norm(np.subtract(z, z_prev, out=diff)))
         if primal < threshold and dual < threshold:
-            return FantopeSolution(pi, iterations, primal, dual, True, tau, updates, "residual")
+            return FantopeSolution(pi, iterations, primal, dual, tau, updates, "residual")
         if settle:
             v_prev = v
             pv = pi[:, int(np.argmax(np.diag(pi)))] if v is None else pi @ v
@@ -203,8 +218,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
                 still = sine < SETTLE_SIN and np.array_equal(support, support_prev)
                 runs = runs + 1 if still else 0
                 if runs >= SETTLE_RUNS:
-                    return FantopeSolution(pi, iterations, primal, dual, True, tau, updates,
-                                           "settled")
+                    return FantopeSolution(pi, iterations, primal, dual, tau, updates, "settled")
         if iterations > BALANCE_ITERS:
             continue
         if primal > BALANCE_RATIO * dual:
@@ -218,7 +232,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
         np.divide(m, tau, out=m_scaled)
         t = cfg.rho / tau
         updates += 1
-    return FantopeSolution(pi, iterations, primal, dual, False, tau, updates, "cap")
+    return FantopeSolution(pi, iterations, primal, dual, tau, updates, "cap")
 
 
 def _top_support(v: np.ndarray, s_hat: int) -> np.ndarray:
@@ -256,10 +270,14 @@ def sparse_recover(
 
     The initializer is the leading eigenvector of the ADMM solution, truncated
     to s_hat and renormalized; ADMM runs with the settle rule
-    (``fantope_admm(..., settle=True)``).  The report's ``stages`` dict carries
-    the ADMM residuals and stop reason and the eigengap of the relaxation
-    solution; ``converged`` is the conjunction of the ADMM and power-stage
-    flags.
+    (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = tr(M)/p.  That
+    program has the same minimizer as (M, rho), and every residual and stop
+    test of the loop becomes scale-free: scaling the covariates by a power of
+    two c, and rho by c^2, repeats the run bit for bit.  The truncated power
+    method reads the raw M.  The report's ``stages`` dict carries the ADMM
+    residuals and stop reason (in the normalized units) and the eigengap of
+    the relaxation solution; ``converged`` is the conjunction of the ADMM and
+    power-stage flags.
     """
     if cfg.s_hat > data.p:
         raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={data.p}")
@@ -269,7 +287,13 @@ def sparse_recover(
         mtx = second_moment_sum(data)
     else:
         raise ConfigError(f"kind must be '{KIND_DIFFERENCE}' or '{KIND_SUM}'")
-    fsol = fantope_admm(mtx, cfg, settle=True)
+    m = _as_matrix(mtx)
+    # M is PSD, so tr(M) = 0 only for M = 0, which the power stage reports
+    scale = float(np.trace(m)) / data.p or 1.0
+    rho = cfg.rho / scale
+    if not math.isfinite(rho):
+        raise NumericalError(f"second-moment matrix too small to normalize: tr(M)/p = {scale}")
+    fsol = fantope_admm(m / scale, replace(cfg, rho=rho), settle=True)
     lam1, lam2, v1 = top_two_eigs(fsol.Pi)
     beta0 = truncate(v1, cfg.s_hat)
     report = truncated_power_method(mtx, beta0, cfg)

@@ -11,10 +11,12 @@ oracle instead of pinning one n for every link.
 
 Budget notes: the heavy experiments (criteria 4 and 5) run once in
 module-scoped fixtures and are shared by the tests that grade them.  Wall
-times on a 2-core machine with OpenBLAS: criterion 1 about 10 s (two eigs
-runs of about 8 s plus the oracle), criterion 3b under 1 s, the criterion 4
-fixture about 25 s (the flr grid up to n = 125448 is most of it), and the
-criterion 5 fixture about 150 s.
+times measured on a 2-vCPU machine with OpenBLAS on one thread (the
+conftest's default) and nothing else running: criterion 1 3.8 s, criterion
+3b under 0.1 s, the criterion 4 fixture 8.8 s (the flr grid up to n = 125448
+is most of it), the criterion 5 fixture 41.0-41.5 s, and this file 55 s.
+The same machine has also run the same code about twice as slowly, and a
+second job sharing its cores slows it further.
 """
 
 import math

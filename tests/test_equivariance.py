@@ -8,7 +8,12 @@ permutations, so that is the group its property is stated for.  The iterative
 stages run a fixed number of steps (zero tolerances), so both sides of each
 comparison take the same path.  The settle rule of ``fantope_admm`` decides
 its own stop, so its property also checks that both sides stop alike.
+Scaling the covariates by a power of two c scales M by c^2 exactly, and
+``sparse_recover`` runs ADMM on M/s with s = tr(M)/p, so with rho scaled by
+c^2 the whole sparse path repeats itself bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -145,3 +150,30 @@ def test_settle_rule_follows_a_signed_permutation(p, s, pairs, rho, seed, data):
     assert (sol_moved.stop, sol_moved.iterations) == (sol.stop, sol.iterations)
     expected = sol.Pi[np.ix_(perm, perm)] * np.outer(signs, signs)
     assert np.max(np.abs(sol_moved.Pi - expected)) <= SPARSE_ATOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    p=st.integers(2, 12),
+    s=st.integers(1, 4),
+    pairs=st.integers(10, 150),
+    rho=st.just(0.0) | st.floats(1e-6, 0.2),  # rho * c**2 stays exact: no subnormals
+    c=st.sampled_from([0.25, 0.5, 2.0, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sparse_path_ignores_the_scale_of_the_covariates(p, s, pairs, rho, c, seed, data):
+    s = min(s, p)
+    s_hat = data.draw(st.integers(1, p))
+    rng = np.random.default_rng(seed)
+    sample = generate_dataset(OneBitCS(0.3), sample_beta_sparse(p, s, rng), 2 * pairs, rng)
+    scaled = Dataset(labels=sample.labels, covariates=c * sample.covariates)
+    cfg = SparseConfig(rho=rho, s_hat=s_hat)
+    try:
+        report = sparse_recover(sample, cfg)
+    except NumericalError:  # every pair has equal labels
+        return
+    report_scaled = sparse_recover(scaled, replace(cfg, rho=rho * c**2))
+    np.testing.assert_array_equal(report_scaled.beta_hat, report.beta_hat)
+    for key in ("admm_iterations", "admm_stop"):
+        assert report_scaled.stages[key] == report.stages[key]

@@ -376,6 +376,12 @@ class TestFantopeAdmm:
         assert after.penalty == at_window.penalty
         assert after.penalty_updates == at_window.penalty_updates
 
+    def test_rejects_asymmetric_or_non_finite_matrix(self):
+        with pytest.raises(ConfigError, match="symmetric"):
+            fantope_admm(np.array([[1.0, 1.0], [0.0, 1.0]]), base_cfg())
+        with pytest.raises(NumericalError, match="finite"):
+            fantope_admm(np.array([[1.0, np.inf], [np.inf, 1.0]]), base_cfg())
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SparseConfig(rho=-0.1, s_hat=2)
@@ -644,12 +650,21 @@ class TestSparseRecover:
         with pytest.raises(NumericalError, match="zero"):
             sparse_recover(data, cfg)
 
+    def test_vanishing_covariates_are_a_numerical_error(self):
+        # tr(M)/p is subnormal here, so rho / (tr(M)/p) overflows
+        truth, data = self._cs_dataset(3, 20, 400, 48)
+        tiny = Dataset(labels=data.labels, covariates=1e-160 * data.covariates)
+        with pytest.raises(NumericalError, match="too small"):
+            sparse_recover(tiny, SparseConfig(rho=0.05, s_hat=3))
+
     def test_stop_tolerance_reaches_truncated_power(self):
         truth, data = self._cs_dataset(3, 30, 400, 47)
         loose = SparseConfig(rho=0.05, s_hat=6, admm_max_iter=50, tol=0.5)
         report = sparse_recover(data, loose)
         m = second_moment(data)
-        beta0 = truncate(top_two_eigs(fantope_admm(m, loose, settle=True).Pi)[2], loose.s_hat)
+        scale = np.trace(m.entries) / data.p  # sparse_recover's ADMM runs on (M/s, rho/s)
+        init = fantope_admm(m.entries / scale, replace(loose, rho=loose.rho / scale), settle=True)
+        beta0 = truncate(top_two_eigs(init.Pi)[2], loose.s_hat)
         direct = truncated_power_method(m, beta0, loose)
         np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
         assert report.iterations == direct.iterations
