@@ -12,6 +12,7 @@ from .estimator import (
     KIND_SUM,
     MomentMatrix,
     expected_moment,
+    sample_moment,
     second_moment,
     second_moment_sum,
 )
@@ -53,7 +54,13 @@ from .sparse import (
     truncate,
     truncated_power_method,
 )
-from .spectral import RecoveryReport, power_method, sign_normalize, top_two_eigs
+from .spectral import (
+    RecoveryReport,
+    orient_by_first_moment,
+    power_method,
+    sign_normalize,
+    top_two_eigs,
+)
 from .synth import (
     Dataset,
     GroundTruth,
@@ -64,56 +71,3 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CSV_HEADER",
-    "ConfigError",
-    "NumericalError",
-    "FlippedLogistic",
-    "OneBitCS",
-    "OneBitPR",
-    "LinkModel",
-    "MomentSummary",
-    "TheoryDiagnostics",
-    "link_eval",
-    "moments",
-    "theta_median",
-    "theory_diagnostics",
-    "Dataset",
-    "GroundTruth",
-    "draw_labels",
-    "generate_dataset",
-    "sample_beta_dense",
-    "sample_beta_sparse",
-    "MomentMatrix",
-    "KIND_DIFFERENCE",
-    "KIND_SUM",
-    "second_moment",
-    "second_moment_sum",
-    "expected_moment",
-    "RecoveryReport",
-    "power_method",
-    "top_two_eigs",
-    "sign_normalize",
-    "SparseConfig",
-    "FantopeSolution",
-    "soft_threshold",
-    "fantope_project",
-    "fantope_admm",
-    "truncate",
-    "truncated_power_method",
-    "sparse_recover",
-    "RunConfig",
-    "ExperimentRow",
-    "default_config",
-    "estimation_error",
-    "select_matrix_kind",
-    "run_eigenstructure",
-    "run_lowdim",
-    "run_sparse",
-    "run_diag",
-    "run_experiment",
-    "rows_to_csv",
-    "write_csv",
-    "derive_rng",
-]

@@ -21,15 +21,20 @@ are built from the weighted pairs alone: M = (8/n) sum dx dx^T over the
 pairs whose weight is 4.  The covariates of zero-weight pairs never enter M,
 so they are not checked; a non-finite covariate of a weighted pair makes M
 non-finite, which ``MomentMatrix`` rejects.
+
+Because M reads only the differences of weighted pairs, ``sample_moment``
+can draw M, together with X^T y, in the law they have under
+``generate_dataset`` without drawing the n-by-p covariates at all.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .links import DEFAULT_QUAD_ORDER, LinkModel, moments
-from .synth import Dataset, GroundTruth
+from .synth import Dataset, GroundTruth, _as_rng, _paired_size, draw_labels
 
 KIND_DIFFERENCE = "difference"
 KIND_SUM = "sum"
@@ -86,6 +91,56 @@ def second_moment(data: Dataset) -> MomentMatrix:
 def second_moment_sum(data: Dataset) -> MomentMatrix:
     """Sum-type estimator M' (for links whose eigengap statistic is negative)."""
     return _pair_weighted_moment(data, KIND_SUM)
+
+
+def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
+    """Draw M (or M') of n observations and their X^T y, as a pair.
+
+    The pair has the law it has when both are built from
+    ``generate_dataset(model, truth, n, rng)``; only the draws differ.
+    Write x = z b + x_perp, with z = <x, b> ~ N(0, 1) independent of
+    x_perp ~ N(0, P) and P = I - b b^T.  Labels depend on z alone, so z and
+    the labels are drawn for all n rows (odd n is trimmed as
+    ``generate_dataset`` trims it).  Each of the k weighted pairs then gets
+    dx = (z_2 - z_1) b + sqrt(2) P g with g ~ N(0, I_p), and M = (8/n) sum
+    dx dx^T is formed from G^T G and G^T dz in p-by-p algebra.  A draw takes
+    n + k p + p normals instead of n p.
+
+    X^T y is (sum y z) b plus one orthogonal term per pair.  A pair with
+    opposite labels adds -y_1 dx_perp.  A pair with equal labels adds
+    y_1 (x1_perp + x2_perp), which is N(0, 2P) and independent of its
+    dx_perp.  So under the difference kind the weighted pairs reuse their g
+    and the m equal-label pairs add one N(0, 2m P) draw; under the sum kind
+    the whole orthogonal term is one N(0, n P) draw.
+    """
+    if kind not in _KINDS:
+        raise ConfigError(f"kind must be one of {_KINDS}, got {kind!r}")
+    kept = _paired_size(n)
+    rng = _as_rng(rng)
+    b = truth.beta_star
+    p = b.shape[0]
+    z = rng.standard_normal(n)
+    y = draw_labels(model, z, rng)[:kept].astype(float)
+    z = z[:kept]
+    differ = y[1::2] != y[0::2]
+    weighted = differ if kind == KIND_DIFFERENCE else ~differ
+    dz = (z[1::2] - z[0::2])[weighted]
+    g = rng.standard_normal((dz.shape[0], p))
+    h = rng.standard_normal(p)
+    # sum dx dx^T = 2 G^T G + b e^T + e b^T, with P G^T G P expanded about b
+    gtg = g.T @ g
+    w = gtg @ b
+    gdz = g.T @ dz
+    e = math.sqrt(2.0) * (gdz - (b @ gdz) * b) - 2.0 * w + (0.5 * (dz @ dz) + b @ w) * b
+    outer = np.outer(b, e)
+    m = (8.0 / kept) * (2.0 * gtg + (outer + outer.T))
+    if kind == KIND_DIFFERENCE:
+        equal_pairs = kept // 2 - dz.shape[0]
+        orth = math.sqrt(2.0 * equal_pairs) * h - math.sqrt(2.0) * (g.T @ y[0::2][weighted])
+    else:
+        orth = math.sqrt(kept) * h
+    xty = (y @ z) * b + (orth - (b @ orth) * b)
+    return MomentMatrix(entries=m, kind=kind, n_pairs=kept // 2), xty
 
 
 def expected_moment(

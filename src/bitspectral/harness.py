@@ -19,6 +19,14 @@ CSV columns (unused cells empty, floats with 17 significant digits):
     experiment,model,param_name,param_value,n,p,s,trial,abscissa,
     lambda1_over4,lambda2_over4,err,err_signfree,iters,converged
 
+``eigs`` and ``lowdim`` never draw the n-by-p covariates: each trial takes
+its moment matrix and X^T y from ``sample_moment``, which draws the index
+values and labels of all n rows and the covariate differences of the
+weighted pairs alone, in the law ``generate_dataset`` gives them.
+``sparse`` draws a full ``Dataset``, which ``sparse_recover`` takes.  In
+``lowdim`` and ``sparse`` the sign of the estimate is set by X^T y
+(``orient_by_first_moment``).
+
 The noisy-sign model is parameterized by the noise standard deviation sigma;
 a variance of 0.1 (the usual figure setting, sometimes written delta^2)
 corresponds to sigma = sqrt(0.1).
@@ -32,7 +40,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import KIND_DIFFERENCE, KIND_SUM, second_moment, second_moment_sum
+from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment
+# no trial calls these two; perfbench/tracing.py patches them as harness attributes
+from .estimator import second_moment, second_moment_sum
 from .links import (
     DEFAULT_QUAD_ORDER,
     FlippedLogistic,
@@ -44,7 +54,7 @@ from .links import (
 )
 from .rng import derive_rng
 from .sparse import SparseConfig, sparse_recover
-from .spectral import _check_unit, power_method, top_two_eigs
+from .spectral import _check_unit, orient_by_first_moment, power_method, top_two_eigs
 from .synth import _unit_gaussian, generate_dataset, sample_beta_dense, sample_beta_sparse
 
 
@@ -184,10 +194,6 @@ def select_matrix_kind(
     return _MATRIX_KINDS[override] or auto
 
 
-def _build_moment(data, kind):
-    return second_moment(data) if kind == KIND_DIFFERENCE else second_moment_sum(data)
-
-
 def estimation_error(beta_hat, beta_star, sign_invariant: bool = False) -> float:
     """l2 estimation error between unit vectors, optionally modulo sign."""
     beta_hat = _check_unit(beta_hat, "beta_hat")
@@ -207,20 +213,21 @@ def trial_rng(cfg: RunConfig, param_value: float, n: int, p: int, s: int | None,
 
 
 def _draw(cfg: RunConfig, param_value: float, n: int, p: int, s: int | None, trial: int):
-    """One trial's stream, truth (s-sparse unless s is None), data and estimator kind."""
+    """One trial's stream, model, truth (s-sparse unless s is None) and estimator kind."""
     rng = trial_rng(cfg, param_value, n, p, s, trial)
     model = _make_model(cfg, param_value)
     truth = sample_beta_dense(p, rng) if s is None else sample_beta_sparse(p, s, rng)
-    data = generate_dataset(model, truth, n, rng)
-    return rng, truth, data, select_matrix_kind(model, cfg.matrix, cfg.quad_order)
+    return rng, model, truth, select_matrix_kind(model, cfg.matrix, cfg.quad_order)
 
 
 def _row(cfg: RunConfig, experiment: str, param_value: float, n: int, p: int, s: int | None,
-         trial: int, abscissa: float, truth=None, report=None, **columns) -> ExperimentRow:
-    """One trial's row; given a recovery report, also its error against the truth."""
+         trial: int, abscissa: float, truth=None, report=None, xty=None,
+         **columns) -> ExperimentRow:
+    """One trial's row; given a recovery report and X^T y, also its error against the truth."""
     if report is not None:
-        signfree = estimation_error(report.beta_hat, truth.beta_star, True)
-        err = signfree if cfg.model == "pr" else estimation_error(report.beta_hat, truth.beta_star)
+        beta_hat = orient_by_first_moment(report.beta_hat, xty)
+        signfree = estimation_error(beta_hat, truth.beta_star, True)
+        err = signfree if cfg.model == "pr" else estimation_error(beta_hat, truth.beta_star)
         columns.update(err=err, err_signfree=signfree, iters=report.iterations,
                        converged=report.converged)
     return ExperimentRow(experiment, cfg.model, _MODELS[cfg.model].noise, param_value,
@@ -229,8 +236,9 @@ def _row(cfg: RunConfig, experiment: str, param_value: float, n: int, p: int, s:
 
 def eigs_trial(cfg: RunConfig, param_value: float, trial: int) -> ExperimentRow:
     n, p = cfg.n[0], cfg.p[0]
-    _, _, data, kind = _draw(cfg, param_value, n, p, None, trial)
-    lam1, lam2, _ = top_two_eigs(_build_moment(data, kind))
+    rng, model, truth, kind = _draw(cfg, param_value, n, p, None, trial)
+    mtx, _ = sample_moment(model, truth, n, kind, rng)
+    lam1, lam2, _ = top_two_eigs(mtx)
     return _row(cfg, "eigs", param_value, n, p, None, trial, param_value,
                 lambda1_over4=lam1 / 4.0, lambda2_over4=lam2 / 4.0)
 
@@ -251,10 +259,11 @@ def run_eigenstructure(cfg: RunConfig) -> list[ExperimentRow]:
 
 
 def lowdim_trial(cfg: RunConfig, param_value: float, n: int, p: int, trial: int) -> ExperimentRow:
-    rng, truth, data, kind = _draw(cfg, param_value, n, p, None, trial)
-    mtx = _build_moment(data, kind)
+    rng, model, truth, kind = _draw(cfg, param_value, n, p, None, trial)
+    mtx, xty = sample_moment(model, truth, n, kind, rng)
     report = power_method(mtx, _unit_gaussian(p, rng), t_max=cfg.tmax, tol=cfg.tol)
-    return _row(cfg, "lowdim", param_value, n, p, None, trial, math.sqrt(p / n), truth, report)
+    return _row(cfg, "lowdim", param_value, n, p, None, trial, math.sqrt(p / n), truth,
+                report, xty)
 
 
 def run_lowdim(cfg: RunConfig) -> list[ExperimentRow]:
@@ -270,12 +279,13 @@ def run_lowdim(cfg: RunConfig) -> list[ExperimentRow]:
 
 
 def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int, trial: int) -> ExperimentRow:
-    _, truth, data, kind = _draw(cfg, param_value, n, p, s, trial)
+    rng, model, truth, kind = _draw(cfg, param_value, n, p, s, trial)
+    data = generate_dataset(model, truth, n, rng)
     scfg = _sparse_config(cfg, cfg.rho_const * math.sqrt(math.log(p) / n),
                           cfg.shat if cfg.shat is not None else min(2 * s, p))
     report = sparse_recover(data, scfg, kind=kind)
-    return _row(cfg, "sparse", param_value, n, p, s, trial,
-                math.sqrt(s * math.log(p) / n), truth, report)
+    return _row(cfg, "sparse", param_value, n, p, s, trial, math.sqrt(s * math.log(p) / n),
+                truth, report, data.covariates.T @ data.labels.astype(float))
 
 
 def run_sparse(cfg: RunConfig) -> list[ExperimentRow]:

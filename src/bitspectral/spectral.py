@@ -38,6 +38,18 @@ def sign_normalize(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0.0 else v
 
 
+def orient_by_first_moment(beta_hat: np.ndarray, xty: np.ndarray) -> np.ndarray:
+    """Flip beta_hat when <beta_hat, X^T y> < 0; a zero keeps its sign.
+
+    For Gaussian covariates E[y x] = mu1 b (Brillinger 1982), so the sign
+    of <beta_hat, X^T y> is the sign of <beta_hat, b> once beta_hat is
+    close to +-b and mu1 > 0.  That assumption holds for the flipped-logistic
+    and noisy-sign links.  The thresholded-magnitude link is even, mu1 = 0,
+    and its sign is not identifiable; there the flip is a coin toss.
+    """
+    return -beta_hat if float(beta_hat @ xty) < 0.0 else beta_hat
+
+
 def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     # written so that a NaN or infinite norm fails too

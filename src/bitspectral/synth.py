@@ -103,19 +103,27 @@ def draw_labels(model: LinkModel, index_values, rng) -> np.ndarray:
     return np.where(u < p_plus, 1, -1).astype(np.int64)
 
 
+def _paired_size(n: int) -> int:
+    """The number of rows kept from n draws: n, or n - 1 when n is odd (logged).
+
+    Fewer than two rows make no pair and raise ``ConfigError``.
+    """
+    if n < 2:
+        raise ConfigError(f"need n >= 2 observations, got {n}")
+    if n % 2 != 0:
+        log.info("odd n=%d: trimming the last observation to n=%d", n, n - 1)
+    return n - n % 2
+
+
 def generate_dataset(model: LinkModel, truth: GroundTruth, n: int, seed) -> Dataset:
     """Generate n observations from the model at the given ground truth.
 
     Covariate rows are i.i.d. N(0, I_p).  Odd n is trimmed by dropping the
     last observation (logged), so the stored dataset always pairs up cleanly.
     """
-    if n < 2:
-        raise ConfigError(f"need n >= 2 observations, got {n}")
+    kept = _paired_size(n)
     rng = _as_rng(seed)
     p = truth.beta_star.shape[0]
     x = rng.standard_normal((n, p))
     y = draw_labels(model, x @ truth.beta_star, rng)
-    if n % 2 != 0:
-        log.info("odd n=%d: trimming the last observation to n=%d", n, n - 1)
-        x, y = x[:-1], y[:-1]
-    return Dataset(labels=y, covariates=x)
+    return Dataset(labels=y[:kept], covariates=x[:kept])

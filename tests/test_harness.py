@@ -1,6 +1,7 @@
 """Experiment drivers, CSV contract, determinism, CLI exit codes."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -432,3 +433,14 @@ class TestStatisticalExamples:
         dense_errs = [r.err_signfree for r in run_lowdim(dense_cfg)]
         stat = ks_2samp(sparse_errs, dense_errs)
         assert stat.pvalue > 0.01, (stat, np.median(sparse_errs), np.median(dense_errs))
+
+
+def test_tracer_targets_resolve():
+    """Every (module, attribute) that perfbench's tracer patches exists."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, attr) for module, attr, *_ in tracing.TARGETS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert not missing, missing

@@ -15,6 +15,7 @@ from bitspectral import (
     OneBitCS,
     SparseConfig,
     expected_moment,
+    orient_by_first_moment,
     power_method,
     sign_normalize,
     top_two_eigs,
@@ -225,3 +226,11 @@ class TestTopTwoEigs:
         lam1, lam2, _ = top_two_eigs(m)
         assert lam1 == pytest.approx(target[-1], rel=1e-8)
         assert lam2 == pytest.approx(target[-2], rel=1e-8)
+
+
+class TestOrientByFirstMoment:
+    def test_flips_only_on_a_negative_inner_product(self):
+        b = np.array([0.6, -0.8])
+        np.testing.assert_array_equal(orient_by_first_moment(b, np.array([-1.0, 0.5])), -b)
+        assert orient_by_first_moment(b, np.array([1.0, 0.5])) is b
+        assert orient_by_first_moment(b, np.zeros(2)) is b  # a zero keeps the sign

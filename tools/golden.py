@@ -50,6 +50,11 @@ CONFIGS = [
     ["lowdim", "--model", "pr", "--theta", "0.4", *LOWDIM],
     ["lowdim", "--model", "pr", "--theta", "1", "--matrix", "sum", *LOWDIM],
     ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "7", *LOWDIM],
+    # odd n (trimmed), too few rows, and one pair per trial, so k = 0 weighted pairs can occur
+    ["lowdim", "--model", "flr", "--n", "401", "--p", "5", "--trials", "3", "--seed", "4"],
+    ["lowdim", "--model", "cs", "--n", "1", "--p", "5", "--trials", "1"],
+    ["lowdim", "--model", "cs", "--n", "2", "--p", "3", "--trials", "4", "--seed", "4"],
+    ["eigs", "--model", "cs", "--sigma", "0", "--n", "2", "--p", "3", "--trials", "4"],
     # sparse recovery
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "2,3", *SPARSE],
     ["sparse", "--model", "flr", "--s", "2", "--shat", "3", "--rho-const", "0.5", *SPARSE],
