@@ -13,7 +13,8 @@ Gaussian covariates their expectations are rank-one-plus-identity:
     E[M'] = -4 phi b b^T + 4 (1 + mu0^2) I,
 
 so the signal direction b is the top eigenvector of E[M] when phi > 0 and of
-E[M'] when phi < 0.  ``expected_moment`` provides these exact matrices as a
+E[M'] when phi < 0.  ``second_moment(data, kind)`` builds either from a
+``Dataset``; ``expected_moment`` provides the exact population matrices as a
 test oracle and for population-level studies.
 
 Labels lie in {-1, +1}, so each pair's weight is 0 or 4, and both matrices
@@ -38,7 +39,16 @@ from .synth import Dataset, GroundTruth, _as_rng, _paired_size, draw_labels
 
 KIND_DIFFERENCE = "difference"
 KIND_SUM = "sum"
-_KINDS = (KIND_DIFFERENCE, KIND_SUM)
+# The kind rule, as a sign s: a pair carries weight when y_1 y_2 = -s, and
+# E = 4 s phi b b^T + 4 (1 - s mu0^2) I.
+_SIGNS = {KIND_DIFFERENCE: 1, KIND_SUM: -1}
+
+
+def _sign(kind) -> int:
+    """The sign s of a moment kind; ConfigError for anything else."""
+    if not isinstance(kind, str) or kind not in _SIGNS:
+        raise ConfigError(f"kind must be one of {tuple(_SIGNS)}, got {kind!r}")
+    return _SIGNS[kind]
 
 
 @dataclass(frozen=True)
@@ -53,8 +63,7 @@ class MomentMatrix:
         a = self.entries
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ConfigError(f"matrix must be square, got shape {a.shape}")
-        if self.kind not in _KINDS:
-            raise ConfigError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        _sign(self.kind)
         if not np.isfinite(a).all():
             raise NumericalError("second-moment matrix has non-finite entries")
         asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
@@ -66,16 +75,14 @@ class MomentMatrix:
         return self.entries.shape[0]
 
 
-def _pair_weighted_moment(data: Dataset, kind: str) -> MomentMatrix:
+def second_moment(data: Dataset, kind: str = KIND_DIFFERENCE) -> MomentMatrix:
+    """M (kind "difference") or M' (kind "sum") from consecutive pairs in stored order."""
+    s = _sign(kind)
     y = data.labels
     x = data.covariates
     n = data.n
-    if kind == KIND_DIFFERENCE:
-        dy = y[1::2] - y[0::2]
-    else:
-        dy = y[1::2] + y[0::2]
-    # rows of the first member of each weight-4 pair; dx.T @ dx is a rank-k update
-    rows = 2 * np.flatnonzero(dy)
+    # rows of the first member of each weighted pair; dx.T @ dx is a rank-k update
+    rows = 2 * np.flatnonzero(y[1::2] != s * y[0::2])
     dx = np.take(x, rows + 1, axis=0)
     dx -= np.take(x, rows, axis=0)
     m = (8.0 / n) * (dx.T @ dx)
@@ -83,14 +90,9 @@ def _pair_weighted_moment(data: Dataset, kind: str) -> MomentMatrix:
     return MomentMatrix(entries=m, kind=kind, n_pairs=n // 2)
 
 
-def second_moment(data: Dataset) -> MomentMatrix:
-    """Difference-type estimator M from consecutive pairs in stored order."""
-    return _pair_weighted_moment(data, KIND_DIFFERENCE)
-
-
 def second_moment_sum(data: Dataset) -> MomentMatrix:
-    """Sum-type estimator M' (for links whose eigengap statistic is negative)."""
-    return _pair_weighted_moment(data, KIND_SUM)
+    """``second_moment(data, "sum")``: M', for links whose phi is negative."""
+    return second_moment(data, KIND_SUM)
 
 
 def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
@@ -113,8 +115,7 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     and the m equal-label pairs add one N(0, 2m P) draw; under the sum kind
     the whole orthogonal term is one N(0, n P) draw.
     """
-    if kind not in _KINDS:
-        raise ConfigError(f"kind must be one of {_KINDS}, got {kind!r}")
+    s = _sign(kind)
     kept = _paired_size(n)
     rng = _as_rng(rng)
     b = truth.beta_star
@@ -122,8 +123,7 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     z = rng.standard_normal(n)
     y = draw_labels(model, z, rng)[:kept].astype(float)
     z = z[:kept]
-    differ = y[1::2] != y[0::2]
-    weighted = differ if kind == KIND_DIFFERENCE else ~differ
+    weighted = y[1::2] != s * y[0::2]
     dz = (z[1::2] - z[0::2])[weighted]
     g = rng.standard_normal((dz.shape[0], p))
     h = rng.standard_normal(p)
@@ -134,11 +134,11 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     e = math.sqrt(2.0) * (gdz - (b @ gdz) * b) - 2.0 * w + (0.5 * (dz @ dz) + b @ w) * b
     outer = np.outer(b, e)
     m = (8.0 / kept) * (2.0 * gtg + (outer + outer.T))
-    if kind == KIND_DIFFERENCE:
-        equal_pairs = kept // 2 - dz.shape[0]
-        orth = math.sqrt(2.0 * equal_pairs) * h - math.sqrt(2.0) * (g.T @ y[0::2][weighted])
-    else:
-        orth = math.sqrt(kept) * h
+    # the weighted pairs' g enters X^T y only when their labels differ (s = 1)
+    tied = s > 0
+    orth = math.sqrt(2.0 * (kept // 2 - tied * dz.shape[0])) * h
+    if tied:
+        orth -= math.sqrt(2.0) * (g.T @ y[0::2][weighted])
     xty = (y @ z) * b + (orth - (b @ orth) * b)
     return MomentMatrix(entries=m, kind=kind, n_pairs=kept // 2), xty
 
@@ -150,12 +150,8 @@ def expected_moment(
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> MomentMatrix:
     """Exact population matrix E[M] or E[M'] for the given model and truth."""
+    s = _sign(kind)
     summ = moments(model, quad_order=quad_order)
     b = truth.beta_star
-    p = b.shape[0]
-    if kind == KIND_DIFFERENCE:
-        m = 4.0 * summ.phi * np.outer(b, b) + 4.0 * (1.0 - summ.mu0**2) * np.eye(p)
-    else:
-        m = -4.0 * summ.phi * np.outer(b, b) + 4.0 * (1.0 + summ.mu0**2) * np.eye(p)
-    m = 0.5 * (m + m.T)
+    m = 4.0 * s * summ.phi * np.outer(b, b) + 4.0 * (1.0 - s * summ.mu0**2) * np.eye(b.shape[0])
     return MomentMatrix(entries=m, kind=kind, n_pairs=0)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _lapack
 from .errors import ConfigError, NumericalError
-from .estimator import KIND_DIFFERENCE, KIND_SUM, second_moment, second_moment_sum
+# second_moment_sum is not called here; perfbench/tracing.py patches it as a sparse attribute
+from .estimator import KIND_DIFFERENCE, second_moment, second_moment_sum
 from .spectral import (
     RecoveryReport, _as_matrix, _check_stop, _normalize, _power_iterate, top_two_eigs,
 )
@@ -281,12 +282,7 @@ def sparse_recover(
     """
     if cfg.s_hat > data.p:
         raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={data.p}")
-    if kind == KIND_DIFFERENCE:
-        mtx = second_moment(data)
-    elif kind == KIND_SUM:
-        mtx = second_moment_sum(data)
-    else:
-        raise ConfigError(f"kind must be '{KIND_DIFFERENCE}' or '{KIND_SUM}'")
+    mtx = second_moment(data, kind)
     m = _as_matrix(mtx)
     # M is PSD, so tr(M) = 0 only for M = 0, which the power stage reports
     scale = float(np.trace(m)) / data.p or 1.0

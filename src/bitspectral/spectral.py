@@ -15,8 +15,10 @@ class RecoveryReport:
 
     ``rayleigh_trace`` holds the quotient b_t^T M b_t after every multiply;
     for PSD input it is non-decreasing.  ``converged`` records whether the
-    early-stop tolerance was met before the iteration cap.  ``stages`` carries
-    optional upstream diagnostics (e.g. the sparse pipeline's initialization).
+    early-stop tolerance was met before the iteration cap; from
+    ``sparse_recover`` it also requires that ADMM did not stop on its cap.
+    ``stages`` carries optional upstream diagnostics (e.g. the sparse
+    pipeline's initialization).
     """
 
     beta_hat: np.ndarray
@@ -122,8 +124,8 @@ def power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryRe
 def top_two_eigs(mtx):
     """Top two eigenvalues and the leading eigenvector of a symmetric matrix.
 
-    Full symmetric eigendecomposition; fine at desk scale (p <= 512).  Returns
-    ``(lambda1, lambda2, v1)`` with lambda1 >= lambda2 and v1 sign-normalized.
+    Full symmetric eigendecomposition.  Returns ``(lambda1, lambda2, v1)``
+    with lambda1 >= lambda2 and v1 sign-normalized.
     """
     m = _as_matrix(mtx)
     if m.shape[0] < 2:

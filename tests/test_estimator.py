@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bitspectral.sparse
 from bitspectral import (
     ConfigError,
     Dataset,
@@ -14,12 +17,15 @@ from bitspectral import (
     NumericalError,
     OneBitCS,
     OneBitPR,
+    SparseConfig,
     expected_moment,
     generate_dataset,
     moments,
     sample_beta_dense,
+    sample_moment,
     second_moment,
     second_moment_sum,
+    sparse_recover,
     theta_median,
 )
 
@@ -171,7 +177,6 @@ class TestWeightedPairBuild:
 
     @pytest.mark.parametrize("kind", ["difference", "sum"])
     def test_matches_every_pair_formula(self, kind):
-        build = second_moment if kind == "difference" else second_moment_sum
         rng = np.random.default_rng([44, 0])
         cases = [
             (OneBitCS(0.3), 20, 2000),
@@ -181,7 +186,7 @@ class TestWeightedPairBuild:
         ]
         for model, p, n in cases:
             data = generate_dataset(model, sample_beta_dense(p, rng), n, rng)
-            got = build(data).entries
+            got = second_moment(data, kind).entries
             ref = reference_moment(data.labels, data.covariates, kind)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -232,3 +237,76 @@ class TestAbsoluteScaleConcentration:
         target = (2.0 / math.pi) * np.outer(truth.beta_star, truth.beta_star) + np.eye(10)
         dev = op_norm(second_moment(data).entries / 4.0 - target)
         assert dev <= 0.1
+
+
+class Untouchable:
+    """An argument that must not be read: any attribute access fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name} before the kind was checked")
+
+
+UNKNOWN_KINDS = ["best", None, [1]]
+KIND_MESSAGE = r"kind must be one of \('difference', 'sum'\), got "
+
+
+class TestOneBuilderKeyedByKind:
+    """One sign table maps each kind to its pair weight and its population matrix."""
+
+    @pytest.mark.parametrize("kind", UNKNOWN_KINDS, ids=repr)
+    def test_unknown_kind_refused_before_any_work(self, kind, monkeypatch):
+        with pytest.raises(ConfigError, match=KIND_MESSAGE):
+            second_moment(Untouchable(), kind)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=KIND_MESSAGE):
+            sample_moment(Untouchable(), Untouchable(), 10, kind, rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ConfigError, match=KIND_MESSAGE):
+            expected_moment(Untouchable(), Untouchable(), kind)
+        with pytest.raises(ConfigError, match=KIND_MESSAGE):
+            MomentMatrix(entries=np.eye(2), kind=kind, n_pairs=1)
+
+        def no_admm(*args, **kwargs):
+            raise AssertionError("ADMM ran before the kind was checked")
+
+        monkeypatch.setattr(bitspectral.sparse, "fantope_admm", no_admm)
+        data = make_data([1, -1, 1, 1], np.eye(4))
+        with pytest.raises(ConfigError, match=KIND_MESSAGE):
+            sparse_recover(data, SparseConfig(rho=0.1, s_hat=2), kind)
+
+    def test_sum_kind_is_second_moment_sum(self):
+        rng = np.random.default_rng([45, 0])
+        data = generate_dataset(OneBitPR(0.4), sample_beta_dense(6, rng), 501, rng)
+        keyed, alias = second_moment(data, "sum"), second_moment_sum(data)
+        np.testing.assert_array_equal(keyed.entries, alias.entries)
+        assert (keyed.kind, keyed.n_pairs) == (alias.kind, alias.n_pairs) == ("sum", 250)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=40),
+        p=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_kinds_together_weight_every_pair(self, labels, p, seed):
+        # each pair is weighted by exactly one kind, so M + M' = (8/n) sum dx dx^T over all pairs
+        n = len(labels) - len(labels) % 2
+        x = np.random.default_rng(seed).standard_normal((n, p))
+        data = make_data(labels[:n], x)
+        dx = x[1::2] - x[0::2]
+        every = (8.0 / n) * (dx.T @ dx)
+        both = second_moment(data, "difference").entries + second_moment(data, "sum").entries
+        np.testing.assert_allclose(both, every, rtol=1e-12, atol=1e-12 * np.max(np.abs(every)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from([OneBitCS(0.0), OneBitCS(1.3), FlippedLogistic(0.0, 0.2),
+                               OneBitPR(0.4), OneBitPR(1.0)]),
+        p=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_population_matrices_add_to_8_identity(self, model, p, seed):
+        truth = sample_beta_dense(p, seed)
+        both = (expected_moment(model, truth, "difference").entries
+                + expected_moment(model, truth, "sum").entries)
+        np.testing.assert_allclose(both, 8.0 * np.eye(p), rtol=1e-12, atol=8e-12)

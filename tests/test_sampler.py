@@ -26,14 +26,13 @@ from bitspectral import (
     sample_beta_dense,
     sample_moment,
     second_moment,
-    second_moment_sum,
 )
 
 Z_BOUND = 5.0
 DRAWS = 4000
 P = 4
 MODELS = {"cs": OneBitCS(math.sqrt(0.1)), "flr": FlippedLogistic(0.0, 0.1)}
-BUILD = {"difference": second_moment, "sum": second_moment_sum}
+KINDS = ("difference", "sum")
 
 
 def mean_and_error(draws):
@@ -56,7 +55,7 @@ def draw_statistics(mtx, xty):
 def draw(model, truth, n, kind, rng, reference: bool):
     if reference:
         data = generate_dataset(model, truth, n, rng)
-        return BUILD[kind](data).entries, data.covariates.T @ data.labels
+        return second_moment(data, kind).entries, data.covariates.T @ data.labels
     mtx, xty = sample_moment(model, truth, n, kind, rng)
     return mtx.entries, xty
 
@@ -78,7 +77,7 @@ def sample(model_name, kind, n, reference: bool, seed):
 
 # n = 40 holds 20 pairs; n = 5 is trimmed to 2 pairs, so a wrong scale or an
 # untrimmed row moves every mean by 20% or more, and k = 0 comes up often.
-CASES = [(model, kind, n) for model in MODELS for kind in BUILD for n in (40, 5)]
+CASES = [(model, kind, n) for model in MODELS for kind in KINDS for n in (40, 5)]
 
 
 @pytest.mark.parametrize("model_name,kind,n", CASES)
@@ -153,7 +152,7 @@ def test_single_pair_hits_both_cases():
 def test_same_generator_state_repeats_bit_for_bit():
     truth = sample_beta_dense(P, 0)
     model = FlippedLogistic(0.3, 0.1)
-    for kind in BUILD:
+    for kind in KINDS:
         a, xa = sample_moment(model, truth, 301, kind, np.random.default_rng(5))
         b, xb = sample_moment(model, truth, 301, kind, np.random.default_rng(5))
         c, _ = sample_moment(model, truth, 301, kind, np.random.default_rng(6))

@@ -71,6 +71,10 @@ CONFIGS = [
     # a start penalty that puts up to 45 of 60 eigenvalues in the projection's active set
     ["sparse", "--model", "cs", "--s", "3", "--p", "60", "--n", "1000", "--trials", "2",
      "--seed", "5", "--admm-max-iter", "40", "--admm-penalty", "100"],
+    # each moment kind forced against the sign of phi, on the Dataset and the sampled paths
+    ["sparse", "--model", "cs", "--matrix", "sum", "--s", "2", *SPARSE],
+    ["sparse", "--model", "pr", "--theta", "0.4", "--matrix", "diff", "--s", "2", *SPARSE],
+    ["eigs", "--model", "pr", "--theta", "0.4,1", "--matrix", "sum", *EIGS],
     # moment summary and theory constants
     ["diag", "--model", "cs", "--sigma", "0.5", "--p", "20", "--s", "5"],
     ["diag", "--model", "pr", "--theta", "1", "--p", "20"],
