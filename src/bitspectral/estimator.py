@@ -25,7 +25,9 @@ non-finite, which ``MomentMatrix`` rejects.
 
 Because M reads only the differences of weighted pairs, ``sample_moment``
 can draw M, together with X^T y, in the law they have under
-``generate_dataset`` without drawing the n-by-p covariates at all.
+``generate_dataset`` without drawing the n-by-p covariates at all: it draws
+the n index values and labels, and then O(p^2) normals in place of one
+covariate difference per weighted pair.
 """
 
 import math
@@ -95,6 +97,39 @@ def second_moment_sum(data: Dataset) -> MomentMatrix:
     return second_moment(data, KIND_SUM)
 
 
+def _bartlett_factor(nu: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """Lower-trapezoidal L, p by min(nu, p), with L L^T ~ Wishart(nu, I_p).
+
+    L is the transpose of the R factor of a nu-by-p standard Gaussian
+    (Bartlett 1933): L_jj = sqrt(chi2(nu - j)) for j = 0, 1, ... and N(0, 1)
+    below the diagonal.  For nu < p its last p - nu rows are all N(0, 1), and
+    nu = 0 gives a p-by-0 factor.
+    """
+    c = min(nu, p)
+    low = np.tril(rng.standard_normal((p, c)), -1)
+    np.fill_diagonal(low, np.sqrt(rng.chisquare(nu - np.arange(c))))
+    return low
+
+
+def _gaussian_gram(a: np.ndarray, p: int, rng: np.random.Generator):
+    """Draw (G^T G, G^T a) for a k-by-p standard Gaussian G, without G.
+
+    Write a (k by r) as a = Q R, where Q is k by r' = min(k, r) with
+    orthonormal columns whose span holds a's.  Then H = Q^T G is an r'-by-p
+    standard Gaussian, G^T a = H^T R, and the part of G orthogonal to Q adds
+    Wishart(k - r', I_p) to G^T G, independent of H.  R is sqrt(lam) V^T over
+    the r' largest eigenpairs of the Gram matrix a^T a.  A zero eigenvalue,
+    from k < r or from collinear columns, gives R a zero row, and Q takes any
+    unit vector orthogonal to a for it, so no case needs its own branch.
+    """
+    k, r = a.shape
+    lam, vec = np.linalg.eigh(a.T @ a)
+    rf = (np.sqrt(np.maximum(lam, 0.0))[:, None] * vec.T)[r - min(k, r):]
+    h = rng.standard_normal((rf.shape[0], p))
+    low = _bartlett_factor(k - rf.shape[0], p, rng)
+    return h.T @ h + low @ low.T, h.T @ rf
+
+
 def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     """Draw M (or M') of n observations and their X^T y, as a pair.
 
@@ -103,17 +138,22 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     Write x = z b + x_perp, with z = <x, b> ~ N(0, 1) independent of
     x_perp ~ N(0, P) and P = I - b b^T.  Labels depend on z alone, so z and
     the labels are drawn for all n rows (odd n is trimmed as
-    ``generate_dataset`` trims it).  Each of the k weighted pairs then gets
-    dx = (z_2 - z_1) b + sqrt(2) P g with g ~ N(0, I_p), and M = (8/n) sum
-    dx dx^T is formed from G^T G and G^T dz in p-by-p algebra.  A draw takes
-    n + k p + p normals instead of n p.
+    ``generate_dataset`` trims it).  Each of the k weighted pairs has
+    dx = (z_2 - z_1) b + sqrt(2) P g, g ~ N(0, I_p), and M = (8/n) sum
+    dx dx^T is formed in p-by-p algebra from G^T G and G^T dz.
+
+    G itself is never drawn.  M and X^T y read it only through G^T G and
+    G^T a, where a = [dz, y_1] under the difference kind (y_1: the first
+    label of each weighted pair) and a = [dz] under the sum kind, and
+    ``_gaussian_gram`` draws those two from O(p^2) normals.  So a draw takes
+    n index values, n labels and O(p^2) normals, where drawing G took k p.
 
     X^T y is (sum y z) b plus one orthogonal term per pair.  A pair with
     opposite labels adds -y_1 dx_perp.  A pair with equal labels adds
     y_1 (x1_perp + x2_perp), which is N(0, 2P) and independent of its
-    dx_perp.  So under the difference kind the weighted pairs reuse their g
-    and the m equal-label pairs add one N(0, 2m P) draw; under the sum kind
-    the whole orthogonal term is one N(0, n P) draw.
+    dx_perp.  So under the difference kind the weighted pairs add
+    -sqrt(2) P G^T y_1 and the m equal-label pairs one N(0, 2m P) draw;
+    under the sum kind the whole orthogonal term is one N(0, n P) draw.
     """
     s = _sign(kind)
     kept = _paired_size(n)
@@ -125,20 +165,20 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     z = z[:kept]
     weighted = y[1::2] != s * y[0::2]
     dz = (z[1::2] - z[0::2])[weighted]
-    g = rng.standard_normal((dz.shape[0], p))
+    # the weighted pairs' g enters X^T y only when their labels differ (s = 1)
+    tied = s > 0
+    cols = (dz, y[0::2][weighted]) if tied else (dz,)
+    gtg, gta = _gaussian_gram(np.stack(cols, axis=1), p, rng)
     h = rng.standard_normal(p)
     # sum dx dx^T = 2 G^T G + b e^T + e b^T, with P G^T G P expanded about b
-    gtg = g.T @ g
     w = gtg @ b
-    gdz = g.T @ dz
+    gdz = gta[:, 0]
     e = math.sqrt(2.0) * (gdz - (b @ gdz) * b) - 2.0 * w + (0.5 * (dz @ dz) + b @ w) * b
     outer = np.outer(b, e)
     m = (8.0 / kept) * (2.0 * gtg + (outer + outer.T))
-    # the weighted pairs' g enters X^T y only when their labels differ (s = 1)
-    tied = s > 0
     orth = math.sqrt(2.0 * (kept // 2 - tied * dz.shape[0])) * h
     if tied:
-        orth -= math.sqrt(2.0) * (g.T @ y[0::2][weighted])
+        orth -= math.sqrt(2.0) * gta[:, 1]
     xty = (y @ z) * b + (orth - (b @ orth) * b)
     return MomentMatrix(entries=m, kind=kind, n_pairs=kept // 2), xty
 

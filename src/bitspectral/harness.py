@@ -21,8 +21,8 @@ CSV columns (unused cells empty, floats with 17 significant digits):
 
 ``eigs`` and ``lowdim`` never draw the n-by-p covariates: each trial takes
 its moment matrix and X^T y from ``sample_moment``, which draws the index
-values and labels of all n rows and the covariate differences of the
-weighted pairs alone, in the law ``generate_dataset`` gives them.
+values and labels of all n rows and then O(p^2) normals for the weighted
+pairs' covariate differences, in the law ``generate_dataset`` gives them.
 ``sparse`` draws a full ``Dataset``, which ``sparse_recover`` takes.  In
 ``lowdim`` and ``sparse`` the sign of the estimate is set by X^T y
 (``orient_by_first_moment``).

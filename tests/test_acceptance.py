@@ -14,9 +14,9 @@ module-scoped fixtures and are shared by the tests that grade them.  Wall
 times measured on a 2-vCPU machine with OpenBLAS on one thread (the
 conftest's default) and nothing else running: criterion 3b 0.5 s,
 the criterion 5 fixture 41.0-41.5 s, and this file 55 s.  Criteria 1 and 4
-draw their moment matrices through ``sample_moment``: in a slower state of
-the same machine, criterion 1 took 1.5-2.0 s and the criterion 4 fixture
-7.2-8.9 s (the flr grid up to n = 125448 is most of it).  The same machine
+draw their moment matrices through ``sample_moment``: measured separately on
+the same machine, criterion 1 took 2.0-2.2 s and the criterion 4 fixture
+5.8-6.4 s (the flr grid up to n = 125448 is most of it).  The same machine
 has run the same code about twice as slowly, and a second job sharing its
 cores slows it further.
 """

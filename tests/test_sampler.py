@@ -4,9 +4,9 @@ Each distribution test compares means over R independent draws and allows
 Z_BOUND = 5 standard errors per compared entry.  The error is estimated from
 the draws; for a difference of two sample means it is the root of the sum of
 the two squared errors.  The bound was fixed before any of these tests ran.
-A 5-sigma excursion has two-sided probability 5.7e-7, so the few hundred
-entries compared in this file raise a false alarm with probability below
-1e-3 at any seed.
+A 5-sigma excursion has two-sided probability 5.7e-7, so the about 2,200
+distinct entries compared in this file raise a false alarm with probability
+below 1.3e-3 at any seed.
 """
 
 import functools
@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitspectral import (
     ConfigError,
@@ -27,6 +29,7 @@ from bitspectral import (
     sample_moment,
     second_moment,
 )
+from bitspectral.estimator import _bartlett_factor, _gaussian_gram
 
 Z_BOUND = 5.0
 DRAWS = 4000
@@ -45,6 +48,12 @@ def assert_means_agree(a, b, what):
     (ma, ea), (mb, eb) = mean_and_error(a), mean_and_error(b)
     z = np.abs(ma - mb) / np.sqrt(ea**2 + eb**2)
     assert float(np.max(z)) <= Z_BOUND, (what, float(np.max(z)))
+
+
+def centered_products(draws):
+    """Per-draw products of the centered entries; their mean is the covariance."""
+    centered = draws - draws.mean(axis=0)
+    return np.einsum("ri,rj->rij", centered, centered)
 
 
 def draw_statistics(mtx, xty):
@@ -77,7 +86,9 @@ def sample(model_name, kind, n, reference: bool, seed):
 
 # n = 40 holds 20 pairs; n = 5 is trimmed to 2 pairs, so a wrong scale or an
 # untrimmed row moves every mean by 20% or more, and k = 0 comes up often.
-CASES = [(model, kind, n) for model in MODELS for kind in KINDS for n in (40, 5)]
+# n = 12 holds 6 pairs, so the Wishart part of G^T G has 0 < k - r < P
+# degrees of freedom in most draws.
+CASES = [(model, kind, n) for model in MODELS for kind in KINDS for n in (40, 12, 5)]
 
 
 @pytest.mark.parametrize("model_name,kind,n", CASES)
@@ -95,10 +106,96 @@ def test_xty_and_cross_moments_match_the_dataset_path(model_name, kind, n):
     _, _, _, slow = sample(model_name, kind, n, True, (3, n))
     for key in fast:
         assert_means_agree(fast[key], slow[key], key)
-    # covariance of X^T y, as the mean of the centered products
-    products = [np.einsum("ri,rj->rij", s - s.mean(axis=0), s - s.mean(axis=0))
-                for s in (fast["xty"], slow["xty"])]
-    assert_means_agree(*products, "cov xty")
+    assert_means_agree(centered_products(fast["xty"]), centered_products(slow["xty"]), "cov xty")
+
+
+UPPER = np.triu_indices(P)
+
+
+@pytest.mark.parametrize("model_name,kind,n", CASES)
+def test_covariance_of_m_matches_the_dataset_path(model_name, kind, n):
+    # a Wishart part with the wrong degrees of freedom or the wrong spread
+    # between its diagonal and off-diagonal entries moves this covariance
+    fast = sample(model_name, kind, n, False, (2, n))[2][:, UPPER[0], UPPER[1]]
+    slow = sample(model_name, kind, n, True, (3, n))[2][:, UPPER[0], UPPER[1]]
+    assert_means_agree(centered_products(fast), centered_products(slow), "cov m")
+
+
+@pytest.mark.parametrize("nu", [0, 1, P - 1, P, P + 5])
+def test_bartlett_factor_draws_the_wishart_law(nu):
+    rng = np.random.default_rng([4, nu])
+    factors = [_bartlett_factor(nu, P, rng) for _ in range(DRAWS)]
+    assert {f.shape for f in factors} == {(P, min(nu, P))}
+    fast = np.array([f @ f.T for f in factors])[:, UPPER[0], UPPER[1]]
+    g = rng.standard_normal((DRAWS, nu, P))
+    slow = np.einsum("rki,rkj->rij", g, g)[:, UPPER[0], UPPER[1]]
+    if nu == 0:
+        assert not fast.any() and not slow.any()
+        return
+    diagonal = UPPER[0] == UPPER[1]
+    # Wishart(nu, I): mean nu I, variance 2 nu on the diagonal and nu off it
+    mean_target = nu * diagonal
+    for stat, target, what in ((fast, mean_target, "mean"),
+                               ((fast - mean_target) ** 2, nu * (1.0 + diagonal), "variance")):
+        mean, err = mean_and_error(stat)
+        assert float(np.max(np.abs(mean - target) / err)) <= Z_BOUND, what
+    assert_means_agree(fast, slow, "entries")
+    assert_means_agree(centered_products(fast), centered_products(slow), "covariance")
+
+
+# k rows by r columns: one row (k < r), collinear columns, k < P with full
+# rank (so 0 < k - r < P), and the one-column shape of the sum kind
+GRAM_CASES = {
+    "one_row": np.array([[0.7, -1.0]]),
+    "collinear": np.outer([0.5, -1.2, 2.0], [1.0, -2.0]),
+    "k_below_p": np.array([[0.3, 1.0], [-1.1, -1.0], [2.2, 1.0]]),
+    "one_column": np.array([[0.4], [-0.9], [1.5], [0.2], [-2.0], [0.8]]),
+}
+
+
+def gram_statistics(gtg, gta):
+    return np.concatenate([gtg[UPPER], gta.ravel()])
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_CASES))
+def test_gaussian_gram_matches_an_explicit_gaussian(case):
+    a = GRAM_CASES[case]
+    rng = np.random.default_rng([5, len(case)])
+    fast = np.array([gram_statistics(*_gaussian_gram(a, P, rng)) for _ in range(DRAWS)])
+    g = rng.standard_normal((DRAWS, a.shape[0], P))
+    slow = np.array([gram_statistics(x.T @ x, x.T @ a) for x in g])
+    assert_means_agree(fast, slow, "means")
+    assert_means_agree(centered_products(fast), centered_products(slow), "covariance")
+
+
+def test_gaussian_gram_of_no_rows_is_zero():
+    gtg, gta = _gaussian_gram(np.zeros((0, 2)), P, np.random.default_rng(0))
+    assert gtg.shape == (P, P) and gta.shape == (P, 2)
+    assert not gtg.any() and not gta.any()
+
+
+# relative size of rounding in the PSD and rank checks, as in MomentMatrix
+ROUND = 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    p=st.integers(1, 30),
+    model_name=st.sampled_from(sorted(MODELS)),
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_draw_is_psd_with_rank_at_most_its_pairs(n, p, model_name, kind, seed):
+    mtx, xty = sample_moment(MODELS[model_name], sample_beta_dense(p, seed), n, kind, seed)
+    m = mtx.entries
+    assert m.shape == (p, p) and np.isfinite(m).all()
+    lam = np.linalg.eigvalsh(m)
+    tol = ROUND * float(np.max(np.abs(lam)))
+    assert float(np.max(np.abs(m - m.T))) <= tol
+    assert lam[0] >= -tol
+    assert int(np.sum(lam > tol)) <= min(n // 2, p)
+    assert xty.shape == (p,) and np.isfinite(xty).all()
 
 
 def test_mean_of_xty_is_n_mu1_beta():

@@ -55,6 +55,8 @@ CONFIGS = [
     ["lowdim", "--model", "cs", "--n", "1", "--p", "5", "--trials", "1"],
     ["lowdim", "--model", "cs", "--n", "2", "--p", "3", "--trials", "4", "--seed", "4"],
     ["eigs", "--model", "cs", "--sigma", "0", "--n", "2", "--p", "3", "--trials", "4"],
+    # more coordinates than weighted pairs: the Wishart part of G^T G has 0 < k - 2 < p
+    ["lowdim", "--model", "cs", "--n", "24", "--p", "30", "--trials", "3", "--seed", "4"],
     # sparse recovery
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "2,3", *SPARSE],
     ["sparse", "--model", "flr", "--s", "2", "--shat", "3", "--rho-const", "0.5", *SPARSE],
