@@ -15,7 +15,8 @@ import typing
 from dataclasses import fields
 
 from .errors import ConfigError, NumericalError
-from .harness import _MATRIX_KINDS, _MODELS, RunConfig, default_config, run_experiment, write_csv
+from .harness import (_EXPERIMENTS, _MATRIX_KINDS, _MODELS, RunConfig, default_config,
+                      run_experiment, write_csv)
 
 _CHOICES = {"model": tuple(_MODELS), "matrix": tuple(_MATRIX_KINDS)}
 _HELP = {
@@ -67,28 +68,20 @@ def _parse(name: str, raw):
     return values if grid else values[0]
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    for name, (cast, grid) in _FIELDS.items():
-        sub.add_argument(
-            "--" + name.replace("_", "-"), dest=name, type=None if grid else cast,
-            choices=_CHOICES.get(name), help=_HELP.get(name),
-        )
-    sub.add_argument("--config", help="JSON file mirroring these flags")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitspectral",
         description="Spectral recovery experiments for one-bit single-index data",
     )
     subs = parser.add_subparsers(dest="experiment", required=True)
-    for name, doc in (
-        ("eigs", "top-two eigenvalues of the second moment over a noise grid"),
-        ("lowdim", "dense recovery error over a (p, n) grid"),
-        ("sparse", "sparse recovery error over an (s, p, n) grid"),
-        ("diag", "moment summary and theory constants (no sampling)"),
-    ):
-        _add_common_flags(subs.add_parser(name, help=doc))
+    for name, spec in _EXPERIMENTS.items():
+        sub = subs.add_parser(name, help=spec.help)
+        for field, (cast, grid) in _FIELDS.items():
+            sub.add_argument(
+                "--" + field.replace("_", "-"), dest=field, type=None if grid else cast,
+                choices=_CHOICES.get(field), help=_HELP.get(field),
+            )
+        sub.add_argument("--config", help="JSON file mirroring these flags")
     return parser
 
 

@@ -1,6 +1,6 @@
 """Experiment drivers and CSV emission for the desk-scale numerical studies.
 
-Four experiments are provided:
+Four experiments, each an entry of ``_EXPERIMENTS`` (runner, grids, help):
 
 * ``eigs``   -- top-two eigenvalues of the (scaled) second moment across a
   noise-parameter grid; per-trial rows.
@@ -9,9 +9,10 @@ Four experiments are provided:
   abscissa sqrt(s log p / n).
 * ``diag``   -- closed-form moment summary and theory constants; no sampling.
 
-Each trial of each grid point draws from its own derived stream keyed by the
-grid point's parameter values and the trial index, so results are independent
-of execution order and stable under grid edits.  Reruns with the same config
+A ``RunConfig`` is checked whole when it is built, before any trial.  Each
+trial of each grid point draws from its own derived stream keyed by the grid
+point's parameter values and the trial index, so results are independent of
+execution order and stable under grid edits.  Reruns with the same config
 and seed produce byte-identical CSV.
 
 CSV columns (unused cells empty, floats with 17 significant digits):
@@ -34,7 +35,7 @@ corresponds to sigma = sqrt(0.1).
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -76,7 +77,7 @@ _MATRIX_KINDS = {"auto": None, "diff": KIND_DIFFERENCE, "sum": KIND_SUM}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Configuration for one experiment run; grids are tuples."""
+    """One experiment run; grids are tuples.  Checked whole when built, before any trial."""
 
     experiment: str
     model: str = "cs"
@@ -101,11 +102,51 @@ class RunConfig:
     out: str | None = None  # CSV path; None writes to stdout
 
     def __post_init__(self):
-        if self.experiment not in _RUNNERS:
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(
-                f"experiment must be one of {tuple(_RUNNERS)}, got {self.experiment!r}")
+                f"experiment must be one of {tuple(_EXPERIMENTS)}, got {self.experiment!r}")
         if self.model not in _MODELS:
             raise ConfigError(f"model must be one of {tuple(_MODELS)}, got {self.model!r}")
+        grid = _noise_grid(self)
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not self.n or not self.p or not grid:
+            raise ConfigError("grids must be nonempty")
+        if self.experiment == "sparse" and not self.s:
+            raise ConfigError("sparse experiment needs an s grid")
+        for name in (spec.noise for spec in _MODELS.values() if spec is not _MODELS[self.model]):
+            if getattr(self, name) != getattr(RunConfig, name):
+                raise ConfigError(f"{name} is not a parameter of model {self.model!r}")
+        for value in grid:  # checks the noise range, the matrix override and the quadrature order
+            select_matrix_kind(_make_model(self, value), self.matrix, self.quad_order)
+        if self.experiment != "eigs" and len(grid) != 1:
+            raise ConfigError(
+                f"experiment {self.experiment!r} takes a single noise value, got grid {grid}"
+            )
+        # every solver setting is checked, whichever experiment uses it
+        _sparse_config(self, self.rho_const, 1 if self.shat is None else self.shat)
+        if self.experiment == "eigs" and (len(self.n) != 1 or len(self.p) != 1):
+            raise ConfigError(
+                f"the eigs experiment varies the noise parameter at one (n, p); "
+                f"got n grid {self.n}, p grid {self.p}"
+            )
+        if self.experiment == "diag" and (len(self.p) != 1 or len(self.s) > 1):
+            raise ConfigError(
+                f"diag takes a single p and at most one s; got p grid {self.p}, s grid {self.s}"
+            )
+        # each grid value against every point it is crossed with, so its smallest p and n
+        p, n = min(self.p), min(self.n)
+        for s in self.s if self.experiment in ("sparse", "diag") else ():
+            if s < 1 or s > p:
+                raise ConfigError(f"sparsity grid value {s} out of range for p grid {self.p}")
+        if p < 1:
+            raise ConfigError(f"dimension must be >= 1, got {p}")
+        if self.experiment != "diag" and n < 2:
+            raise ConfigError(f"need n >= 2 observations, got {n}")
+        if self.experiment == "sparse" and self.shat is not None and self.shat > p:
+            raise ConfigError(f"s_hat={self.shat} exceeds dimension p={p}")
+        if self.experiment in ("eigs", "sparse") and p < 2:  # top_two_eigs needs two
+            raise ConfigError(f"need p >= 2 for a top-two spectrum, got p={p}")
 
 
 @dataclass(frozen=True)
@@ -135,15 +176,10 @@ CSV_HEADER = ",".join(_COLUMNS)
 
 def default_config(experiment: str, model: str = "cs", **overrides) -> RunConfig:
     """Config with the standard desk-scale grids for the given experiment."""
-    cfg = RunConfig(experiment=experiment, model=model)
-    if experiment == "eigs":
-        spec = _MODELS[model]
-        cfg = replace(cfg, trials=10, **{spec.noise: spec.eigs_grid})
-    elif experiment == "lowdim":
-        cfg = replace(cfg, trials=100, n=(500, 2000, 8000), p=(20,))
-    elif experiment == "sparse":
-        cfg = replace(cfg, trials=100, n=(1000, 2000, 4000), p=(100,), s=(5,))
-    return replace(cfg, **overrides)
+    grids = dict(_EXPERIMENTS[experiment].grids) if experiment in _EXPERIMENTS else {}
+    if experiment == "eigs" and model in _MODELS:  # eigs sweeps the model's own noise grid
+        grids[_MODELS[model].noise] = _MODELS[model].eigs_grid
+    return RunConfig(experiment=experiment, model=model, **{**grids, **overrides})
 
 
 def _noise_grid(cfg: RunConfig) -> tuple:
@@ -152,27 +188,6 @@ def _noise_grid(cfg: RunConfig) -> tuple:
 
 def _make_model(cfg: RunConfig, param_value: float) -> LinkModel:
     return _MODELS[cfg.model].link(cfg, param_value)
-
-
-def _validate(cfg: RunConfig) -> None:
-    grid = _noise_grid(cfg)
-    if cfg.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-    if not cfg.n or not cfg.p or not grid:
-        raise ConfigError("grids must be nonempty")
-    if cfg.experiment == "sparse" and not cfg.s:
-        raise ConfigError("sparse experiment needs an s grid")
-    for name in (spec.noise for spec in _MODELS.values()):
-        if name != _MODELS[cfg.model].noise and getattr(cfg, name) != getattr(RunConfig, name):
-            raise ConfigError(f"{name} is not a parameter of model {cfg.model!r}")
-    for value in grid:  # checks the noise range, the matrix override and the quadrature order
-        select_matrix_kind(_make_model(cfg, value), cfg.matrix, cfg.quad_order)
-    if cfg.experiment != "eigs" and len(grid) != 1:
-        raise ConfigError(
-            f"experiment {cfg.experiment!r} takes a single noise value, got grid {grid}"
-        )
-    # every solver setting is checked, whichever experiment uses it
-    _sparse_config(cfg, cfg.rho_const, 1 if cfg.shat is None else cfg.shat)
 
 
 def _sparse_config(cfg: RunConfig, rho: float, s_hat: int) -> SparseConfig:
@@ -245,12 +260,6 @@ def eigs_trial(cfg: RunConfig, param_value: float, trial: int) -> ExperimentRow:
 
 def run_eigenstructure(cfg: RunConfig) -> list[ExperimentRow]:
     """Top-two eigenvalues of the auto-selected estimator over a noise grid."""
-    _validate(cfg)
-    if len(cfg.n) != 1 or len(cfg.p) != 1:
-        raise ConfigError(
-            f"the eigs experiment varies the noise parameter at one (n, p); "
-            f"got n grid {cfg.n}, p grid {cfg.p}"
-        )
     return [
         eigs_trial(cfg, value, t)
         for value in _noise_grid(cfg)
@@ -268,7 +277,6 @@ def lowdim_trial(cfg: RunConfig, param_value: float, n: int, p: int, trial: int)
 
 def run_lowdim(cfg: RunConfig) -> list[ExperimentRow]:
     """Dense recovery error over a (p, n) grid at a fixed noise setting."""
-    _validate(cfg)
     param_value = _noise_grid(cfg)[0]
     return [
         lowdim_trial(cfg, param_value, n, p, t)
@@ -290,11 +298,7 @@ def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int, tri
 
 def run_sparse(cfg: RunConfig) -> list[ExperimentRow]:
     """Sparse-pipeline recovery error over an (s, p, n) grid."""
-    _validate(cfg)
     param_value = _noise_grid(cfg)[0]
-    for s in cfg.s:
-        if s < 1 or s > max(cfg.p):
-            raise ConfigError(f"sparsity grid value {s} out of range for p grid {cfg.p}")
     return [
         sparse_trial(cfg, param_value, s, p, n, t)
         for s in cfg.s
@@ -310,14 +314,9 @@ def run_diag(cfg: RunConfig, stream=None) -> list[ExperimentRow]:
     A non-positive eigengap statistic is reported with the sum-estimator
     advisory rather than raised.  Emits no CSV rows.
     """
-    _validate(cfg)
     out = stream if stream is not None else sys.stdout
     param_value = _noise_grid(cfg)[0]
     model = _make_model(cfg, param_value)
-    if len(cfg.p) != 1 or len(cfg.s) > 1:
-        raise ConfigError(
-            f"diag takes a single p and at most one s; got p grid {cfg.p}, s grid {cfg.s}"
-        )
     p = cfg.p[0]
     s = cfg.s[0] if cfg.s else None
     summ = moments(model, quad_order=cfg.quad_order)
@@ -337,17 +336,22 @@ def run_diag(cfg: RunConfig, stream=None) -> list[ExperimentRow]:
     return []
 
 
-_RUNNERS = {
-    "eigs": run_eigenstructure,
-    "lowdim": run_lowdim,
-    "sparse": run_sparse,
-    "diag": run_diag,
+# name -> runner, default_config's settings over RunConfig's defaults, CLI help
+_Experiment = NamedTuple("_Experiment", [("run", Callable), ("grids", dict), ("help", str)])
+_EXPERIMENTS = {
+    "eigs": _Experiment(run_eigenstructure, dict(trials=10),
+                        "top-two eigenvalues of the second moment over a noise grid"),
+    "lowdim": _Experiment(run_lowdim, dict(trials=100, n=(500, 2000, 8000), p=(20,)),
+                          "dense recovery error over a (p, n) grid"),
+    "sparse": _Experiment(run_sparse, dict(trials=100, n=(1000, 2000, 4000), p=(100,), s=(5,)),
+                          "sparse recovery error over an (s, p, n) grid"),
+    "diag": _Experiment(run_diag, {}, "moment summary and theory constants (no sampling)"),
 }
 
 
 def run_experiment(cfg: RunConfig) -> list[ExperimentRow]:
     """Dispatch on cfg.experiment."""
-    return _RUNNERS[cfg.experiment](cfg)
+    return _EXPERIMENTS[cfg.experiment].run(cfg)
 
 
 def _cell(value) -> str:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -14,20 +15,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bitspectral
 from bitspectral import (
     CSV_HEADER,
     ConfigError,
+    NumericalError,
     default_config,
     estimation_error,
     rows_to_csv,
     run_diag,
     run_eigenstructure,
+    run_experiment,
     run_lowdim,
     run_sparse,
     select_matrix_kind,
 )
+from bitspectral import harness
 from bitspectral.cli import build_parser, config_from_args, main
 from bitspectral.harness import RunConfig, lowdim_trial
 from bitspectral.links import OneBitPR
@@ -229,8 +235,8 @@ class TestConfigValidation:
             run_lowdim(small_lowdim_cfg(sigma=(0.1, 0.2)))
 
     def test_sparse_needs_s(self):
-        cfg = RunConfig(experiment="sparse", model="cs", n=(100,), p=(10,), s=())
         with pytest.raises(ConfigError):
+            cfg = RunConfig(experiment="sparse", model="cs", n=(100,), p=(10,), s=())
             run_sparse(cfg)
 
     def test_bad_model_parameter_rejected(self):
@@ -348,29 +354,33 @@ class TestCli:
         assert expected in capsys.readouterr().err
 
     def test_every_field_has_a_flag_and_a_key(self, tmp_path, capsys):
-        values = {
-            "model": "flr", "pe": (0.2, 0.3), "sigma": (0.4,), "theta": (0.5, 2.0),
+        common = {
             "zeta": 0.25, "n": (100, 200), "p": (3,), "s": (1, 2), "trials": 4,
             "seed": 7, "tmax": 9, "tol": 0.001, "rho_const": 0.5, "shat": 2,
             "admm_tol": 0.0001, "admm_penalty": 2.0, "admm_max_iter": 11,
             "matrix": "sum", "quad_order": 16, "out": "rows.csv",
         }
-        assert set(values) == {f.name for f in fields(RunConfig)} - {"experiment"}
-        expected = RunConfig(experiment="lowdim", **values)
+        # one valid run per model, each setting its own noise field; cs is the default model
+        runs = [{"model": "flr", "pe": (0.2,)}, {"sigma": (0.4,)},
+                {"model": "pr", "theta": (0.5,)}]
+        assert set(common).union(*runs) == {f.name for f in fields(RunConfig)} - {"experiment"}
         defaults = default_config("lowdim")
-        assert all(getattr(expected, key) != getattr(defaults, key) for key in values)
-
-        argv = ["lowdim"]
-        for key, value in values.items():
-            argv += ["--" + key.replace("_", "-"),
-                     ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
-        assert config_from_args(build_parser().parse_args(argv)) == expected
-
-        # integral floats are integers too
         cfgfile = tmp_path / "run.json"
-        cfgfile.write_text(json.dumps({**values, "n": [100.0, 200], "trials": 4.0}))
-        args = build_parser().parse_args(["lowdim", "--config", str(cfgfile)])
-        assert config_from_args(args) == expected
+        for run in runs:
+            values = {**run, **common}
+            expected = RunConfig(experiment="lowdim", **values)
+            assert all(getattr(expected, key) != getattr(defaults, key) for key in values)
+
+            argv = ["lowdim"]
+            for key, value in values.items():
+                argv += ["--" + key.replace("_", "-"),
+                         ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+            assert config_from_args(build_parser().parse_args(argv)) == expected
+
+            # integral floats are integers too
+            cfgfile.write_text(json.dumps({**values, "n": [100.0, 200], "trials": 4.0}))
+            args = build_parser().parse_args(["lowdim", "--config", str(cfgfile)])
+            assert config_from_args(args) == expected
 
         # experiment is the subcommand, not a key
         cfgfile.write_text(json.dumps({"experiment": "eigs"}))
@@ -433,6 +443,67 @@ class TestStatisticalExamples:
         dense_errs = [r.err_signfree for r in run_lowdim(dense_cfg)]
         stat = ks_2samp(sparse_errs, dense_errs)
         assert stat.pvalue > 0.01, (stat, np.median(sparse_errs), np.median(dense_errs))
+
+
+# Each fault sits behind a good value in its grid, or in a run with no trials,
+# so a check at the wrong grid point, or only inside a trial, lets it through.
+GRID_FAULTS = [
+    (["sparse", "--s", "3", "--p", "5,2"], "sparsity grid value 3 out of range for p grid (5, 2)"),
+    (["sparse", "--s", "2", "--shat", "4", "--p", "5,3"], "s_hat=4 exceeds dimension p=3"),
+    (["sparse", "--s", "1", "--p", "3,1"], "need p >= 2 for a top-two spectrum, got p=1"),
+    (["lowdim", "--n", "40,1", "--p", "3"], "need n >= 2 observations, got 1"),
+    (["diag", "--p", "0"], "dimension must be >= 1, got 0"),
+    (["diag", "--p", "5", "--s", "9"], "sparsity grid value 9 out of range for p grid (5,)"),
+]
+
+
+@pytest.mark.parametrize("argv,message", GRID_FAULTS,
+                         ids=[" ".join(argv) for argv, _ in GRID_FAULTS])
+def test_grid_fault_refused_when_built(argv, message, monkeypatch, capsys):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    for name in ("eigs_trial", "lowdim_trial", "sparse_trial"):
+        monkeypatch.setattr(harness, name, no_trial)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_args(build_parser().parse_args(argv))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    experiment=st.sampled_from(["eigs", "lowdim", "sparse", "diag"]),
+    model=st.sampled_from(["flr", "cs", "pr"]),
+    shat=st.none() | st.integers(1, 7),
+    matrix=st.sampled_from(["auto", "diff", "sum"]),
+    admm_max_iter=st.integers(1, 5),
+)
+def test_a_config_that_builds_runs(data, experiment, model, shat, matrix, admm_max_iter):
+    """Every rule of a run is checked when its config is built: none is left to a trial."""
+    def grid(values, shortest=1, longest=2):
+        return tuple(data.draw(st.lists(values, min_size=shortest, max_size=longest)))
+
+    # grids shaped for the experiment, values free to break its rules
+    eigs, diag = experiment == "eigs", experiment == "diag"
+    noise = grid(st.floats(0.0, 0.55), longest=2 if eigs else 1)
+    # hypothesis favours the first value listed, so a valid one comes first
+    n = grid(st.sampled_from([24, 40, 9, 3, 2, 1]), longest=1 if eigs else 2)
+    p = grid(st.sampled_from([4, 6, 3, 2, 5, 1, 0]), longest=1 if eigs or diag else 2)
+    s = grid(st.sampled_from([1, 2, 3, 4, 5, 6, 0]), shortest=0 if diag else 1,
+             longest=1 if diag else 2)
+    noise_field = {"flr": "pe", "cs": "sigma", "pr": "theta"}[model]
+    try:
+        cfg = RunConfig(experiment=experiment, model=model, n=n, p=p, s=s, shat=shat,
+                        matrix=matrix, admm_max_iter=admm_max_iter, trials=1,
+                        **{noise_field: noise})
+    except ConfigError:
+        return
+    try:
+        run_experiment(cfg)
+    except NumericalError:
+        pass
 
 
 def test_tracer_targets_resolve():

@@ -124,6 +124,13 @@ CONFIGS = [
     ["lowdim", "--model", "cs", "--matrix", "sum", "--quad-order", "3", *LOWDIM],
     ["lowdim", "--model", "flr", "--sigma", "0.5", *LOWDIM],
     ["lowdim", "--config", "bad_matrix.json"],
+    # grid values checked against every point they are crossed with, before any trial
+    ["sparse", "--s", "3", "--p", "5,2"],
+    ["sparse", "--s", "2", "--shat", "4", "--p", "5,3"],
+    ["sparse", "--s", "1", "--p", "3,1"],
+    ["lowdim", "--n", "40,1", "--p", "3"],
+    ["diag", "--p", "0"],
+    ["diag", "--p", "5", "--s", "9"],
 ]
 
 
