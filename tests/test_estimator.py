@@ -218,6 +218,10 @@ class TestMomentMatrixType:
             MomentMatrix(entries=np.array([[1.0, 2.0], [0.0, 1.0]]),
                          kind="difference", n_pairs=1)
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ConfigError):
+            MomentMatrix(entries=np.eye(2), kind="product", n_pairs=1)
+
 
 class TestAbsoluteScaleConcentration:
     def test_noiseless_cs_quarter_scale(self):

@@ -220,6 +220,11 @@ def test_fewer_than_two_rows_raise(n):
         sample_moment(OneBitCS(0.5), sample_beta_dense(P, 0), n, "difference", 1)
 
 
+def test_unknown_kind_raises():
+    with pytest.raises(ConfigError, match="kind"):
+        sample_moment(OneBitCS(0.5), sample_beta_dense(P, 0), 10, "product", 1)
+
+
 def test_no_weighted_pair_gives_a_zero_matrix():
     # theta = 50 makes every label -1: no pair has differing labels
     truth = sample_beta_dense(P, 0)
