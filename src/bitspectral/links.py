@@ -85,7 +85,11 @@ class OneBitCS:
             raise ConfigError(f"noise standard deviation must be >= 0, got {self.sigma}")
 
     def f(self, z):
-        return _sign_pos(z) if self.sigma == 0.0 else 2.0 * _ndtr(z / self.sigma) - 1.0
+        if self.sigma == 0.0:
+            return _sign_pos(z)
+        with np.errstate(over="ignore"):  # a subnormal sigma sends z / sigma to +-inf, f to +-1
+            scaled = z / self.sigma
+        return 2.0 * _ndtr(scaled) - 1.0
 
     def _moments(self, quad_order: int):
         # Writing f(z) = 2 Phi(z/sigma) - 1 and integrating by parts against

@@ -15,10 +15,11 @@ times measured on a 2-vCPU machine with OpenBLAS on one thread (the
 conftest's default) and nothing else running: criterion 3b 0.5 s,
 the criterion 5 fixture 41.0-41.5 s, and this file 55 s.  Criteria 1 and 4
 draw their moment matrices through ``sample_moment``: measured separately on
-the same machine, criterion 1 took 2.0-2.2 s and the criterion 4 fixture
-5.8-6.4 s (the flr grid up to n = 125448 is most of it).  The same machine
-has run the same code about twice as slowly, and a second job sharing its
-cores slows it further.
+the same machine, criterion 1 took 2.0-2.2 s.  The criterion 4 fixture,
+whose power loop steps by M^16, took 2.9-3.6 s in three runs alternated with
+three of the one-multiply loop before it, which took 7.1-8.0 s; inside a
+whole-suite run it took 2.2 s.  The same machine has run the same code
+about twice as slowly, and a second job sharing its cores slows it further.
 """
 
 import math

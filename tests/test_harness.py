@@ -125,6 +125,15 @@ class TestRows:
             assert r.err is None
             assert r.abscissa == r.param_value
 
+    def test_lowdim_iters_count_multiplies_under_the_cap(self):
+        # the squared power loop counts multiplies of M, 16 per squared step
+        for r in run_lowdim(small_lowdim_cfg(tmax=40)):
+            assert 1 <= r.iters <= 40
+        for r in run_lowdim(small_lowdim_cfg(tmax=7, tol=0.0)):
+            assert r.iters == 7 and r.converged is False
+        for r in run_lowdim(small_lowdim_cfg(tmax=37, tol=0.0)):
+            assert r.iters == 37 and r.converged is False
+
     def test_pr_uses_sign_invariant_default_metric(self):
         cfg = RunConfig(experiment="lowdim", model="pr", theta=(1.0,),
                         n=(400,), p=(5,), trials=2, seed=3)

@@ -2,6 +2,7 @@
 
 import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestLinkEval:
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(link_eval(OneBitCS(1.0), 0.3), float)
+
+    def test_cs_subnormal_sigma_is_a_sign_without_warning(self):
+        # z / sigma overflows to +-inf, which the normal CDF maps to 0 and 1
+        z = np.array([-3.0, -1e-300, 1e-300, 0.5, 7.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = OneBitCS(5e-324).f(z)
+        np.testing.assert_array_equal(got, [-1.0, -1.0, 1.0, 1.0, 1.0])
 
 
 class TestConstructors:

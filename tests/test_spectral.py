@@ -1,6 +1,7 @@
 """Power method and top-eigenpair extraction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bitspectral import (
     top_two_eigs,
     truncated_power_method,
 )
+from bitspectral.spectral import SQUARED_STRIDE, _squared_power_method
 
 from _oracles import reference_power_method
 
@@ -188,6 +190,89 @@ class TestOneProductPerStep:
             outcomes.add((top, got.converged))
         assert (1.001, False) in outcomes
         assert tol == 0.0 or (2.0, True) in outcomes
+
+
+def squared_steps(t_max, iterations):
+    """Steps of the squared path that make up `iterations` multiplies under cap t_max."""
+    if t_max < SQUARED_STRIDE:
+        return iterations
+    squared = SQUARED_STRIDE * (t_max // SQUARED_STRIDE)
+    if iterations <= squared:
+        return iterations // SQUARED_STRIDE
+    return squared // SQUARED_STRIDE + iterations - squared
+
+
+class TestSquaredPowerPath:
+    """lowdim's power loop: steps by M^16, counts multiplies of M, stops by power_method's rule."""
+
+    @pytest.mark.parametrize("t_max", [1, 7, 16, 37, 500])
+    def test_fixed_budget_matches_reference(self, t_max):
+        # lambda2/lambda1 = 0.97, the slow end of the lowdim grids: no iterate
+        # repeats exactly within 500 multiplies, so tol=0 runs to the cap
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+            m = (q * np.r_[1.0, 0.97, rng.uniform(0.0, 0.9, 18)]) @ q.T
+            b0 = unit(rng.standard_normal(20))
+            got = _squared_power_method(m, b0, t_max=t_max, tol=0.0)
+            beta, iterations, _, _ = reference_power_method(m, b0, t_max, 0.0)
+            assert got.iterations == iterations == t_max
+            assert not got.converged
+            assert len(got.rayleigh_trace) == squared_steps(t_max, t_max)
+            assert np.linalg.norm(got.beta_hat - beta) <= 1e-9
+            if t_max < SQUARED_STRIDE:  # no squared step: power_method's run
+                plain = power_method(m, b0, t_max=t_max, tol=0.0)
+                assert np.array_equal(got.beta_hat, plain.beta_hat)
+                assert np.array_equal(got.rayleigh_trace, plain.rayleigh_trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        factor=st.tuples(st.integers(1, 10), st.integers(1, 12)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.floats(-4.0, 4.0, width=64))),
+        start=st.integers(0, 2**32 - 1),
+        t_max=st.integers(1, 120),
+        tol=st.sampled_from([0.0, 1e-10, 1e-4, 0.5]),
+    )
+    def test_report_and_stop_rule(self, factor, start, t_max, tol):
+        m = factor @ factor.T
+        assume(np.any(m))
+        b0 = unit(np.random.default_rng(start).standard_normal(m.shape[0]))
+        try:
+            got = _squared_power_method(m, b0, t_max=t_max, tol=tol)
+        except NumericalError:
+            assume(False)
+        beta = got.beta_hat
+        assert 1 <= got.iterations <= t_max
+        assert len(got.rayleigh_trace) == squared_steps(t_max, got.iterations)
+        assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(beta, sign_normalize(beta))
+        if not got.converged:
+            assert got.iterations == t_max
+            return
+        # the stop test, redone between the last iterate and the one a step before
+        last = SQUARED_STRIDE if got.iterations <= t_max - t_max % SQUARED_STRIDE else 1
+        before = got.iterations - last
+        prev = b0 if before == 0 else _squared_power_method(m, b0, t_max=before, tol=0.0).beta_hat
+        minus, plus = beta - prev, beta + prev
+        assert min(math.sqrt(minus @ minus), math.sqrt(plus @ plus)) <= tol
+
+    @pytest.mark.parametrize("mtx, b0, kwargs", [
+        (np.zeros((3, 3)), unit([1.0, 1.0, 1.0]), {}),  # zero matrix
+        (np.diag([1.0, 0.0]), np.array([0.0, 1.0]), {}),  # annihilated start
+        (np.diag([1.0, 0.0]), np.array([0.0, 1.0]), {"t_max": 5}),
+        (np.diag([np.nan, 1.0, 1.0]), unit([1.0, 1.0, 1.0]), {}),  # non-finite matrix
+        (np.eye(2), np.array([1.0, 1.0]), {}),  # non-unit start
+        (np.eye(2), np.array([np.nan, 0.0]), {}),
+        (np.eye(2), np.array([1.0, 0.0]), {"t_max": 0}),
+        (np.eye(2), np.array([1.0, 0.0]), {"tol": math.nan}),
+        (np.eye(2), np.array([1.0, 0.0]), {"tol": -1.0}),
+        (np.eye(2), np.array([1.0, 0.0]), {"tol": math.inf}),
+    ])
+    def test_errors_match_power_method(self, mtx, b0, kwargs):
+        with pytest.raises((ConfigError, NumericalError)) as plain:
+            power_method(mtx, b0, **kwargs)
+        with pytest.raises(plain.type, match=re.escape(str(plain.value))):
+            _squared_power_method(mtx, b0, **kwargs)
 
 
 class TestTopTwoEigs:

@@ -50,6 +50,11 @@ CONFIGS = [
     ["lowdim", "--model", "pr", "--theta", "0.4", *LOWDIM],
     ["lowdim", "--model", "pr", "--theta", "1", "--matrix", "sum", *LOWDIM],
     ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "7", *LOWDIM],
+    # a fixed budget that ends in single multiplies after the last 16-multiply step
+    ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "37", *LOWDIM],
+    # a small eigengap (flr, pe 0.1), where trials can stop on the 500-multiply cap
+    ["lowdim", "--model", "flr", "--pe", "0.1", "--n", "7840", "--p", "5", "--trials", "2",
+     "--seed", "4"],
     # odd n (trimmed), too few rows, and one pair per trial, so k = 0 weighted pairs can occur
     ["lowdim", "--model", "flr", "--n", "401", "--p", "5", "--trials", "3", "--seed", "4"],
     ["lowdim", "--model", "cs", "--n", "1", "--p", "5", "--trials", "1"],
