@@ -23,11 +23,7 @@ from .harness import (
     default_config,
     estimation_error,
     rows_to_csv,
-    run_diag,
-    run_eigenstructure,
     run_experiment,
-    run_lowdim,
-    run_sparse,
     select_matrix_kind,
     write_csv,
 )

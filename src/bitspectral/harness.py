@@ -1,13 +1,20 @@
 """Experiment drivers and CSV emission for the desk-scale numerical studies.
 
-Four experiments, each an entry of ``_EXPERIMENTS`` (runner, grids, help):
+Four experiments, each an entry of ``_EXPERIMENTS`` (runner, default grids,
+CLI help), reached only through ``run_experiment``:
 
 * ``eigs``   -- top-two eigenvalues of the (scaled) second moment across a
   noise-parameter grid; per-trial rows.
 * ``lowdim`` -- dense recovery error across a (p, n) grid, abscissa sqrt(p/n).
 * ``sparse`` -- sparse-pipeline recovery error across an (s, p, n) grid,
   abscissa sqrt(s log p / n).
-* ``diag``   -- closed-form moment summary and theory constants; no sampling.
+* ``diag``   -- closed-form moment summary and theory constants, printed to
+  stdout; no sampling.
+
+The three sampled experiments share one loop, ``_run_trials``, over noise
+value, s (``sparse`` only, else None), p, n and trial, in that order.  It
+calls ``<experiment>_trial(cfg, param_value, s, p, n, trial)`` by name, so a
+module attribute set in its place is the one called.
 
 A ``RunConfig`` is checked whole when it is built, before any trial.  Each
 trial of each grid point draws from its own derived stream keyed by the grid
@@ -234,7 +241,7 @@ def trial_rng(cfg: RunConfig, param_value: float, n: int, p: int, s: int | None,
     )
 
 
-def _draw(cfg: RunConfig, param_value: float, n: int, p: int, s: int | None, trial: int):
+def _draw(cfg: RunConfig, param_value: float, s: int | None, p: int, n: int, trial: int):
     """One trial's stream, model, truth (s-sparse unless s is None) and estimator kind."""
     rng = trial_rng(cfg, param_value, n, p, s, trial)
     model = _make_model(cfg, param_value)
@@ -242,9 +249,8 @@ def _draw(cfg: RunConfig, param_value: float, n: int, p: int, s: int | None, tri
     return rng, model, truth, select_matrix_kind(model, cfg.matrix, cfg.quad_order)
 
 
-def _row(cfg: RunConfig, experiment: str, param_value: float, n: int, p: int, s: int | None,
-         trial: int, abscissa: float, truth=None, report=None, xty=None,
-         **columns) -> ExperimentRow:
+def _row(cfg: RunConfig, param_value: float, s: int | None, p: int, n: int, trial: int,
+         abscissa: float, truth=None, report=None, xty=None, **columns) -> ExperimentRow:
     """One trial's row; given a recovery report and X^T y, also its error against the truth."""
     if report is not None:
         beta_hat = orient_by_first_moment(report.beta_hat, xty)
@@ -252,112 +258,97 @@ def _row(cfg: RunConfig, experiment: str, param_value: float, n: int, p: int, s:
         err = signfree if cfg.model == "pr" else estimation_error(beta_hat, truth.beta_star)
         columns.update(err=err, err_signfree=signfree, iters=report.iterations,
                        converged=report.converged)
-    return ExperimentRow(experiment, cfg.model, _MODELS[cfg.model].noise, param_value,
+    return ExperimentRow(cfg.experiment, cfg.model, _MODELS[cfg.model].noise, param_value,
                          n, p, s, trial, abscissa, **columns)
 
 
-def eigs_trial(cfg: RunConfig, param_value: float, trial: int) -> ExperimentRow:
-    n, p = cfg.n[0], cfg.p[0]
-    rng, model, truth, kind = _draw(cfg, param_value, n, p, None, trial)
+def eigs_trial(cfg: RunConfig, param_value: float, s: None, p: int, n: int,
+               trial: int) -> ExperimentRow:
+    rng, model, truth, kind = _draw(cfg, param_value, s, p, n, trial)
     mtx, _ = sample_moment(model, truth, n, kind, rng)
     lam1, lam2, _ = top_two_eigs(mtx)
-    return _row(cfg, "eigs", param_value, n, p, None, trial, param_value,
+    return _row(cfg, param_value, s, p, n, trial, param_value,
                 lambda1_over4=lam1 / 4.0, lambda2_over4=lam2 / 4.0)
 
 
-def run_eigenstructure(cfg: RunConfig) -> list[ExperimentRow]:
-    """Top-two eigenvalues of the auto-selected estimator over a noise grid."""
-    return [
-        eigs_trial(cfg, value, t)
-        for value in _noise_grid(cfg)
-        for t in range(cfg.trials)
-    ]
-
-
-def lowdim_trial(cfg: RunConfig, param_value: float, n: int, p: int, trial: int) -> ExperimentRow:
-    rng, model, truth, kind = _draw(cfg, param_value, n, p, None, trial)
+def lowdim_trial(cfg: RunConfig, param_value: float, s: None, p: int, n: int,
+                 trial: int) -> ExperimentRow:
+    rng, model, truth, kind = _draw(cfg, param_value, s, p, n, trial)
     mtx, xty = sample_moment(model, truth, n, kind, rng)
     report = _squared_power_method(mtx, _unit_gaussian(p, rng), t_max=cfg.tmax, tol=cfg.tol)
-    return _row(cfg, "lowdim", param_value, n, p, None, trial, math.sqrt(p / n), truth,
-                report, xty)
+    return _row(cfg, param_value, s, p, n, trial, math.sqrt(p / n), truth, report, xty)
 
 
-def run_lowdim(cfg: RunConfig) -> list[ExperimentRow]:
-    """Dense recovery error over a (p, n) grid at a fixed noise setting."""
-    param_value = _noise_grid(cfg)[0]
-    return [
-        lowdim_trial(cfg, param_value, n, p, t)
-        for p in cfg.p
-        for n in cfg.n
-        for t in range(cfg.trials)
-    ]
-
-
-def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int, trial: int) -> ExperimentRow:
-    rng, model, truth, kind = _draw(cfg, param_value, n, p, s, trial)
+def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int,
+                 trial: int) -> ExperimentRow:
+    rng, model, truth, kind = _draw(cfg, param_value, s, p, n, trial)
     data = generate_dataset(model, truth, n, rng)
     scfg = _sparse_config(cfg, cfg.rho_const * math.sqrt(math.log(p) / n),
                           cfg.shat if cfg.shat is not None else min(2 * s, p))
     report = sparse_recover(data, scfg, kind=kind)
-    return _row(cfg, "sparse", param_value, n, p, s, trial, math.sqrt(s * math.log(p) / n),
+    return _row(cfg, param_value, s, p, n, trial, math.sqrt(s * math.log(p) / n),
                 truth, report, data.covariates.T @ data.labels.astype(float))
 
 
-def run_sparse(cfg: RunConfig) -> list[ExperimentRow]:
-    """Sparse-pipeline recovery error over an (s, p, n) grid."""
-    param_value = _noise_grid(cfg)[0]
+def _run_trials(cfg: RunConfig) -> list[ExperimentRow]:
+    """Every trial of a sampled experiment, in row order: noise value, s, p, n, trial.
+
+    The trial function is looked up by name on each run, so a replacement set
+    as a module attribute (a tracer's wrapper, a test's fake) is the one called.
+    """
+    trial_fn = globals()[f"{cfg.experiment}_trial"]
     return [
-        sparse_trial(cfg, param_value, s, p, n, t)
-        for s in cfg.s
+        trial_fn(cfg, value, s, p, n, t)
+        for value in _noise_grid(cfg)
+        for s in (cfg.s if cfg.experiment == "sparse" else (None,))
         for p in cfg.p
         for n in cfg.n
         for t in range(cfg.trials)
     ]
 
 
-def run_diag(cfg: RunConfig, stream=None) -> list[ExperimentRow]:
+def _run_diag(cfg: RunConfig) -> list[ExperimentRow]:
     """Print the moment summary and theory constants; pure computation.
 
     A non-positive eigengap statistic is reported with the sum-estimator
     advisory rather than raised.  Emits no CSV rows.
     """
-    out = stream if stream is not None else sys.stdout
     param_value = _noise_grid(cfg)[0]
     model = _make_model(cfg, param_value)
     p = cfg.p[0]
     s = cfg.s[0] if cfg.s else None
     summ = moments(model, quad_order=cfg.quad_order)
     print(f"model={cfg.model} {_MODELS[cfg.model].noise}={param_value:.17g} "
-          f"p={p} s={'-' if s is None else s}", file=out)
+          f"p={p} s={'-' if s is None else s}")
     print(f"mu0={summ.mu0:.12g} mu1={summ.mu1:.12g} mu2={summ.mu2:.12g} "
-          f"phi={summ.phi:.12g} method={summ.method}", file=out)
+          f"phi={summ.phi:.12g} method={summ.method}")
     try:
         diag = theory_diagnostics(model, p, s, quad_order=cfg.quad_order)
     except ConfigError as exc:
-        print(f"advisory: {exc}", file=out)
+        print(f"advisory: {exc}")
         return []
     print(f"gamma={diag.gamma:.12g} xi={diag.xi:.12g} kappa={diag.kappa:.12g} "
-          f"n_min_as_printed={diag.n_min:.12g} theta_m={diag.theta_m:.12g}", file=out)
+          f"n_min_as_printed={diag.n_min:.12g} theta_m={diag.theta_m:.12g}")
     if diag.kappa > 0.99:
-        print("advisory: kappa near 1 -- expect slow sparse-stage convergence", file=out)
+        print("advisory: kappa near 1 -- expect slow sparse-stage convergence")
     return []
 
 
 # name -> runner, default_config's settings over RunConfig's defaults, CLI help
 _Experiment = NamedTuple("_Experiment", [("run", Callable), ("grids", dict), ("help", str)])
 _EXPERIMENTS = {
-    "eigs": _Experiment(run_eigenstructure, dict(trials=10),
+    "eigs": _Experiment(_run_trials, dict(trials=10),
                         "top-two eigenvalues of the second moment over a noise grid"),
-    "lowdim": _Experiment(run_lowdim, dict(trials=100, n=(500, 2000, 8000), p=(20,)),
+    "lowdim": _Experiment(_run_trials, dict(trials=100, n=(500, 2000, 8000), p=(20,)),
                           "dense recovery error over a (p, n) grid"),
-    "sparse": _Experiment(run_sparse, dict(trials=100, n=(1000, 2000, 4000), p=(100,), s=(5,)),
+    "sparse": _Experiment(_run_trials, dict(trials=100, n=(1000, 2000, 4000), p=(100,), s=(5,)),
                           "sparse recovery error over an (s, p, n) grid"),
-    "diag": _Experiment(run_diag, {}, "moment summary and theory constants (no sampling)"),
+    "diag": _Experiment(_run_diag, {}, "moment summary and theory constants (no sampling)"),
 }
 
 
 def run_experiment(cfg: RunConfig) -> list[ExperimentRow]:
-    """Dispatch on cfg.experiment."""
+    """Run the experiment cfg names; the only way into a run."""
     return _EXPERIMENTS[cfg.experiment].run(cfg)
 
 

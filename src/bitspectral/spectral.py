@@ -147,8 +147,10 @@ def power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryRe
     """Power iteration b <- M b / ||M b|| from a unit starting vector.
 
     Stops early once successive iterates differ by at most ``tol`` after sign
-    alignment (``tol=0`` reproduces a fixed-iteration run), or after ``t_max``
-    multiplies.  Each step costs one matrix-vector product: the product taken
+    alignment, or after ``t_max`` multiplies.  ``tol=0`` runs all ``t_max``
+    multiplies unless an iterate repeats exactly, which ends the run early with
+    ``converged=True``: the vector is the fixed run's, its ``iterations`` and
+    trace are shorter.  Each step costs one matrix-vector product: the product taken
     for the Rayleigh quotient is the next step's.  The returned vector is
     sign-normalized.  A zero matrix, or an iterate that M annihilates or makes
     non-finite, has no dominant direction and raises ``NumericalError``.

@@ -44,9 +44,7 @@ from bitspectral import (
     moments,
     power_method,
     rows_to_csv,
-    run_eigenstructure,
-    run_lowdim,
-    run_sparse,
+    run_experiment,
     sample_beta_dense,
     sample_beta_sparse,
     second_moment,
@@ -97,7 +95,7 @@ ORACLE_DRAWS = 2000
 def eigs_summary(grid, n, p, trials):
     """Per-pe means of lambda2/4 and of the gap (lambda1 - lambda2)/4, and the run time."""
     started = time.perf_counter()
-    rows = run_eigenstructure(cfg_with("eigs", "flr", pe=grid, n=(n,), p=(p,), trials=trials))
+    rows = run_experiment(cfg_with("eigs", "flr", pe=grid, n=(n,), p=(p,), trials=trials))
     elapsed = time.perf_counter() - started
     lam2, gap = [], []
     for pe in grid:
@@ -265,13 +263,13 @@ def lowdim_results():
     started = time.perf_counter()
     grids = {model: rate_grid(model) for model in ("flr", "cs", "pr")}
     slope_rows = {
-        model: run_lowdim(cfg_with("lowdim", model, n=ns, p=(LOWDIM_P,), trials=100))
+        model: run_experiment(cfg_with("lowdim", model, n=ns, p=(LOWDIM_P,), trials=100))
         for model, (_, ns) in grids.items()
     }
     collapse_rows = {
         model: (
-            run_lowdim(cfg_with("lowdim", model, n=(2500,), p=(10,), trials=100)),
-            run_lowdim(cfg_with("lowdim", model, n=(5000,), p=(20,), trials=100)),
+            run_experiment(cfg_with("lowdim", model, n=(2500,), p=(10,), trials=100)),
+            run_experiment(cfg_with("lowdim", model, n=(5000,), p=(20,), trials=100)),
         )
         for model in ("flr", "cs", "pr")
     }
@@ -328,8 +326,8 @@ def sparse_results():
     started = time.perf_counter()
     shared = dict(sigma=(0.0,), n=(1000, 4000), trials=50,
                   admm_max_iter=SPARSE_ADMM_CAP)
-    rows = run_sparse(cfg_with("sparse", "cs", s=(5,), p=(100, 200), **shared))
-    rows += run_sparse(cfg_with("sparse", "cs", s=(10,), p=(200,), **shared))
+    rows = run_experiment(cfg_with("sparse", "cs", s=(5,), p=(100, 200), **shared))
+    rows += run_experiment(cfg_with("sparse", "cs", s=(10,), p=(200,), **shared))
     return rows, time.perf_counter() - started
 
 
@@ -434,11 +432,12 @@ def test_criterion_07_power_method_contract():
 
 def test_criterion_08_determinism_and_order_independence():
     cfg = cfg_with("eigs", "flr", pe=(0.0, 0.2), n=(600,), p=(8,), trials=6)
-    first = rows_to_csv(run_eigenstructure(cfg))
-    second = rows_to_csv(run_eigenstructure(cfg))
+    first = rows_to_csv(run_experiment(cfg))
+    second = rows_to_csv(run_experiment(cfg))
     jobs = [(v, t) for v in cfg.pe for t in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        computed = list(pool.map(lambda j: eigs_trial(cfg, j[0], j[1]), reversed(jobs)))
+        computed = list(pool.map(lambda j: eigs_trial(cfg, j[0], None, cfg.p[0], cfg.n[0], j[1]),
+                                 reversed(jobs)))
     parallel = rows_to_csv(list(reversed(computed)))
     print(f"[criterion 8] rerun identical={first == second} "
           f"parallel identical={parallel == first}")

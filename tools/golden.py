@@ -82,6 +82,11 @@ CONFIGS = [
     ["sparse", "--model", "cs", "--matrix", "sum", "--s", "2", *SPARSE],
     ["sparse", "--model", "pr", "--theta", "0.4", "--matrix", "diff", "--s", "2", *SPARSE],
     ["eigs", "--model", "pr", "--theta", "0.4,1", "--matrix", "sum", *EIGS],
+    # s crossed with p, and an s grid that the dense experiments ignore
+    ["sparse", "--model", "cs", "--s", "2,3", "--p", "12,20", "--n", "400", "--trials", "2",
+     "--seed", "4", "--admm-max-iter", "60"],
+    ["lowdim", "--model", "cs", "--s", "2,3", *LOWDIM],
+    ["eigs", "--model", "cs", "--sigma", "0,0.5", "--s", "2,3", *EIGS],
     # moment summary and theory constants
     ["diag", "--model", "cs", "--sigma", "0.5", "--p", "20", "--s", "5"],
     ["diag", "--model", "pr", "--theta", "1", "--p", "20"],
