@@ -157,8 +157,12 @@ BALANCE_ITERS = 1000
 
 # Settle rule of fantope_admm(settle=True): stop once the tracked leading
 # direction keeps its top-s_hat support and moves by a sine below SETTLE_SIN
-# for SETTLE_RUNS consecutive iterations.
-SETTLE_SIN = 1e-3
+# for SETTLE_RUNS consecutive iterations.  The truncated power method needs
+# only a start in its basin, so SETTLE_SIN is the loosest of 3e-3, 1e-2 and
+# 3e-2 that, with every tighter one, showed no shift in per-trial error
+# against 1e-3: a two-sided sign test at 5% on the criterion 5 grid at seeds
+# no test uses, the rule fixed before the runs (BENCH_settle_rule.json).
+SETTLE_SIN = 1e-2
 SETTLE_RUNS = 5
 
 

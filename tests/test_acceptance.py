@@ -13,7 +13,9 @@ Budget notes: the heavy experiments (criteria 4 and 5) run once in
 module-scoped fixtures and are shared by the tests that grade them.  Wall
 times measured on a 2-vCPU machine with OpenBLAS on one thread (the
 conftest's default) and nothing else running: criterion 3b 0.5 s,
-the criterion 5 fixture 41.0-41.5 s, and this file 55 s.  Criteria 1 and 4
+the criterion 5 fixture 27.2-27.5 s, and this file 36 s.  In runs
+alternated with those, the same code with SETTLE_SIN = 1e-3 took
+55.4-55.9 s and 65-67 s.  Criteria 1 and 4
 draw their moment matrices through ``sample_moment``: measured separately on
 the same machine, criterion 1 took 2.0-2.2 s.  The criterion 4 fixture,
 whose power loop steps by M^16, took 2.9-3.6 s in three runs alternated with

@@ -507,6 +507,31 @@ class TestSettleRule:
         assert abs(np.median(errs[True]) - np.median(errs[False])) <= 0.02
         assert np.median(iters[True]) <= np.median(iters[False]) / 5
 
+    def test_settled_start_reaches_the_residual_endpoint(self):
+        # A criterion 5 point (cs, sigma = 0, p = 100, s = 5, n = 4000), run as
+        # sparse_recover runs it.  The truncated power method, started from the
+        # settled initializer and from one run to the residual rule, ends at
+        # the same vector (to 1e-8, sign-free) in at least 5 of 8 instances.
+        # The share was fixed before this seed was run: it is the lowest seen
+        # over 40 batches of 8 at seeds 7000-7039, whose mean share was 0.87.
+        p, s, n = 100, 5, 4000
+        cfg = SparseConfig(rho=math.sqrt(math.log(p) / n), s_hat=2 * s)
+        same = 0
+        for k in range(8):
+            rng = np.random.default_rng([63, k])
+            truth = sample_beta_sparse(p, s, rng)
+            m = second_moment(generate_dataset(OneBitCS(0.0), truth, n, rng)).entries
+            scale = np.trace(m) / p
+            ends = []
+            for settle in (True, False):
+                sol = fantope_admm(m / scale, replace(cfg, rho=cfg.rho / scale), settle=settle)
+                assert sol.stop == ("settled" if settle else "residual")
+                beta0 = truncate(top_two_eigs(sol.Pi)[2], cfg.s_hat)
+                ends.append(truncated_power_method(m, beta0, cfg).beta_hat)
+            same += min(np.linalg.norm(ends[0] - ends[1]),
+                        np.linalg.norm(ends[0] + ends[1])) <= 1e-8
+        assert same >= 5
+
 
 class TestTruncate:
     def test_keeps_top_two(self):

@@ -75,6 +75,9 @@ CONFIGS = [
      "--seed", "4"],
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "3", "--p", "60", "--n", "1000,4000",
      "--trials", "4", "--seed", "3", "--admm-max-iter", "75"],
+    # a criterion 5 point whose ADMM stops by settling, well before any cap
+    ["sparse", "--model", "cs", "--sigma", "0", "--s", "5", "--p", "100", "--n", "4000",
+     "--trials", "2", "--seed", "5"],
     # a start penalty that puts up to 45 of 60 eigenvalues in the projection's active set
     ["sparse", "--model", "cs", "--s", "3", "--p", "60", "--n", "1000", "--trials", "2",
      "--seed", "5", "--admm-max-iter", "40", "--admm-penalty", "100"],
