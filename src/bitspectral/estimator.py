@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .links import DEFAULT_QUAD_ORDER, LinkModel, moments
-from .synth import Dataset, GroundTruth, _as_rng, _paired_size, draw_labels
+from .synth import Dataset, GroundTruth, _as_rng, _paired_size, _plus_mask
 
 KIND_DIFFERENCE = "difference"
 KIND_SUM = "sum"
@@ -154,6 +154,16 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     dx_perp.  So under the difference kind the weighted pairs add
     -sqrt(2) P G^T y_1 and the m equal-label pairs one N(0, 2m P) draw;
     under the sum kind the whole orthogonal term is one N(0, n P) draw.
+
+    The O(n) pass runs without a per-element branch.  The labels stay a
+    boolean mask of the +1 labels (``synth._plus_mask``, the rule
+    ``draw_labels`` uses), the float labels are 2 mask - 1, and a pair is
+    weighted when its two mask entries differ (difference kind) or agree
+    (sum kind).  The weighted pairs are gathered by index, as in
+    ``second_moment``.  The draws come in a fixed order: z, one uniform per
+    row, then the Gram normals.  The tests pin every drawn value, bit for
+    bit, to a reference that forms the labels with np.where and gathers the
+    pairs with boolean masks.
     """
     s = _sign(kind)
     kept = _paired_size(n)
@@ -161,13 +171,18 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     b = truth.beta_star
     p = b.shape[0]
     z = rng.standard_normal(n)
-    y = draw_labels(model, z, rng)[:kept].astype(float)
+    plus = _plus_mask(model, z, rng)[:kept]
     z = z[:kept]
-    weighted = y[1::2] != s * y[0::2]
-    dz = (z[1::2] - z[0::2])[weighted]
+    y = plus.astype(float)
+    y *= 2.0
+    y -= 1.0
     # the weighted pairs' g enters X^T y only when their labels differ (s = 1)
     tied = s > 0
-    cols = (dz, y[0::2][weighted]) if tied else (dz,)
+    first, second = plus[0::2], plus[1::2]
+    rows = 2 * np.flatnonzero(second != first if tied else second == first)
+    dz = np.take(z, rows + 1)
+    dz -= np.take(z, rows)
+    cols = (dz, np.take(y, rows)) if tied else (dz,)
     gtg, gta = _gaussian_gram(np.stack(cols, axis=1), p, rng)
     h = rng.standard_normal(p)
     # sum dx dx^T = 2 G^T G + b e^T + e b^T, with P G^T G P expanded about b

@@ -60,7 +60,13 @@ class FlippedLogistic:
             raise ConfigError(f"intercept must be finite, got {self.zeta}")
 
     def f(self, z):
-        return (1.0 - 2.0 * self.pe) * np.tanh(0.5 * (z + self.zeta))
+        # (1 - 2 pe) tanh((z + zeta) / 2), each step written into one new
+        # array; out[()] turns a 0-d result into a scalar, as plain arithmetic does
+        out = np.asarray(z + self.zeta)
+        out *= 0.5
+        np.tanh(out, out=out)
+        out *= 1.0 - 2.0 * self.pe
+        return out[()]
 
     def _moments(self, quad_order: int):
         # E[g(Z)] = pi^{-1/2} * sum_i w_i g(sqrt(2) x_i) with Hermite nodes x_i.
@@ -160,8 +166,11 @@ class TheoryDiagnostics:
 
 
 def _sign_pos(z):
-    # sign with sign(0) := +1
-    return np.where(np.asarray(z, dtype=float) >= 0.0, 1.0, -1.0)
+    # sign with sign(0) := +1 (NaN: -1), as 2 [z >= 0] - 1 without a branch per element
+    out = np.asarray(np.asarray(z, dtype=float) >= 0.0, dtype=float)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 # Rational approximations of erf on [0, 1] (T/U) and of exp(x^2) erfc(x) on

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .links import LinkModel, link_eval
+from .errors import ConfigError, NumericalError
+from .links import LinkModel
 
 log = logging.getLogger(__name__)
 
@@ -90,17 +90,31 @@ def sample_beta_sparse(p: int, s: int, seed) -> GroundTruth:
     return GroundTruth(beta_star=beta, support=support)
 
 
+def _plus_mask(model: LinkModel, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The boolean mask u < (f(z) + 1) / 2 of the +1 labels, one uniform u per value.
+
+    ``z`` is a 1-d float array.  The mask is returned as it is, so callers
+    form labels or pair tests from it by arithmetic, with no per-element branch.
+    """
+    p_plus = model.f(z)  # a new array, never z itself, so it is safe to update in place
+    p_plus += 1.0
+    p_plus *= 0.5
+    return rng.random(z.shape[0]) < p_plus
+
+
 def draw_labels(model: LinkModel, index_values, rng) -> np.ndarray:
     """Draw {-1, +1} labels for given linear-index values.
 
     Uses one uniform variate per value: y = +1 iff u < (f(z) + 1) / 2.  Since
-    u lives in [0, 1), links with f(z) = +-1 reduce exactly to the sign rule.
+    u lives in [0, 1), links with f(z) = +-1 reduce exactly to the sign rule,
+    and +-inf take the labels of f's limits there.  A NaN index value raises
+    ``NumericalError`` before any uniform is drawn.
     """
     rng = _as_rng(rng)
     z = np.asarray(index_values, dtype=float)
-    p_plus = 0.5 * (link_eval(model, z) + 1.0)
-    u = rng.random(z.shape[0])
-    return np.where(u < p_plus, 1, -1).astype(np.int64)
+    if np.isnan(z).any():
+        raise NumericalError("index values must not be NaN")
+    return 2 * _plus_mask(model, z, rng) - 1
 
 
 def _paired_size(n: int) -> int:

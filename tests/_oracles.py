@@ -6,7 +6,10 @@ root-finder instead of the breakpoint search, moment oracles recompute from
 first principles, and the eigenvalue oracle samples a spiked Wishart law
 directly.  The reference power loop and the reference moment are the
 straightforward forms that the production code computes faster: two products
-per power step, and a weighted sum over every pair.
+per power step, and a weighted sum over every pair.  The reference draws
+(links, labels, datasets and sampled moments) are the first formulation of
+the package's draws, with ``np.where`` labels and boolean-mask gathers; the
+package must reproduce them bit for bit from the same generator state.
 """
 
 import math
@@ -15,6 +18,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import wishart
+
+from bitspectral import FlippedLogistic, MomentMatrix, OneBitCS, OneBitPR
+from bitspectral.estimator import _gaussian_gram
+from bitspectral.links import _ndtr
 
 
 def split_domain_moment(f, k: int, cuts=()) -> float:
@@ -124,3 +131,58 @@ def reference_moment(labels: np.ndarray, covariates: np.ndarray, kind: str) -> n
     w = (dy * dy).astype(np.float64)
     dx = x[1::2] - x[0::2]
     return (2.0 / y.shape[0]) * ((dx * w[:, None]).T @ dx)
+
+
+def reference_link(model, z: np.ndarray) -> np.ndarray:
+    """f(z) on a float array, each family's formula written out with np.where for sign."""
+    if isinstance(model, FlippedLogistic):
+        return (1.0 - 2.0 * model.pe) * np.tanh(0.5 * (z + model.zeta))
+    if isinstance(model, OneBitCS) and model.sigma == 0.0:
+        return np.where(z >= 0.0, 1.0, -1.0)
+    if isinstance(model, OneBitCS):
+        return 2.0 * _ndtr(z / model.sigma) - 1.0
+    assert isinstance(model, OneBitPR)
+    return np.where(np.abs(z) - model.theta >= 0.0, 1.0, -1.0)
+
+
+def reference_labels(model, index_values, rng: np.random.Generator) -> np.ndarray:
+    """y = +1 iff u < (f(z) + 1) / 2, by np.where and a cast to int64."""
+    z = np.asarray(index_values, dtype=float)
+    p_plus = 0.5 * (reference_link(model, z) + 1.0)
+    u = rng.random(z.shape[0])
+    return np.where(u < p_plus, 1, -1).astype(np.int64)
+
+
+def reference_dataset(model, beta: np.ndarray, n: int, rng: np.random.Generator):
+    """(labels, covariates) of n rows, trimmed to an even count."""
+    x = rng.standard_normal((n, beta.shape[0]))
+    y = reference_labels(model, x @ beta, rng)
+    kept = n - n % 2
+    return y[:kept], x[:kept]
+
+
+def reference_sample_moment(model, beta: np.ndarray, n: int, kind: str,
+                            rng: np.random.Generator):
+    """(M, X^T y) drawn as ``sample_moment`` draws them, with boolean-mask gathers."""
+    s = 1 if kind == "difference" else -1
+    kept = n - n % 2
+    p = beta.shape[0]
+    z = rng.standard_normal(n)
+    y = reference_labels(model, z, rng)[:kept].astype(float)
+    z = z[:kept]
+    weighted = y[1::2] != s * y[0::2]
+    dz = (z[1::2] - z[0::2])[weighted]
+    tied = s > 0
+    cols = (dz, y[0::2][weighted]) if tied else (dz,)
+    gtg, gta = _gaussian_gram(np.stack(cols, axis=1), p, rng)
+    h = rng.standard_normal(p)
+    w = gtg @ beta
+    gdz = gta[:, 0]
+    e = math.sqrt(2.0) * (gdz - (beta @ gdz) * beta) - 2.0 * w + (0.5 * (dz @ dz) + beta @ w) * beta
+    outer = np.outer(beta, e)
+    m = (8.0 / kept) * (2.0 * gtg + (outer + outer.T))
+    orth = math.sqrt(2.0 * (kept // 2 - tied * dz.shape[0])) * h
+    if tied:
+        orth -= math.sqrt(2.0) * gta[:, 1]
+    xty = (y @ z) * beta + (orth - (beta @ orth) * beta)
+    return MomentMatrix(entries=m, kind=kind, n_pairs=kept // 2), xty

@@ -20,7 +20,9 @@ draw their moment matrices through ``sample_moment``: measured separately on
 the same machine, criterion 1 took 2.0-2.2 s.  The criterion 4 fixture,
 whose power loop steps by M^16, took 2.9-3.6 s in three runs alternated with
 three of the one-multiply loop before it, which took 7.1-8.0 s; inside a
-whole-suite run it took 2.2 s.  The same machine has run the same code
+whole-suite run it took 2.2 s.  Since the labels and weighted pairs are
+drawn in branch-free passes it took 1.6-2.7 s, in six runs alternated
+with six of the draw before, which took 2.5-2.8 s.  The same machine has run the same code
 about twice as slowly, and a second job sharing its cores slows it further.
 """
 

@@ -19,9 +19,9 @@ from bitspectral import (
     theory_diagnostics,
     theta_median,
 )
-from bitspectral.links import LinkModel, _ndtr, normal_cdf, normal_pdf
+from bitspectral.links import LinkModel, _ndtr, _sign_pos, normal_cdf, normal_pdf
 
-from _oracles import split_domain_moment
+from _oracles import reference_link, split_domain_moment
 
 
 class TestLinkEval:
@@ -82,6 +82,71 @@ class TestLinkEval:
             warnings.simplefilter("error")
             got = OneBitCS(5e-324).f(z)
         np.testing.assert_array_equal(got, [-1.0, -1.0, 1.0, 1.0, 1.0])
+
+
+# every family, with the types f and link_eval return for a Python float, a
+# 0-d array and a 1-d array: the smooth links give numpy scalars for the first
+# two, the sign links 0-d arrays
+SMOOTH_TYPES = {"f": (np.float64, np.float64, np.ndarray),
+                "link_eval": (float, np.float64, np.ndarray)}
+SIGN_TYPES = {"f": (np.ndarray, np.ndarray, np.ndarray),
+              "link_eval": (float, np.ndarray, np.ndarray)}
+CONTRACT_FAMILIES = [
+    (FlippedLogistic(0.0, 0.1), SMOOTH_TYPES),
+    (FlippedLogistic(0.5, 0.1), SMOOTH_TYPES),
+    (OneBitCS(0.5), SMOOTH_TYPES),
+    (OneBitCS(0.0), SIGN_TYPES),
+    (OneBitPR(0.4), SIGN_TYPES),
+    (OneBitPR(1.0), SIGN_TYPES),
+]
+CONTRACT_MODELS = [model for model, _ in CONTRACT_FAMILIES]
+CONTRACT_IDS = [repr(model) for model in CONTRACT_MODELS]
+
+
+class TestLinkContract:
+    """``f`` and ``link_eval`` keep their values, bit for bit, and their types per input form."""
+
+    @pytest.mark.parametrize("model,types", CONTRACT_FAMILIES, ids=CONTRACT_IDS)
+    def test_values_and_types_per_input_form(self, model, types):
+        values = [0.3, -0.0, 1.0, -2.5]
+        for v in values:
+            for form, z in enumerate((v, np.array(v), np.array([v, -v, 0.5 * v]))):
+                ref = reference_link(model, np.asarray(z, dtype=float))
+                for name, got in (("f", model.f(z)), ("link_eval", link_eval(model, z))):
+                    assert type(got) is types[name][form], (name, form)
+                    assert np.shape(got) == np.shape(z)
+                    assert np.array_equal(np.asarray(got), ref), (name, form, v)
+
+    @pytest.mark.parametrize("model", CONTRACT_MODELS, ids=CONTRACT_IDS)
+    def test_bit_for_bit_on_a_wide_array(self, model):
+        z = np.random.default_rng(3).standard_normal(10_001) * 20.0
+        z = np.concatenate([z, [0.0, -0.0, 0.4, -0.4, 1.0, -1.0, np.inf, -np.inf, np.nan]])
+        got = model.f(z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert np.array_equal(got, reference_link(model, z), equal_nan=True)
+
+    @pytest.mark.parametrize("model", CONTRACT_MODELS, ids=CONTRACT_IDS)
+    def test_f_never_writes_into_its_argument(self, model):
+        z = np.random.default_rng(4).standard_normal(257)
+        kept = z.copy()
+        for arg in (z, z[::2], z.reshape(1, -1)):
+            out = model.f(arg)
+            assert not np.shares_memory(out, z)
+        np.testing.assert_array_equal(z, kept)
+        zero_d = np.array(0.7)
+        model.f(zero_d)
+        assert zero_d == 0.7
+
+    @pytest.mark.parametrize("model", [OneBitCS(0.0), OneBitPR(1.0)], ids=repr)
+    def test_sign_links_map_nan_to_minus_one(self, model):
+        assert link_eval(model, math.nan) == -1.0
+        np.testing.assert_array_equal(model.f(np.array([np.nan, 2.0])), [-1.0, 1.0])
+
+    def test_sign_of_negative_zero_is_plus_one(self):
+        assert link_eval(OneBitCS(0.0), -0.0) == 1.0
+        np.testing.assert_array_equal(OneBitCS(0.0).f(np.array([-0.0, 0.0])), [1.0, 1.0])
+        np.testing.assert_array_equal(_sign_pos(np.array([-0.0, np.nan, -1e-300])),
+                                      [1.0, -1.0, -1.0])
 
 
 class TestConstructors:

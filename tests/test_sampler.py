@@ -23,6 +23,7 @@ from bitspectral import (
     FlippedLogistic,
     OneBitCS,
     OneBitPR,
+    draw_labels,
     expected_moment,
     generate_dataset,
     sample_beta_dense,
@@ -30,6 +31,8 @@ from bitspectral import (
     second_moment,
 )
 from bitspectral.estimator import _bartlett_factor, _gaussian_gram
+
+from _oracles import reference_dataset, reference_labels, reference_sample_moment
 
 Z_BOUND = 5.0
 DRAWS = 4000
@@ -255,3 +258,63 @@ def test_same_generator_state_repeats_bit_for_bit():
         c, _ = sample_moment(model, truth, 301, kind, np.random.default_rng(6))
         assert np.array_equal(a.entries, b.entries) and np.array_equal(xa, xb)
         assert not np.array_equal(a.entries, c.entries)
+
+
+# Bit-for-bit pin of the draw: from the same generator state, the package
+# draws exactly what the reference formulation (np.where labels and
+# boolean-mask gathers) draws, and leaves the generator in the same state.
+# n = 2 holds one pair, so k = 0 weighted pairs come up; 401 is odd.
+PIN_MODELS = {
+    "flr-zeta0": FlippedLogistic(0.0, 0.1),
+    "flr-zeta0.5": FlippedLogistic(0.5, 0.1),
+    "cs-sigma0": OneBitCS(0.0),
+    "cs-sigma0.5": OneBitCS(0.5),
+    "pr-theta0.4": OneBitPR(0.4),
+    "pr-theta1": OneBitPR(1.0),
+}
+PIN_NS = (2, 401, 4000)
+PIN_SEEDS = range(8)
+
+
+def pinned_rngs(seed):
+    return np.random.default_rng([9, seed]), np.random.default_rng([9, seed])
+
+
+@pytest.mark.parametrize("n", PIN_NS)
+@pytest.mark.parametrize("model_name", sorted(PIN_MODELS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_moment_repeats_the_reference_draw_bit_for_bit(kind, model_name, n):
+    model = PIN_MODELS[model_name]
+    truth = sample_beta_dense(7, [8, n])
+    empty = set()
+    for seed in PIN_SEEDS:
+        rng, ref_rng = pinned_rngs(seed)
+        mtx, xty = sample_moment(model, truth, n, kind, rng)
+        ref, ref_xty = reference_sample_moment(model, truth.beta_star, n, kind, ref_rng)
+        assert np.array_equal(mtx.entries, ref.entries) and mtx.n_pairs == ref.n_pairs
+        assert np.array_equal(xty, ref_xty)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        empty.add(not mtx.entries.any())  # M = 0 exactly when k = 0
+    assert n > 2 or empty == {True, False}
+
+
+@pytest.mark.parametrize("n", PIN_NS)
+@pytest.mark.parametrize("model_name", sorted(PIN_MODELS))
+def test_labels_and_datasets_repeat_the_reference_draw_bit_for_bit(model_name, n):
+    model = PIN_MODELS[model_name]
+    truth = sample_beta_dense(7, [8, n])
+    # the link's jumps and limits among the index values
+    edges = np.array([0.0, -0.0, 0.4, -0.4, 1.0, -1.0, np.inf, -np.inf])
+    for seed in PIN_SEEDS:
+        rng, ref_rng = pinned_rngs(seed)
+        z = np.concatenate([edges, 2.0 * rng.standard_normal(n)])
+        ref_rng.standard_normal(n)
+        y = draw_labels(model, z, rng)
+        ref = reference_labels(model, z, ref_rng)
+        assert y.dtype == ref.dtype == np.int64
+        assert np.array_equal(y, ref)
+        data = generate_dataset(model, truth, n, rng)
+        ref_y, ref_x = reference_dataset(model, truth.beta_star, n, ref_rng)
+        assert data.labels.dtype == ref_y.dtype
+        assert np.array_equal(data.labels, ref_y) and np.array_equal(data.covariates, ref_x)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -12,6 +12,7 @@ from bitspectral import (
     Dataset,
     FlippedLogistic,
     GroundTruth,
+    NumericalError,
     OneBitCS,
     OneBitPR,
     draw_labels,
@@ -141,6 +142,36 @@ class TestGenerateDataset:
         p_true = norm.cdf(z / sigma)
         tol = 3.0 * math.sqrt(2.0 * p_true * (1.0 - p_true) / m) + 1e-9
         assert abs(p_noise - p_link) < tol
+
+
+# a family of each kind, and the labels its link gives at +inf and at -inf
+LIMIT_LABELS = [
+    (FlippedLogistic(0.5, 0.0), 1, -1),
+    (OneBitCS(0.0), 1, -1),
+    (OneBitCS(0.5), 1, -1),
+    (OneBitPR(1.0), 1, 1),
+]
+LIMIT_IDS = [repr(model) for model, _, _ in LIMIT_LABELS]
+
+
+class TestDrawLabelsNonFinite:
+    @pytest.mark.parametrize("model,plus,minus", LIMIT_LABELS, ids=LIMIT_IDS)
+    def test_nan_index_value_raises_before_any_draw(self, model, plus, minus):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for z in ([math.nan], [0.3, math.nan, -1.0], np.array([np.inf, np.nan])):
+            with pytest.raises(NumericalError, match="NaN"):
+                draw_labels(model, z, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("model,plus,minus", LIMIT_LABELS, ids=LIMIT_IDS)
+    def test_infinite_index_values_take_the_limit_labels(self, model, plus, minus):
+        y = draw_labels(model, [np.inf, -np.inf] * 50, 3)
+        assert np.all(y[0::2] == plus) and np.all(y[1::2] == minus)
+
+    def test_flipped_labels_at_infinity_keep_their_flip_rate(self):
+        y = draw_labels(FlippedLogistic(0.0, 0.2), np.full(100_000, -np.inf), 4)
+        assert np.mean(y == 1) == pytest.approx(0.2, abs=0.004)
 
 
 class TestDatasetInvariants:

@@ -62,6 +62,13 @@ CONFIGS = [
     ["eigs", "--model", "cs", "--sigma", "0", "--n", "2", "--p", "3", "--trials", "4"],
     # more coordinates than weighted pairs: the Wishart part of G^T G has 0 < k - 2 < p
     ["lowdim", "--model", "cs", "--n", "24", "--p", "30", "--trials", "3", "--seed", "4"],
+    # the sampled draw's branches: the noiseless sign link, a nonzero intercept,
+    # the equal-label pairs of flr, and the largest n of the dense benchmark
+    ["lowdim", "--model", "cs", "--sigma", "0", *LOWDIM],
+    ["lowdim", "--model", "flr", "--zeta", "0.5", "--pe", "0.1", *LOWDIM],
+    ["eigs", "--model", "flr", "--pe", "0,0.2", "--matrix", "sum", *EIGS],
+    ["lowdim", "--model", "flr", "--pe", "0.1", "--n", "125448", "--p", "20", "--trials", "2",
+     "--seed", "4"],
     # sparse recovery
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "2,3", *SPARSE],
     ["sparse", "--model", "flr", "--s", "2", "--shat", "3", "--rho-const", "0.5", *SPARSE],
