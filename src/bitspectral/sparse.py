@@ -108,10 +108,11 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
 
     The eigenpairs come from numpy's bundled LAPACK: one reduction to
     tridiagonal form, every eigenvalue from the tridiagonal, then eigenvectors
-    for the k weighted eigenvalues only (MRRR), mapped back.  Where that
-    LAPACK is not present, or it does not deliver k finite eigenvectors (MRRR
-    can fail on a cluster of tied eigenvalues that k splits), the eigenpairs
-    come from ``np.linalg.eigh`` instead.
+    for the k weighted eigenvalues only, by inverse iteration on those
+    eigenvalues, mapped back.  Where that LAPACK is not present, or it does
+    not deliver k finite eigenvectors (inverse iteration can fail to converge
+    on a large cluster of tied eigenvalues), the eigenpairs come from
+    ``np.linalg.eigh`` instead.
     """
     a = np.asarray(a, dtype=float)
     _check_symmetric(a, "fantope_project")

@@ -107,11 +107,14 @@ def draw_labels(model: LinkModel, index_values, rng) -> np.ndarray:
 
     Uses one uniform variate per value: y = +1 iff u < (f(z) + 1) / 2.  Since
     u lives in [0, 1), links with f(z) = +-1 reduce exactly to the sign rule,
-    and +-inf take the labels of f's limits there.  A NaN index value raises
-    ``NumericalError`` before any uniform is drawn.
+    and +-inf take the labels of f's limits there.  Index values that are not
+    a 1-d array raise ``ConfigError`` and a NaN among them ``NumericalError``,
+    both before any uniform is drawn.
     """
     rng = _as_rng(rng)
     z = np.asarray(index_values, dtype=float)
+    if z.ndim != 1:
+        raise ConfigError(f"index values must be a 1-d array, got {z.ndim} dimensions")
     if np.isnan(z).any():
         raise NumericalError("index values must not be NaN")
     return 2 * _plus_mask(model, z, rng) - 1

@@ -191,6 +191,22 @@ def count_eigh(monkeypatch):
     return calls
 
 
+def rotated(lam, rng):
+    """A symmetric matrix with eigenvalues ``lam`` in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+    return sym((q * lam) @ q.T)
+
+
+def block_diagonal(blocks):
+    """The matrix with the given square blocks on its diagonal and exact zeros
+    elsewhere, and the boolean mask of the entries off the blocks."""
+    owner = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
+    a = np.zeros((owner.size, owner.size))
+    for i, b in enumerate(blocks):
+        a[np.ix_(owner == i, owner == i)] = b
+    return a, owner[:, None] != owner[None, :]
+
+
 @pytest.mark.skipif(_lapack._LAPACKE is None, reason="numpy's bundled LAPACK is not present")
 class TestFantopeLapackPath:
     """fantope_project's eigenpairs from numpy's LAPACK, against the np.linalg.eigh path."""
@@ -203,18 +219,38 @@ class TestFantopeLapackPath:
         np.testing.assert_allclose(out, eigh_fallback(a), rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(fantope_project(np.asfortranarray(a)), out)
 
-    def test_split_cluster_falls_back(self, monkeypatch):
-        # k = 3 splits the tied 1.5 triple; on this input dstemr reports
-        # success with a NaN eigenvector
-        lam = [0.5, 1.5, 1.5, 1.5, 2.0, 2.0]
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
-        a = sym((q * np.array(lam)) @ q.T)
-        _, top = _lapack.spectrum(a)
-        assert top(3) is None
+    # k = 3 splits the tied 1.5 triple after rounding
+    SPLIT_CLUSTER = rotated(np.array([0.5, 1.5, 1.5, 1.5, 2.0, 2.0]), np.random.default_rng(0))
+
+    def test_split_cluster_takes_lapack_path(self, monkeypatch):
+        a = self.SPLIT_CLUSTER
         calls = count_eigh(monkeypatch)
         out = fantope_project(a)
-        assert len(calls) == 1
+        assert calls == []
         np.testing.assert_allclose(out, exact_fantope_projection(a), atol=1e-8)
+
+    def test_split_cluster_falls_back(self, monkeypatch):
+        # a dstein that reports failure, or success with a non-finite entry,
+        # hands this one call to np.linalg.eigh; LAPACKE's own NaN check
+        # would stop a NaN at dormtr, but not an inf
+        def failing(*args):
+            return 1
+
+        def writing(value):
+            def stub(*args):
+                info = dstein(*args)
+                args[8][0, 0] = value  # z
+                return info
+            return stub
+
+        a, dstein = self.SPLIT_CLUSTER, _lapack._LAPACKE["dstein"]
+        for stub in (failing, writing(np.nan), writing(np.inf)):
+            monkeypatch.setitem(_lapack._LAPACKE, "dstein", stub)
+            calls = count_eigh(monkeypatch)
+            out = fantope_project(a)
+            assert len(calls) == 1
+            np.testing.assert_allclose(out, exact_fantope_projection(a), atol=1e-8)
+            monkeypatch.undo()
 
     def test_diagonal_input(self, monkeypatch):
         # a fully split tridiagonal: every off-diagonal entry is zero
@@ -225,6 +261,24 @@ class TestFantopeLapackPath:
         out = fantope_project(a)
         assert calls == []
         np.testing.assert_allclose(out, np.diag([0, 0.7, 0, 0.3, 0, 0]), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("sizes", [(3, 1, 4), (60, 1, 80, 59), (5, 5)])
+    def test_block_diagonal_input(self, sizes, monkeypatch):
+        # dense blocks with exact zero coupling split the tridiagonal; two equal
+        # sizes repeat one block, so every eigenvalue is tied across the blocks
+        rng = np.random.default_rng(21)
+        blocks = [rotated(rng.uniform(0.0, 2.0, m), rng) for m in sizes]
+        if len(set(sizes)) == 1:
+            blocks = blocks[:1] * len(sizes)
+        a, off = block_diagonal(blocks)
+        calls = count_eigh(monkeypatch)
+        out = fantope_project(a)
+        assert calls == []
+        assert np.all(out[off] == 0.0)
+        weight = np.add.reduceat(np.diag(out), np.cumsum((0,) + sizes[:-1]))
+        assert np.count_nonzero(weight) >= 2  # the k weighted vectors span blocks
+        np.testing.assert_allclose(out, eigh_fallback(a), rtol=0.0,
+                                   atol=1e-12 * max(1.0, float(np.linalg.norm(a))))
 
     @pytest.mark.parametrize("a, error", [(np.ones(3), np.linalg.LinAlgError),
                                           (np.ones((0, 0)), IndexError)])
@@ -251,14 +305,20 @@ class TestFantopeLapackPath:
         at_cut=st.integers(0, 3),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
         seed=st.integers(0, 2**32 - 1),
+        # more than one block splits the spectrum into dense diagonal blocks
+        # with exact zero coupling
+        blocks=st.integers(1, 3),
     )
-    def test_agrees_with_eigh_path(self, lam, at_cut, scale, seed):
+    def test_agrees_with_eigh_path(self, lam, at_cut, scale, seed, blocks):
         lam = np.array(lam) * scale
         lam = np.append(lam, [lam.max() - 1.0] * at_cut)
-        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((lam.size, lam.size)))
-        a = sym((q * lam) @ q.T)
+        rng = np.random.default_rng(seed)
+        a, off = block_diagonal([rotated(part, rng) for part in np.array_split(lam, blocks)
+                                 if part.size])
+        out = fantope_project(a)
+        assert np.all(out[off] == 0.0)
         tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
-        np.testing.assert_allclose(fantope_project(a), eigh_fallback(a), rtol=0.0, atol=tol)
+        np.testing.assert_allclose(out, eigh_fallback(a), rtol=0.0, atol=tol)
 
 
 def test_suite_runs_one_blas_thread():

@@ -174,6 +174,15 @@ class TestDrawLabelsNonFinite:
         assert np.mean(y == 1) == pytest.approx(0.2, abs=0.004)
 
 
+@pytest.mark.parametrize("z", [0.3, np.zeros((3, 2))], ids=["scalar", "2d"])
+def test_draw_labels_refuses_non_vector_index_values(z):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="1-d"):
+        draw_labels(OneBitCS(0.0), z, rng)
+    assert rng.bit_generator.state == state
+
+
 class TestDatasetInvariants:
     def test_rejects_odd_direct_construction(self):
         with pytest.raises(ConfigError):
