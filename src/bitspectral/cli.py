@@ -5,7 +5,8 @@ per field of ``harness.RunConfig`` but ``experiment`` (``rho_const`` is
 ``--rho-const``), typed by the field's annotation; grids are comma separated.
 ``--config FILE`` supplies the same settings as JSON, with explicit flags
 taking precedence over the file.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+error (an ``--out`` path that cannot be opened for writing is one), 3
+numerical failure.
 """
 
 import argparse
@@ -116,14 +117,14 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         rows = run_experiment(cfg)
+        if cfg.experiment != "diag" or cfg.out is not None:
+            write_csv(rows, cfg.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if cfg.experiment != "diag" or cfg.out is not None:
-        write_csv(rows, cfg.out)
     return 0
 
 

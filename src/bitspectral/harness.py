@@ -31,9 +31,9 @@ CSV columns (unused cells empty, floats with 17 significant digits):
 its moment matrix and X^T y from ``sample_moment``, which draws the index
 values and labels of all n rows and then O(p^2) normals for the weighted
 pairs' covariate differences, in the law ``generate_dataset`` gives them.
-``sparse`` draws a full ``Dataset``, which ``sparse_recover`` takes.  In
-``lowdim`` and ``sparse`` the sign of the estimate is set by X^T y
-(``orient_by_first_moment``).
+``sparse`` draws a full ``Dataset`` and hands its ``second_moment`` to
+``sparse_recover``.  In ``lowdim`` and ``sparse`` the sign of the estimate
+is set by X^T y (``orient_by_first_moment``).
 
 ``lowdim`` finds the top eigenvector by power iteration stepping by M^16
 (``_squared_power_method``): the same iterate sequence as ``power_method``,
@@ -54,9 +54,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment
-# no trial calls these three; perfbench/tracing.py patches them as harness attributes
-from .estimator import second_moment, second_moment_sum
+from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment, second_moment
+# no trial calls these two; perfbench/tracing.py patches them as harness attributes
+from .estimator import second_moment_sum
 from .spectral import power_method
 from .links import (
     DEFAULT_QUAD_ORDER,
@@ -74,16 +74,20 @@ from .synth import _unit_gaussian, generate_dataset, sample_beta_dense, sample_b
 
 
 class _Model(NamedTuple):
-    noise: str  # the RunConfig field that holds this model's noise grid
+    params: tuple  # the RunConfig fields the link reads; the first holds the noise grid
     link: Callable  # (cfg, noise value) -> LinkModel
     eigs_grid: tuple  # default noise grid of the eigs experiment
 
+    @property
+    def noise(self) -> str:
+        return self.params[0]
+
 
 _MODELS = {
-    "flr": _Model("pe", lambda cfg, v: FlippedLogistic(zeta=cfg.zeta, pe=v),
+    "flr": _Model(("pe", "zeta"), lambda cfg, v: FlippedLogistic(zeta=cfg.zeta, pe=v),
                   (0.0, 0.1, 0.2, 0.3, 0.4)),
-    "cs": _Model("sigma", lambda cfg, v: OneBitCS(sigma=v), (0.0, 0.5, 1.0, 1.5, 2.0)),
-    "pr": _Model("theta", lambda cfg, v: OneBitPR(theta=v), (0.25, 0.45, 0.675, 0.9, 1.2)),
+    "cs": _Model(("sigma",), lambda cfg, v: OneBitCS(sigma=v), (0.0, 0.5, 1.0, 1.5, 2.0)),
+    "pr": _Model(("theta",), lambda cfg, v: OneBitPR(theta=v), (0.25, 0.45, 0.675, 0.9, 1.2)),
 }
 # --matrix value -> forced estimator kind; "auto" picks by the sign of phi
 _MATRIX_KINDS = {"auto": None, "diff": KIND_DIFFERENCE, "sum": KIND_SUM}
@@ -128,7 +132,8 @@ class RunConfig:
             raise ConfigError("grids must be nonempty")
         if self.experiment == "sparse" and not self.s:
             raise ConfigError("sparse experiment needs an s grid")
-        for name in (spec.noise for spec in _MODELS.values() if spec is not _MODELS[self.model]):
+        own = _MODELS[self.model].params  # any other model's field must keep its default
+        for name in (name for spec in _MODELS.values() for name in spec.params if name not in own):
             if getattr(self, name) != getattr(RunConfig, name):
                 raise ConfigError(f"{name} is not a parameter of model {self.model!r}")
         for value in grid:  # checks the noise range, the matrix override and the quadrature order
@@ -285,7 +290,7 @@ def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int,
     data = generate_dataset(model, truth, n, rng)
     scfg = _sparse_config(cfg, cfg.rho_const * math.sqrt(math.log(p) / n),
                           cfg.shat if cfg.shat is not None else min(2 * s, p))
-    report = sparse_recover(data, scfg, kind=kind)
+    report = sparse_recover(second_moment(data, kind), scfg)
     return _row(cfg, param_value, s, p, n, trial, math.sqrt(s * math.log(p) / n),
                 truth, report, data.covariates.T @ data.labels.astype(float))
 
@@ -373,9 +378,14 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
 
 
 def write_csv(rows: list[ExperimentRow], path: str | None) -> None:
+    """Write the CSV to ``path``, or to stdout for None; ConfigError if it cannot be opened."""
     text = rows_to_csv(rows)
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)

@@ -22,12 +22,11 @@ import numpy as np
 
 from . import _lapack
 from .errors import ConfigError, NumericalError
-# second_moment_sum is not called here; perfbench/tracing.py patches it as a sparse attribute
-from .estimator import KIND_DIFFERENCE, second_moment, second_moment_sum
+# neither is called here; perfbench/tracing.py patches both as sparse attributes
+from .estimator import second_moment, second_moment_sum
 from .spectral import (
     RecoveryReport, _as_matrix, _check_stop, _normalize, _power_iterate, top_two_eigs,
 )
-from .synth import Dataset
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,9 @@ def soft_threshold(a, t: float, out=None):
     """Entrywise sign(a) * max(|a| - t, 0); the l1 proximal map.
 
     ``out``, as for a numpy ufunc, receives the result; it must not be ``a``.
+    A negative or NaN ``t`` raises ``ConfigError``.
     """
-    if t < 0.0:
+    if not t >= 0.0:  # written so that a NaN threshold fails too
         raise ConfigError(f"threshold must be >= 0, got {t}")
     a = np.asarray(a, dtype=float)
     return np.subtract(a, np.clip(a, -t, t, out=out), out=out)
@@ -247,10 +247,15 @@ def _top_support(v: np.ndarray, s_hat: int) -> np.ndarray:
 
 
 def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
-    """Keep the s_hat largest-|.| coordinates (ties: lower index) and renormalize."""
+    """Keep the s_hat largest-|.| coordinates (ties: lower index) and renormalize.
+
+    A non-finite entry raises ``NumericalError``, whether or not it would be kept.
+    """
     v = np.asarray(v, dtype=float)
     if not 1 <= s_hat <= v.shape[0]:
         raise ConfigError(f"s_hat must satisfy 1 <= s_hat <= p, got {s_hat}")
+    if not np.isfinite(v).all():
+        raise NumericalError("truncate requires a finite vector")
     keep = _top_support(v, s_hat)
     out = np.zeros_like(v)
     out[keep] = v[keep]
@@ -269,28 +274,29 @@ def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
     return _power_iterate(mtx, beta0, cfg.t_max, cfg.tol, lambda mb: truncate(mb, cfg.s_hat))
 
 
-def sparse_recover(
-    data: Dataset, cfg: SparseConfig, kind: str = KIND_DIFFERENCE
-) -> RecoveryReport:
-    """Full sparse pipeline: second moment, ADMM initializer, truncated power.
+def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
+    """Sparse pipeline on M: ADMM initializer, then truncated power method.
 
-    The initializer is the leading eigenvector of the ADMM solution, truncated
-    to s_hat and renormalized; ADMM runs with the settle rule
+    ``mtx`` is a ``MomentMatrix`` or any array ``power_method`` accepts.  The
+    initializer is the leading eigenvector of the ADMM solution, truncated to
+    s_hat and renormalized; ADMM runs with the settle rule
     (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = tr(M)/p.  That
-    program has the same minimizer as (M, rho), and every residual and stop
-    test of the loop becomes scale-free: scaling the covariates by a power of
-    two c, and rho by c^2, repeats the run bit for bit.  The truncated power
-    method reads the raw M.  The report's ``stages`` dict carries the ADMM
-    residuals and stop reason (in the normalized units) and the eigengap of
-    the relaxation solution; ``converged`` is the conjunction of the ADMM and
-    power-stage flags.
+    program has the same minimizer as (M, rho), and every stop test of the
+    loop is scale-free: M c^2 with rho c^2, c a power of two, repeats the run
+    bit for bit.  The truncated power method reads the raw M.  A non-finite M
+    raises ``NumericalError`` before any ADMM iteration.  ``stages`` carries
+    the ADMM residuals and stop reason (in the normalized units) and the
+    relaxation solution's eigengap; ``converged`` is the conjunction of the
+    ADMM and power-stage flags.
     """
-    if cfg.s_hat > data.p:
-        raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={data.p}")
-    mtx = second_moment(data, kind)
     m = _as_matrix(mtx)
+    p = m.shape[0]
+    if cfg.s_hat > p:
+        raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={p}")
+    if not np.isfinite(m).all():  # entrywise: a finite M too large for a norm is normalized below
+        raise NumericalError("sparse_recover requires a finite matrix")
     # M is PSD, so tr(M) = 0 only for M = 0, which the power stage reports
-    scale = float(np.trace(m)) / data.p or 1.0
+    scale = float(np.trace(m)) / p or 1.0
     rho = cfg.rho / scale
     if not math.isfinite(rho):
         raise NumericalError(f"second-moment matrix too small to normalize: tr(M)/p = {scale}")

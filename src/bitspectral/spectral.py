@@ -178,10 +178,13 @@ def top_two_eigs(mtx):
     """Top two eigenvalues and the leading eigenvector of a symmetric matrix.
 
     Full symmetric eigendecomposition.  Returns ``(lambda1, lambda2, v1)``
-    with lambda1 >= lambda2 and v1 sign-normalized.
+    with lambda1 >= lambda2 and v1 sign-normalized.  A non-finite matrix
+    raises ``NumericalError``.
     """
     m = _as_matrix(mtx)
     if m.shape[0] < 2:
         raise ConfigError(f"need p >= 2 for a top-two spectrum, got p={m.shape[0]}")
+    if not np.isfinite(m).all():
+        raise NumericalError("top_two_eigs requires a finite matrix")
     vals, vecs = np.linalg.eigh(m)
     return float(vals[-1]), float(vals[-2]), sign_normalize(vecs[:, -1].copy())

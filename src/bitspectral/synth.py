@@ -20,14 +20,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Unit-norm target direction and its support set."""
+    """Unit-norm target direction and its support set; ConfigError off the unit sphere."""
 
     beta_star: np.ndarray
     support: np.ndarray
 
     def __post_init__(self):
         norm = float(np.linalg.norm(self.beta_star))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
             raise ConfigError(f"beta_star must be unit norm, got ||.|| = {norm!r}")
 
 

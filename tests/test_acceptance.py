@@ -363,7 +363,7 @@ def test_criterion_05_degenerate_width_matches_dense(sparse_results):
         rng = trial_rng(run_cfg, 0.0, 2000, p, p, t)
         truth = sample_beta_sparse(p, p, rng)
         data = generate_dataset(OneBitCS(0.0), truth, 2000, rng)
-        via_pipeline = sparse_recover(data, cfg).beta_hat
+        via_pipeline = sparse_recover(second_moment(data), cfg).beta_hat
         b0 = rng.standard_normal(p)
         b0 /= np.linalg.norm(b0)
         via_power = power_method(second_moment(data), b0).beta_hat

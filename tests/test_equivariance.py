@@ -117,10 +117,10 @@ def test_sparse_path_follows_a_signed_permutation(p, s, pairs, rho, seed, data):
     cfg = SparseConfig(rho=rho, s_hat=s_hat, t_max=20, tol=0.0,
                        admm_tol=1e-300, admm_max_iter=30)
     try:
-        beta = sparse_recover(sample, cfg).beta_hat
+        beta = sparse_recover(second_moment(sample), cfg).beta_hat
     except NumericalError:  # every pair has equal labels
         return
-    beta_moved = sparse_recover(moved, cfg).beta_hat
+    beta_moved = sparse_recover(second_moment(moved), cfg).beta_hat
     assert signfree_distance(beta_moved, beta[perm] * signs) <= SPARSE_ATOL
 
 
@@ -170,10 +170,10 @@ def test_sparse_path_ignores_the_scale_of_the_covariates(p, s, pairs, rho, c, se
     scaled = Dataset(labels=sample.labels, covariates=c * sample.covariates)
     cfg = SparseConfig(rho=rho, s_hat=s_hat)
     try:
-        report = sparse_recover(sample, cfg)
+        report = sparse_recover(second_moment(sample), cfg)
     except NumericalError:  # every pair has equal labels
         return
-    report_scaled = sparse_recover(scaled, replace(cfg, rho=rho * c**2))
+    report_scaled = sparse_recover(second_moment(scaled), replace(cfg, rho=rho * c**2))
     np.testing.assert_array_equal(report_scaled.beta_hat, report.beta_hat)
     for key in ("admm_iterations", "admm_stop"):
         assert report_scaled.stages[key] == report.stages[key]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bitspectral.sparse
 from bitspectral import (
     ConfigError,
     Dataset,
@@ -17,7 +16,6 @@ from bitspectral import (
     NumericalError,
     OneBitCS,
     OneBitPR,
-    SparseConfig,
     expected_moment,
     generate_dataset,
     moments,
@@ -25,7 +23,6 @@ from bitspectral import (
     sample_moment,
     second_moment,
     second_moment_sum,
-    sparse_recover,
     theta_median,
 )
 
@@ -249,7 +246,7 @@ class TestOneBuilderKeyedByKind:
     """One sign table maps each kind to its pair weight and its population matrix."""
 
     @pytest.mark.parametrize("kind", UNKNOWN_KINDS, ids=repr)
-    def test_unknown_kind_refused_before_any_work(self, kind, monkeypatch):
+    def test_unknown_kind_refused_before_any_work(self, kind):
         with pytest.raises(ConfigError, match=KIND_MESSAGE):
             second_moment(Untouchable(), kind)
         rng = np.random.default_rng(0)
@@ -261,14 +258,6 @@ class TestOneBuilderKeyedByKind:
             expected_moment(Untouchable(), Untouchable(), kind)
         with pytest.raises(ConfigError, match=KIND_MESSAGE):
             MomentMatrix(entries=np.eye(2), kind=kind, n_pairs=1)
-
-        def no_admm(*args, **kwargs):
-            raise AssertionError("ADMM ran before the kind was checked")
-
-        monkeypatch.setattr(bitspectral.sparse, "fantope_admm", no_admm)
-        data = make_data([1, -1, 1, 1], np.eye(4))
-        with pytest.raises(ConfigError, match=KIND_MESSAGE):
-            sparse_recover(data, SparseConfig(rho=0.1, s_hat=2), kind)
 
     def test_sum_kind_is_second_moment_sum(self):
         rng = np.random.default_rng([45, 0])

@@ -262,6 +262,21 @@ class TestCli:
                            "trials": 2, "seed": 5})
         assert out.read_text() == rows_to_csv(run_experiment(cfg))
 
+    def test_missing_out_directory_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["lowdim", "--n", "200", "--p", "4", "--trials", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: cannot write {out}: No such file or directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_out_is_a_config_error(self, tmp_path, capsys):
+        assert main(["lowdim", "--n", "200", "--p", "4", "--trials", "1",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: cannot write {tmp_path}: Is a directory\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_exit_code(self, capsys):
         assert main(["lowdim", "--model", "flr", "--pe", "0.7", "--n", "100",
                      "--p", "4", "--trials", "1"]) == 2
@@ -328,6 +343,9 @@ class TestCli:
         # a noise grid of another model, and a quadrature order under a forced estimator
         ["lowdim", "--model", "flr", "--sigma", "0.5"],
         ["lowdim", "--matrix", "sum", "--quad-order", "3"],
+        # the flipped-logistic intercept under a model without one
+        ["lowdim", "--model", "cs", "--zeta", "0.5"],
+        ["lowdim", "--model", "pr", "--zeta", "0.5"],
     ])
     def test_bad_stopping_scalar_exit_code(self, argv, capsys):
         # a stop rule that can never hold, or a penalty ADMM cannot use, is a config error
@@ -358,13 +376,13 @@ class TestCli:
 
     def test_every_field_has_a_flag_and_a_key(self, tmp_path, capsys):
         common = {
-            "zeta": 0.25, "n": (100, 200), "p": (3,), "s": (1, 2), "trials": 4,
+            "n": (100, 200), "p": (3,), "s": (1, 2), "trials": 4,
             "seed": 7, "tmax": 9, "tol": 0.001, "rho_const": 0.5, "shat": 2,
             "admm_tol": 0.0001, "admm_penalty": 2.0, "admm_max_iter": 11,
             "matrix": "sum", "quad_order": 16, "out": "rows.csv",
         }
-        # one valid run per model, each setting its own noise field; cs is the default model
-        runs = [{"model": "flr", "pe": (0.2,)}, {"sigma": (0.4,)},
+        # one valid run per model, each setting its own fields; cs is the default model
+        runs = [{"model": "flr", "pe": (0.2,), "zeta": 0.25}, {"sigma": (0.4,)},
                 {"model": "pr", "theta": (0.5,)}]
         assert set(common).union(*runs) == {f.name for f in fields(RunConfig)} - {"experiment"}
         defaults = default_config("lowdim")

@@ -303,6 +303,14 @@ class TestTopTwoEigs:
         with pytest.raises(ConfigError):
             top_two_eigs(np.array([[2.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=repr)
+    def test_rejects_non_finite_matrix(self, bad):
+        # eigh alone gives NaN eigenpairs here, or LinAlgError on some NaN inputs
+        m = np.diag([3.0, 2.0, 1.0])
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NumericalError, match="finite"):
+            top_two_eigs(m)
+
     def test_accuracy_against_known_spectrum(self):
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))

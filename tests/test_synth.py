@@ -77,6 +77,13 @@ class TestSampleBetaSparse:
             sample_beta_sparse(5, 0, 0)
 
 
+@pytest.mark.parametrize("beta", [[np.nan, 0.0], [np.inf, 0.0], [2.0, 0.0], [0.0, 0.0]],
+                         ids=["nan", "inf", "long", "zero"])
+def test_ground_truth_rejects_a_non_unit_direction(beta):
+    with pytest.raises(ConfigError, match="unit norm"):
+        GroundTruth(beta_star=np.array(beta), support=np.array([0]))
+
+
 class TestGenerateDataset:
     def test_labels_and_shapes(self):
         truth = sample_beta_dense(4, 3)

@@ -6,8 +6,10 @@ CHECKOUT is the root of a checkout; the package is imported from its
 ``src/`` and every config runs in this one process through ``cli.main``, with
 one BLAS thread.  Each run prints one line: the exit code, the sha256 of
 stdout + stderr (+ the file an ``--out`` run writes), the argv and the first
-line of stderr.  A change that must keep the output byte-identical runs this
-on its parent and on itself and ``diff``s the two outputs.
+line of stderr.  A run that raises prints ``exc``, the exception's class name
+and the argv instead, with the traceback on this script's stderr, and the
+next run goes on.  A change that must keep the output byte-identical runs
+this on its parent and on itself and ``diff``s the two outputs.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 EIGS = ["--n", "600", "--p", "6", "--trials", "3", "--seed", "4"]
 LOWDIM = ["--n", "400,1600", "--p", "5,10", "--trials", "3", "--seed", "4"]
@@ -151,21 +154,32 @@ CONFIGS = [
     ["lowdim", "--n", "40,1", "--p", "3"],
     ["diag", "--p", "0"],
     ["diag", "--p", "5", "--s", "9"],
+    # an --out path that cannot be opened, and the intercept under a model without one
+    ["lowdim", "--n", "400", "--p", "5", "--trials", "2", "--out", "missing/out.csv"],
+    ["lowdim", "--n", "400", "--p", "5", "--trials", "2", "--out", "."],
+    ["lowdim", "--model", "cs", "--zeta", "0.5", *LOWDIM],
+    ["lowdim", "--model", "pr", "--zeta", "0.5", *LOWDIM],
 ]
 
 
 def run(main, argv) -> str:
     out, err = io.StringIO(), io.StringIO()
+    crash = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
             code = exc.code or 0
+        except Exception as exc:  # a crash is a line too, so a crashing checkout can be diffed
+            crash = exc
     blob = out.getvalue() + err.getvalue()
     if os.path.exists("out.csv"):
         with open("out.csv") as fh:
             blob += fh.read()
         os.remove("out.csv")
+    if crash is not None:
+        traceback.print_exception(crash)  # to this script's stderr, which is not fingerprinted
+        return f"exc {type(crash).__name__} {' '.join(argv) or '(none)'}"
     digest = hashlib.sha256(blob.encode()).hexdigest()
     first = (err.getvalue().splitlines() or [""])[0]
     return f"{code} {digest} {' '.join(argv) or '(none)'} | {first}"
