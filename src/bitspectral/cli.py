@@ -5,8 +5,8 @@ per field of ``harness.RunConfig`` but ``experiment`` (``rho_const`` is
 ``--rho-const``), typed by the field's annotation; grids are comma separated.
 ``--config FILE`` supplies the same settings as JSON, with explicit flags
 taking precedence over the file.  Exit codes: 0 success, 2 configuration
-error (an ``--out`` path that cannot be opened for writing is one), 3
-numerical failure.
+error (an ``--out`` path that cannot be opened for writing is one, found
+before any trial), 3 numerical failure.
 """
 
 import argparse
@@ -16,8 +16,8 @@ import typing
 from dataclasses import fields
 
 from .errors import ConfigError, NumericalError
-from .harness import (_EXPERIMENTS, _MATRIX_KINDS, _MODELS, RunConfig, default_config,
-                      run_experiment, write_csv)
+from .harness import (_EXPERIMENTS, _MATRIX_KINDS, _MODELS, RunConfig, check_csv_path,
+                      default_config, run_experiment, write_csv)
 
 _CHOICES = {"model": tuple(_MODELS), "matrix": tuple(_MATRIX_KINDS)}
 _HELP = {
@@ -116,6 +116,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
+        check_csv_path(cfg.out)
         rows = run_experiment(cfg)
         if cfg.experiment != "diag" or cfg.out is not None:
             write_csv(rows, cfg.out)

@@ -47,6 +47,7 @@ corresponds to sigma = sqrt(0.1).
 """
 
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -377,15 +378,27 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open_csv(path: str, mode: str):
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def check_csv_path(path: str | None) -> None:
+    """Raise now the ConfigError ``write_csv`` would raise; leave ``path`` as it was found."""
+    if path is not None:
+        created = not os.path.lexists(path)
+        _open_csv(path, "a").close()
+        if created:
+            os.remove(path)
+
+
 def write_csv(rows: list[ExperimentRow], path: str | None) -> None:
     """Write the CSV to ``path``, or to stdout for None; ConfigError if it cannot be opened."""
     text = rows_to_csv(rows)
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-    with fh:
+    with _open_csv(path, "w") as fh:
         fh.write(text)

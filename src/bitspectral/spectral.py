@@ -77,6 +77,9 @@ def _check_stop(t_max: int, tol: float) -> None:
 
 def _normalize(v: np.ndarray) -> np.ndarray:
     norm = math.sqrt(v @ v)  # what np.linalg.norm computes for a real vector
+    if norm == math.inf and np.isfinite(v).all():  # v @ v overflowed: rescale first
+        v = v / np.abs(v).max()
+        norm = math.sqrt(v @ v)
     if not 0.0 < norm < math.inf:
         raise NumericalError("no dominant direction: iterate annihilated or not finite")
     return v / norm

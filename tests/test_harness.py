@@ -277,6 +277,31 @@ class TestCli:
             "", f"config error: cannot write {tmp_path}: Is a directory\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out, reason", [
+        ("missing/out.csv", "No such file or directory"), (".", "Is a directory")])
+    def test_bad_out_refused_before_any_trial(self, out, reason, tmp_path, monkeypatch, capsys):
+        def trial(*args):
+            raise AssertionError("a trial ran before --out was checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "lowdim_trial", trial)
+        assert main(["lowdim", "--n", "200", "--p", "4", "--trials", "1", "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write {out}: {reason}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("before", [None, "kept\n"], ids=["new", "existing"])
+    def test_out_untouched_when_a_trial_fails(self, before, tmp_path, monkeypatch):
+        # the early check neither leaves a new file behind nor empties an old one
+        def trial(*args):
+            raise NumericalError("no dominant direction")
+
+        out = tmp_path / "rows.csv"
+        if before is not None:
+            out.write_text(before)
+        monkeypatch.setattr(harness, "lowdim_trial", trial)
+        assert main(["lowdim", "--n", "200", "--p", "4", "--trials", "1", "--out", str(out)]) == 3
+        assert (out.read_text() if out.exists() else None) == before
+
     def test_config_error_exit_code(self, capsys):
         assert main(["lowdim", "--model", "flr", "--pe", "0.7", "--n", "100",
                      "--p", "4", "--trials", "1"]) == 2

@@ -18,6 +18,7 @@ from bitspectral import (
     Dataset,
     FlippedLogistic,
     GroundTruth,
+    MomentMatrix,
     NumericalError,
     OneBitCS,
     OneBitPR,
@@ -493,7 +494,7 @@ class TestSettleRule:
 
         monkeypatch.setattr(sparse_mod, "fantope_project", project)
 
-    @pytest.mark.parametrize("runs", [1, 3, sparse_mod.SETTLE_RUNS, 8])
+    @pytest.mark.parametrize("runs", sorted({1, 3, 5, sparse_mod.SETTLE_RUNS, 8}))
     def test_never_settles_before_runs_plus_one(self, runs, monkeypatch):
         monkeypatch.setattr(sparse_mod, "SETTLE_RUNS", runs)
         self._project_onto(monkeypatch, np.array([0.0, 1.0, 0.0]))
@@ -520,17 +521,16 @@ class TestSettleRule:
         assert (tie.stop, tie.iterations, tie.converged) == ("residual", 2, True)
         assert tie.primal_residual == 0.0 and tie.dual_residual == 0.0
 
-    @pytest.mark.parametrize("ratio, stop, iterations", [
-        (0.5, "settled", sparse_mod.SETTLE_RUNS + 1), (2.0, "cap", 30)])
-    def test_sine_threshold(self, ratio, stop, iterations, monkeypatch):
-        # the direction swings between e1 and a vector at sine ratio * SETTLE_SIN
-        # from it, on the same top-1 support
-        sine = ratio * sparse_mod.SETTLE_SIN
+    @pytest.mark.parametrize("sine", [5e-3, 2e-2, 0.5])
+    def test_swing_on_one_support_settles(self, sine, monkeypatch):
+        # the direction swings between e1 and a vector at this sine from it,
+        # on the same top-1 support: only the support counts, so every swing
+        # settles as early as the rule allows
         self._project_onto(monkeypatch, np.array([1.0, 0.0]),
                            np.array([math.sqrt(1.0 - sine**2), sine]))
         cfg = base_cfg(rho=0.0, s_hat=1, admm_tol=1e-300, admm_max_iter=30)
         sol = fantope_admm(np.eye(2), cfg, settle=True)
-        assert (sol.stop, sol.iterations) == (stop, iterations)
+        assert (sol.stop, sol.iterations) == ("settled", sparse_mod.SETTLE_RUNS + 1)
 
     def test_support_change_resets_the_count(self, monkeypatch):
         # two directions 1e-5 apart whose top-2 supports differ: {0, 1}, {0, 2}
@@ -578,7 +578,10 @@ class TestSettleRule:
         # settled initializer and from one run to the residual rule, ends at
         # the same vector (to 1e-8, sign-free) in at least 5 of 8 instances.
         # The share was fixed before this seed was run: it is the lowest seen
-        # over 40 batches of 8 at seeds 7000-7039, whose mean share was 0.87.
+        # over 40 batches of 8 at seeds 7000-7039, whose mean share was 0.87
+        # under the sine settle rule.  Under the support-only rule at
+        # SETTLE_RUNS = 2 the mean share there is 0.55, 23 of the 40 batches
+        # fall below 5, and this seed gives exactly 5.
         p, s, n = 100, 5, 4000
         cfg = SparseConfig(rho=math.sqrt(math.log(p) / n), s_hat=2 * s)
         same = 0
@@ -802,3 +805,17 @@ class TestSparseRecover:
         m[at] = m[at[::-1]] = bad
         with pytest.raises(NumericalError, match="finite"):
             sparse_recover(m, SparseConfig(rho=0.1, s_hat=2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_matrix_beyond_the_range_of_a_norm(self):
+        # entries above about 1e154 overflow a Frobenius norm and v @ v, yet
+        # are finite: each stage takes them, and still sees an asymmetry
+        m = np.diag([1e200, 1e199, 1.0])
+        e1 = np.array([1.0, 0.0, 0.0])
+        report = sparse_recover(MomentMatrix(m, "difference", 10), SparseConfig(rho=0.1, s_hat=2))
+        np.testing.assert_array_equal(report.beta_hat, e1)
+        np.testing.assert_array_equal(fantope_project(m), np.outer(e1, e1))
+        assert fantope_admm(m, SparseConfig(rho=0.1, s_hat=2)).stop == "residual"
+        m[0, 1] = 1e195
+        with pytest.raises(ConfigError, match="symmetric"):
+            fantope_project(m)

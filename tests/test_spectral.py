@@ -146,6 +146,15 @@ class TestPowerMethod:
         with pytest.raises(NumericalError):
             power_method(m, unit([1.0, 1.0, 1.0]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_matrix_beyond_the_range_of_a_norm(self):
+        # M b has entries near 1e200, so v @ v overflows though M b is finite
+        m = np.diag([1e200, 1e199, 1.0])
+        for run in (power_method, _squared_power_method):
+            report = run(m, unit([1.0, 1.0, 1.0]))
+            np.testing.assert_allclose(report.beta_hat, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-9)
+            assert report.converged
+
 
 class TestOneProductPerStep:
     """The loop reuses its Rayleigh product; it must match the two-product loop bit for bit."""
