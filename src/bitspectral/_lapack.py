@@ -63,7 +63,8 @@ def spectrum(a: np.ndarray):
     d, e, tau = np.empty(n), np.zeros(n), np.empty(max(n - 1, 1))
     if f["dsytrd"](_COL_MAJOR, b"L", n, h, n, d, e, tau) != 0:
         return None, None
-    split = e[:-1] ** 2 < _ULP2 * np.abs(d[:-1] * d[1:]) + _SAFEMIN
+    with np.errstate(over="ignore"):  # entries above about 1e154 overflow to inf: no split
+        split = e[:-1] ** 2 < _ULP2 * np.abs(d[:-1] * d[1:]) + _SAFEMIN
     ends = np.append(np.flatnonzero(split) + 1, n)  # dstein's 1-based ISPLIT
     w, sub = d.copy(), e.copy()  # dsterf overwrites both; dstein reads d and e
     start = 0

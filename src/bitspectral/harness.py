@@ -27,13 +27,12 @@ CSV columns (unused cells empty, floats with 17 significant digits):
     experiment,model,param_name,param_value,n,p,s,trial,abscissa,
     lambda1_over4,lambda2_over4,err,err_signfree,iters,converged
 
-``eigs`` and ``lowdim`` never draw the n-by-p covariates: each trial takes
-its moment matrix and X^T y from ``sample_moment``, which draws the index
-values and labels of all n rows and then O(p^2) normals for the weighted
-pairs' covariate differences, in the law ``generate_dataset`` gives them.
-``sparse`` draws a full ``Dataset`` and hands its ``second_moment`` to
-``sparse_recover``.  In ``lowdim`` and ``sparse`` the sign of the estimate
-is set by X^T y (``orient_by_first_moment``).
+No trial draws the n-by-p covariates: each takes its moment matrix and
+X^T y from ``sample_moment``, which draws the index values and labels of all
+n rows and then O(p^2) normals for the weighted pairs' covariate
+differences, in the law ``generate_dataset`` gives them.  ``sparse`` hands
+that matrix to ``sparse_recover``.  In ``lowdim`` and ``sparse`` the sign of
+the estimate is set by X^T y (``orient_by_first_moment``).
 
 ``lowdim`` finds the top eigenvector by power iteration stepping by M^16
 (``_squared_power_method``): the same iterate sequence as ``power_method``,
@@ -55,10 +54,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment, second_moment
-# no trial calls these two; perfbench/tracing.py patches them as harness attributes
-from .estimator import second_moment_sum
+from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment
+# no trial calls these four; perfbench/tracing.py patches them as harness attributes
+from .estimator import second_moment, second_moment_sum
 from .spectral import power_method
+from .synth import generate_dataset
 from .links import (
     DEFAULT_QUAD_ORDER,
     FlippedLogistic,
@@ -71,7 +71,7 @@ from .links import (
 from .rng import derive_rng
 from .sparse import SparseConfig, sparse_recover
 from .spectral import _check_unit, _squared_power_method, orient_by_first_moment, top_two_eigs
-from .synth import _unit_gaussian, generate_dataset, sample_beta_dense, sample_beta_sparse
+from .synth import _unit_gaussian, sample_beta_dense, sample_beta_sparse
 
 
 class _Model(NamedTuple):
@@ -288,12 +288,12 @@ def lowdim_trial(cfg: RunConfig, param_value: float, s: None, p: int, n: int,
 def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int,
                  trial: int) -> ExperimentRow:
     rng, model, truth, kind = _draw(cfg, param_value, s, p, n, trial)
-    data = generate_dataset(model, truth, n, rng)
+    mtx, xty = sample_moment(model, truth, n, kind, rng)
     scfg = _sparse_config(cfg, cfg.rho_const * math.sqrt(math.log(p) / n),
                           cfg.shat if cfg.shat is not None else min(2 * s, p))
-    report = sparse_recover(second_moment(data, kind), scfg)
+    report = sparse_recover(mtx, scfg)
     return _row(cfg, param_value, s, p, n, trial, math.sqrt(s * math.log(p) / n),
-                truth, report, data.covariates.T @ data.labels.astype(float))
+                truth, report, xty)
 
 
 def _run_trials(cfg: RunConfig) -> list[ExperimentRow]:

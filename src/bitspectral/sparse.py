@@ -131,7 +131,8 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
 
 def _check_symmetric(a: np.ndarray, caller: str) -> None:
     """NumericalError for a non-finite ``a``, ConfigError for an asymmetric one."""
-    fro = float(np.linalg.norm(a))  # finite only if every entry is
+    with np.errstate(over="ignore"):  # finite only if every entry is, unless it overflows
+        fro = float(np.linalg.norm(a))
     if fro == math.inf and np.isfinite(a).all():  # finite entries, overflowed norm
         a = a / np.abs(a).max()
         fro = float(np.linalg.norm(a))

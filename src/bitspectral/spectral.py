@@ -76,6 +76,8 @@ def _check_stop(t_max: int, tol: float) -> None:
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
+    # v @ v overflows, and numpy warns, for finite entries above about 1e154;
+    # _power_iterate silences that once per run, not on every call here
     norm = math.sqrt(v @ v)  # what np.linalg.norm computes for a real vector
     if norm == math.inf and np.isfinite(v).all():  # v @ v overflowed: rescale first
         v = v / np.abs(v).max()
@@ -100,6 +102,7 @@ def _squared(m: np.ndarray, q: int) -> np.ndarray:
     return a
 
 
+@np.errstate(over="ignore")  # _normalize rescales a finite v whose v @ v overflows
 def _power_iterate(mtx, beta0, t_max: int, tol: float, step, stride: int = 1) -> RecoveryReport:
     """Iterate b <- step(A b) from the unit vector beta0, for at most t_max multiplies of M.
 

@@ -13,10 +13,13 @@ Budget notes: the heavy experiments (criteria 4 and 5) run once in
 module-scoped fixtures and are shared by the tests that grade them.  Wall
 times measured on a 2-vCPU machine with OpenBLAS on one thread (the
 conftest's default) and nothing else running: criterion 3b 0.5 s,
-the criterion 5 fixture 8.7-10.8 s, and this file 14-17.5 s.  In runs
-alternated with those, the same code with the earlier settle rule (a sine
-below 1e-2 as well, five runs) took 18.8-20.5 s and 24-27 s; with a sine
-below 1e-3 it had taken about twice that.  Criteria 1 and 4
+the criterion 5 fixture 8.4-9.1 s, and this file 14.9-15.9 s, in three runs
+alternated with three of the same code drawing a full ``Dataset`` for each
+sparse trial, which took 10.2-10.5 s and 16.1-16.7 s.  Earlier, with that
+draw, the support-only settle rule had measured 8.7-10.8 s and 14-17.5 s,
+against 18.8-20.5 s and 24-27 s for the settle rule before it (a sine below
+1e-2 as well, five runs); with a sine below 1e-3 it had taken about twice
+that.  Criteria 1 and 4
 draw their moment matrices through ``sample_moment``: measured separately on
 the same machine, criterion 1 took 2.0-2.2 s.  The criterion 4 fixture,
 whose power loop steps by M^16, took 2.9-3.6 s in three runs alternated with

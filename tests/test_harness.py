@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -549,6 +550,34 @@ def test_rows_follow_the_crossed_grids(experiment):
         itertools.product(cfg.sigma, s_grid, cfg.p, cfg.n, range(cfg.trials)))
     if experiment != "sparse":
         assert rows_to_csv(run_experiment(replace(cfg, s=(2, 3)))) == rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("experiment", list(ROW_ORDER_GRIDS))
+def test_no_sampled_trial_draws_the_covariates(experiment, monkeypatch):
+    """Every trial draws (M, X^T y) through sample_moment, never a Dataset and its moment."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial drew the n-by-p covariates")
+
+    for module, name in ((harness, "generate_dataset"), (harness, "second_moment"),
+                         (bitspectral.synth, "generate_dataset"),
+                         (bitspectral.estimator, "second_moment")):
+        monkeypatch.setattr(module, name, refuse)
+    assert run_experiment(RunConfig(experiment=experiment, trials=2, **ROW_ORDER_GRIDS[experiment]))
+
+
+def test_sparse_trial_peak_memory_stays_below_the_covariates():
+    # (s, p, n) = (5, 200, 4000): the covariates alone would be n p 8 bytes
+    # = 6.4 MB of float64; the draw, ADMM and the power stage peak at about
+    # 4 MB, a dozen p-by-p arrays of 320 kB
+    s, p, n = 5, 200, 4000
+    cfg = RunConfig(experiment="sparse", s=(s,), p=(p,), n=(n,))
+    tracemalloc.start()
+    try:
+        harness.sparse_trial(cfg, cfg.sigma[0], s, p, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * p * 8, peak
 
 
 @settings(max_examples=300, deadline=None)

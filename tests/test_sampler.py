@@ -4,9 +4,13 @@ Each distribution test compares means over R independent draws and allows
 Z_BOUND = 5 standard errors per compared entry.  The error is estimated from
 the draws; for a difference of two sample means it is the root of the sum of
 the two squared errors.  The bound was fixed before any of these tests ran.
-A 5-sigma excursion has two-sided probability 5.7e-7, so the about 2,200
+A 5-sigma excursion has two-sided probability 5.7e-7, so the about 2,400
 distinct entries compared in this file raise a false alarm with probability
-below 1.3e-3 at any seed.
+below 1.4e-3 at any seed.
+
+The law tests draw under a dense truth (``sample_beta_dense``) and under an
+s-sparse one (``sample_beta_sparse``, S of P coordinates nonzero), the truth
+every sparse trial draws from.
 """
 
 import functools
@@ -27,6 +31,7 @@ from bitspectral import (
     expected_moment,
     generate_dataset,
     sample_beta_dense,
+    sample_beta_sparse,
     sample_moment,
     second_moment,
 )
@@ -37,6 +42,7 @@ from _oracles import reference_dataset, reference_labels, reference_sample_momen
 Z_BOUND = 5.0
 DRAWS = 4000
 P = 4
+S = 2  # nonzero coordinates of the sparse truth
 MODELS = {"cs": OneBitCS(math.sqrt(0.1)), "flr": FlippedLogistic(0.0, 0.1)}
 KINDS = ("difference", "sum")
 
@@ -73,11 +79,14 @@ def draw(model, truth, n, kind, rng, reference: bool):
 
 
 @functools.lru_cache(maxsize=None)
-def sample(model_name, kind, n, reference: bool, seed):
-    """DRAWS draws of M and of the statistics; each case's draws are shared by its tests."""
-    rng = np.random.default_rng(seed)
+def sample(model_name, kind, n, reference: bool, s=None):
+    """DRAWS draws of M and of the statistics, under a dense truth or, given s,
+    an s-sparse one; each case's draws are shared by its tests.  The sampler
+    and the dataset path draw from seeds of their own."""
+    rng = np.random.default_rng([3 if reference else 2, n] + ([] if s is None else [s]))
     model = MODELS[model_name]
-    truth = sample_beta_dense(P, np.random.default_rng([7, P]))
+    truth = (sample_beta_dense(P, np.random.default_rng([7, P])) if s is None
+             else sample_beta_sparse(P, s, np.random.default_rng([7, P, s])))
     ms, stats = [], {}
     for _ in range(DRAWS):
         m, xty = draw(model, truth, n, kind, rng, reference)
@@ -90,23 +99,28 @@ def sample(model_name, kind, n, reference: bool, seed):
 # n = 40 holds 20 pairs; n = 5 is trimmed to 2 pairs, so a wrong scale or an
 # untrimmed row moves every mean by 20% or more, and k = 0 comes up often.
 # n = 12 holds 6 pairs, so the Wishart part of G^T G has 0 < k - r < P
-# degrees of freedom in most draws.
-CASES = [(model, kind, n) for model in MODELS for kind in KINDS for n in (40, 12, 5)]
+# degrees of freedom in most draws.  The s-sparse truth (the last argument,
+# None for the dense one) runs under cs at n = 40 and 12: the truth enters
+# the draw through P = I - b b^T, which the link does not touch.
+CASES = [pytest.param(model, kind, n, None, id=f"{model}-{kind}-{n}")
+         for model in MODELS for kind in KINDS for n in (40, 12, 5)]
+CASES += [pytest.param("cs", kind, n, S, id=f"cs-{kind}-{n}-s{S}")
+          for kind in KINDS for n in (40, 12)]
 
 
-@pytest.mark.parametrize("model_name,kind,n", CASES)
-def test_mean_of_m_matches_expected_moment(model_name, kind, n):
-    model, truth, ms, _ = sample(model_name, kind, n, False, (2, n))
+@pytest.mark.parametrize("model_name,kind,n,s", CASES)
+def test_mean_of_m_matches_expected_moment(model_name, kind, n, s):
+    model, truth, ms, _ = sample(model_name, kind, n, False, s)
     mean, err = mean_and_error(ms)
     target = expected_moment(model, truth, kind=kind).entries
     z = np.abs(mean - target) / err
     assert float(np.max(z)) <= Z_BOUND, float(np.max(z))
 
 
-@pytest.mark.parametrize("model_name,kind,n", CASES)
-def test_xty_and_cross_moments_match_the_dataset_path(model_name, kind, n):
-    _, _, _, fast = sample(model_name, kind, n, False, (2, n))
-    _, _, _, slow = sample(model_name, kind, n, True, (3, n))
+@pytest.mark.parametrize("model_name,kind,n,s", CASES)
+def test_xty_and_cross_moments_match_the_dataset_path(model_name, kind, n, s):
+    _, _, _, fast = sample(model_name, kind, n, False, s)
+    _, _, _, slow = sample(model_name, kind, n, True, s)
     for key in fast:
         assert_means_agree(fast[key], slow[key], key)
     assert_means_agree(centered_products(fast["xty"]), centered_products(slow["xty"]), "cov xty")
@@ -115,12 +129,12 @@ def test_xty_and_cross_moments_match_the_dataset_path(model_name, kind, n):
 UPPER = np.triu_indices(P)
 
 
-@pytest.mark.parametrize("model_name,kind,n", CASES)
-def test_covariance_of_m_matches_the_dataset_path(model_name, kind, n):
+@pytest.mark.parametrize("model_name,kind,n,s", CASES)
+def test_covariance_of_m_matches_the_dataset_path(model_name, kind, n, s):
     # a Wishart part with the wrong degrees of freedom or the wrong spread
     # between its diagonal and off-diagonal entries moves this covariance
-    fast = sample(model_name, kind, n, False, (2, n))[2][:, UPPER[0], UPPER[1]]
-    slow = sample(model_name, kind, n, True, (3, n))[2][:, UPPER[0], UPPER[1]]
+    fast = sample(model_name, kind, n, False, s)[2][:, UPPER[0], UPPER[1]]
+    slow = sample(model_name, kind, n, True, s)[2][:, UPPER[0], UPPER[1]]
     assert_means_agree(centered_products(fast), centered_products(slow), "cov m")
 
 
@@ -202,7 +216,7 @@ def test_every_draw_is_psd_with_rank_at_most_its_pairs(n, p, model_name, kind, s
 
 
 def test_mean_of_xty_is_n_mu1_beta():
-    model, truth, _, stats = sample("cs", "difference", 40, False, (2, 40))
+    model, truth, _, stats = sample("cs", "difference", 40, False)
     mean, err = mean_and_error(stats["xty"])
     target = 40 * math.sqrt(2.0 / math.pi) / math.sqrt(1.1) * truth.beta_star
     assert float(np.max(np.abs(mean - target) / err)) <= Z_BOUND

@@ -806,7 +806,7 @@ class TestSparseRecover:
         with pytest.raises(NumericalError, match="finite"):
             sparse_recover(m, SparseConfig(rho=0.1, s_hat=2))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_matrix_beyond_the_range_of_a_norm(self):
         # entries above about 1e154 overflow a Frobenius norm and v @ v, yet
         # are finite: each stage takes them, and still sees an asymmetry

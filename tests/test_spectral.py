@@ -146,7 +146,7 @@ class TestPowerMethod:
         with pytest.raises(NumericalError):
             power_method(m, unit([1.0, 1.0, 1.0]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_matrix_beyond_the_range_of_a_norm(self):
         # M b has entries near 1e200, so v @ v overflows though M b is finite
         m = np.diag([1e200, 1e199, 1.0])

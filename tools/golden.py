@@ -76,6 +76,9 @@ CONFIGS = [
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "2,3", *SPARSE],
     ["sparse", "--model", "flr", "--s", "2", "--shat", "3", "--rho-const", "0.5", *SPARSE],
     ["sparse", "--model", "pr", "--theta", "0.4", "--s", "2", *SPARSE],
+    # odd n: the draw trims its last row, and the abscissa keeps n
+    ["sparse", "--model", "cs", "--s", "2", "--p", "20", "--n", "401", "--trials", "2",
+     "--seed", "4", "--admm-max-iter", "60"],
     ["sparse", "--model", "cs", "--s", "2", "--admm-penalty", "0.3", "--admm-tol", "1e-4",
      *SPARSE],
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "2", "--p", "20", "--n", "400",
@@ -91,7 +94,7 @@ CONFIGS = [
     # a start penalty that puts up to 45 of 60 eigenvalues in the projection's active set
     ["sparse", "--model", "cs", "--s", "3", "--p", "60", "--n", "1000", "--trials", "2",
      "--seed", "5", "--admm-max-iter", "40", "--admm-penalty", "100"],
-    # each moment kind forced against the sign of phi, on the Dataset and the sampled paths
+    # each moment kind forced against the sign of phi, in a sparse and an eigs run
     ["sparse", "--model", "cs", "--matrix", "sum", "--s", "2", *SPARSE],
     ["sparse", "--model", "pr", "--theta", "0.4", "--matrix", "diff", "--s", "2", *SPARSE],
     ["eigs", "--model", "pr", "--theta", "0.4,1", "--matrix", "sum", *EIGS],
