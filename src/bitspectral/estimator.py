@@ -106,7 +106,8 @@ def _bartlett_factor(nu: int, p: int, rng: np.random.Generator) -> np.ndarray:
     nu = 0 gives a p-by-0 factor.
     """
     c = min(nu, p)
-    low = np.tril(rng.standard_normal((p, c)), -1)
+    low = rng.standard_normal((p, c))
+    np.copyto(low, 0.0, where=~np.tri(p, c, -1, dtype=bool))  # np.tril(low, -1), in place
     np.fill_diagonal(low, np.sqrt(rng.chisquare(nu - np.arange(c))))
     return low
 
@@ -121,13 +122,19 @@ def _gaussian_gram(a: np.ndarray, p: int, rng: np.random.Generator):
     the r' largest eigenpairs of the Gram matrix a^T a.  A zero eigenvalue,
     from k < r or from collinear columns, gives R a zero row, and Q takes any
     unit vector orthogonal to a for it, so no case needs its own branch.
+
+    G^T G is built in the buffer of L L^T, with L the Bartlett factor, which
+    is dropped before H^T H is added, so no third p-by-p array is held.
     """
     k, r = a.shape
     lam, vec = np.linalg.eigh(a.T @ a)
     rf = (np.sqrt(np.maximum(lam, 0.0))[:, None] * vec.T)[r - min(k, r):]
     h = rng.standard_normal((rf.shape[0], p))
     low = _bartlett_factor(k - rf.shape[0], p, rng)
-    return h.T @ h + low @ low.T, h.T @ rf
+    gtg = low @ low.T
+    del low
+    gtg += h.T @ h
+    return gtg, h.T @ rf
 
 
 def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
@@ -164,6 +171,10 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     row, then the Gram normals.  The tests pin every drawn value, bit for
     bit, to a reference that forms the labels with np.where and gathers the
     pairs with boolean masks.
+
+    M is built in the buffer of G^T G, which ``_gaussian_gram`` returns and
+    nothing reads after G^T G b, by the same floating-point operations, in
+    the same order, as the reference's out-of-place formula.
     """
     s = _sign(kind)
     kept = _paired_size(n)
@@ -190,12 +201,15 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     gdz = gta[:, 0]
     e = math.sqrt(2.0) * (gdz - (b @ gdz) * b) - 2.0 * w + (0.5 * (dz @ dz) + b @ w) * b
     outer = np.outer(b, e)
-    m = (8.0 / kept) * (2.0 * gtg + (outer + outer.T))
+    # M = (8/kept) (2 gtg + (outer + outer.T)) in gtg's buffer: w was its last reader
+    gtg *= 2.0
+    gtg += outer + outer.T
+    gtg *= 8.0 / kept
     orth = math.sqrt(2.0 * (kept // 2 - tied * dz.shape[0])) * h
     if tied:
         orth -= math.sqrt(2.0) * gta[:, 1]
     xty = (y @ z) * b + (orth - (b @ orth) * b)
-    return MomentMatrix(entries=m, kind=kind, n_pairs=kept // 2), xty
+    return MomentMatrix(entries=gtg, kind=kind, n_pairs=kept // 2), xty
 
 
 def expected_moment(

@@ -181,6 +181,10 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     iteration, a non-finite M raises ``NumericalError`` and an asymmetric one
     ``ConfigError``.
 
+    The loop holds one scratch p-by-p array besides Z, Z_prev, U and Pi: it
+    takes the projection's argument, then, once the projection has returned,
+    Pi + U and the two residual differences in turn.
+
     With ``settle`` the loop also tracks a unit vector, one product
     v <- Pi v / ||Pi v|| per iteration, started from Pi's column with the
     largest diagonal entry (should Pi v vanish, v turns NaN, never counts as
@@ -197,7 +201,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     tau = cfg.admm_penalty
     threshold = cfg.admm_tol * p
     z, z_prev, u, pi = (np.zeros((p, p)) for _ in range(4))
-    arg, w, diff = (np.empty((p, p)) for _ in range(3))  # reused every iteration
+    arg = np.empty((p, p))  # reused every iteration
     m_scaled = m / tau
     t = cfg.rho / tau
     primal = dual = math.inf
@@ -207,11 +211,11 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
         np.subtract(z, u, out=arg)
         pi = fantope_project(np.add(arg, m_scaled, out=arg))
         z, z_prev = z_prev, z
-        np.add(pi, u, out=w)
-        soft_threshold(w, t, out=z)
-        np.subtract(w, z, out=u)
-        primal = float(np.linalg.norm(np.subtract(pi, z, out=diff)))
-        dual = tau * float(np.linalg.norm(np.subtract(z, z_prev, out=diff)))
+        np.add(pi, u, out=arg)
+        soft_threshold(arg, t, out=z)
+        np.subtract(arg, z, out=u)
+        primal = float(np.linalg.norm(np.subtract(pi, z, out=arg)))
+        dual = tau * float(np.linalg.norm(np.subtract(z, z_prev, out=arg)))
         if primal < threshold and dual < threshold:
             return FantopeSolution(pi, iterations, primal, dual, tau, updates, "residual")
         if settle:
@@ -243,11 +247,17 @@ def _top_support(v: np.ndarray, s_hat: int) -> np.ndarray:
     return np.sort(np.argsort(-np.abs(v), kind="stable")[:s_hat])
 
 
+@np.errstate(over="ignore")  # _normalize rescales a finite v whose v @ v overflows
 def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     """Keep the s_hat largest-|.| coordinates (ties: lower index) and renormalize.
 
     A non-finite entry raises ``NumericalError``, whether or not it would be kept.
     """
+    return _truncate(v, s_hat)
+
+
+def _truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
+    """``truncate`` without its overflow guard, for loops that hold the guard already."""
     v = np.asarray(v, dtype=float)
     if not 1 <= s_hat <= v.shape[0]:
         raise ConfigError(f"s_hat must satisfy 1 <= s_hat <= p, got {s_hat}")
@@ -268,7 +278,7 @@ def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
     Stops when successive iterates differ by at most ``cfg.tol`` after sign
     alignment, or at ``cfg.t_max``.
     """
-    return _power_iterate(mtx, beta0, cfg.t_max, cfg.tol, lambda mb: truncate(mb, cfg.s_hat))
+    return _power_iterate(mtx, beta0, cfg.t_max, cfg.tol, lambda mb: _truncate(mb, cfg.s_hat))
 
 
 def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:

@@ -8,8 +8,9 @@ directly.  The reference power loop and the reference moment are the
 straightforward forms that the production code computes faster: two products
 per power step, and a weighted sum over every pair.  The reference draws
 (links, labels, datasets and sampled moments) are the first formulation of
-the package's draws, with ``np.where`` labels and boolean-mask gathers; the
-package must reproduce them bit for bit from the same generator state.
+the package's draws, with ``np.where`` labels, boolean-mask gathers and
+out-of-place products; the package must reproduce them bit for bit from the
+same generator state.
 """
 
 import math
@@ -20,7 +21,6 @@ from scipy.optimize import brentq
 from scipy.stats import wishart
 
 from bitspectral import FlippedLogistic, MomentMatrix, OneBitCS, OneBitPR
-from bitspectral.estimator import _gaussian_gram
 from bitspectral.links import _ndtr
 
 
@@ -161,6 +161,24 @@ def reference_dataset(model, beta: np.ndarray, n: int, rng: np.random.Generator)
     return y[:kept], x[:kept]
 
 
+def reference_bartlett_factor(nu: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """The Bartlett factor, its upper part zeroed by ``np.tril``'s copy."""
+    c = min(nu, p)
+    low = np.tril(rng.standard_normal((p, c)), -1)
+    np.fill_diagonal(low, np.sqrt(rng.chisquare(nu - np.arange(c))))
+    return low
+
+
+def reference_gaussian_gram(a: np.ndarray, p: int, rng: np.random.Generator):
+    """(G^T G, G^T a) as ``_gaussian_gram`` draws them, each product formed out of place."""
+    k, r = a.shape
+    lam, vec = np.linalg.eigh(a.T @ a)
+    rf = (np.sqrt(np.maximum(lam, 0.0))[:, None] * vec.T)[r - min(k, r):]
+    h = rng.standard_normal((rf.shape[0], p))
+    low = reference_bartlett_factor(k - rf.shape[0], p, rng)
+    return h.T @ h + low @ low.T, h.T @ rf
+
+
 def reference_sample_moment(model, beta: np.ndarray, n: int, kind: str,
                             rng: np.random.Generator):
     """(M, X^T y) drawn as ``sample_moment`` draws them, with boolean-mask gathers."""
@@ -174,7 +192,7 @@ def reference_sample_moment(model, beta: np.ndarray, n: int, kind: str,
     dz = (z[1::2] - z[0::2])[weighted]
     tied = s > 0
     cols = (dz, y[0::2][weighted]) if tied else (dz,)
-    gtg, gta = _gaussian_gram(np.stack(cols, axis=1), p, rng)
+    gtg, gta = reference_gaussian_gram(np.stack(cols, axis=1), p, rng)
     h = rng.standard_normal(p)
     w = gtg @ beta
     gdz = gta[:, 0]

@@ -567,8 +567,10 @@ def test_no_sampled_trial_draws_the_covariates(experiment, monkeypatch):
 
 def test_sparse_trial_peak_memory_stays_below_the_covariates():
     # (s, p, n) = (5, 200, 4000): the covariates alone would be n p 8 bytes
-    # = 6.4 MB of float64; the draw, ADMM and the power stage peak at about
-    # 4 MB, a dozen p-by-p arrays of 320 kB
+    # = 6.4 MB of float64.  The draw, ADMM and the power stage peak at about
+    # 3.3 MB, 10.4 p-by-p arrays of 320 kB, because M is built and ADMM runs
+    # in buffers they already hold; the bound of 11 arrays leaves 0.6 of one
+    # as margin, and one more p-by-p array held through ADMM breaks it
     s, p, n = 5, 200, 4000
     cfg = RunConfig(experiment="sparse", s=(s,), p=(p,), n=(n,))
     tracemalloc.start()
@@ -578,6 +580,7 @@ def test_sparse_trial_peak_memory_stays_below_the_covariates():
     finally:
         tracemalloc.stop()
     assert peak < n * p * 8, peak
+    assert peak < 11 * p * p * 8, peak / (p * p * 8)
 
 
 @settings(max_examples=300, deadline=None)

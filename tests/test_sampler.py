@@ -37,7 +37,13 @@ from bitspectral import (
 )
 from bitspectral.estimator import _bartlett_factor, _gaussian_gram
 
-from _oracles import reference_dataset, reference_labels, reference_sample_moment
+from _oracles import (
+    reference_bartlett_factor,
+    reference_dataset,
+    reference_gaussian_gram,
+    reference_labels,
+    reference_sample_moment,
+)
 
 Z_BOUND = 5.0
 DRAWS = 4000
@@ -332,3 +338,48 @@ def test_labels_and_datasets_repeat_the_reference_draw_bit_for_bit(model_name, n
         assert data.labels.dtype == ref_y.dtype
         assert np.array_equal(data.labels, ref_y) and np.array_equal(data.covariates, ref_x)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# The same pins at the size of the sparse benchmark's largest draw, (s, p, n)
+# = (5, 200, 4000) under the noiseless sign link, where M is built in place.
+# Bytes are compared, so a zero's sign counts too.
+WORKLOAD_P, WORKLOAD_S, WORKLOAD_N = 200, 5, 4000
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_moment_repeats_the_reference_draw_at_the_workload_size(kind):
+    truth = sample_beta_sparse(WORKLOAD_P, WORKLOAD_S, [8, WORKLOAD_N])
+    for seed in range(3):
+        rng, ref_rng = pinned_rngs(seed)
+        mtx, xty = sample_moment(OneBitCS(0.0), truth, WORKLOAD_N, kind, rng)
+        ref, ref_xty = reference_sample_moment(
+            OneBitCS(0.0), truth.beta_star, WORKLOAD_N, kind, ref_rng)
+        assert mtx.entries.tobytes() == ref.entries.tobytes() and mtx.n_pairs == ref.n_pairs
+        assert xty.tobytes() == ref_xty.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("nu", [0, 1, WORKLOAD_P - 1, WORKLOAD_P, WORKLOAD_N // 2])
+def test_bartlett_factor_repeats_the_tril_reference_bit_for_bit(nu):
+    rng, ref_rng = pinned_rngs(nu)
+    low = _bartlett_factor(nu, WORKLOAD_P, rng)
+    ref = reference_bartlett_factor(nu, WORKLOAD_P, ref_rng)
+    assert low.shape == ref.shape == (WORKLOAD_P, min(nu, WORKLOAD_P))
+    assert np.array_equal(low, ref)
+    # the zeroed upper part is +0.0, as np.tril writes it
+    assert np.array_equal(np.signbit(low), np.signbit(ref))
+    assert not np.signbit(low[np.triu_indices(WORKLOAD_P, 1, low.shape[1])]).any()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_CASES) + ["workload"])
+def test_gaussian_gram_repeats_the_reference_bit_for_bit(case):
+    if case == "workload":  # about n/4 weighted pairs, as the difference kind has
+        a, p = np.random.default_rng(3).standard_normal((WORKLOAD_N // 4, 2)), WORKLOAD_P
+    else:
+        a, p = GRAM_CASES[case], P
+    rng, ref_rng = pinned_rngs(len(case))
+    gtg, gta = _gaussian_gram(a, p, rng)
+    ref_gtg, ref_gta = reference_gaussian_gram(a, p, ref_rng)
+    assert gtg.tobytes() == ref_gtg.tobytes() and gta.tobytes() == ref_gta.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

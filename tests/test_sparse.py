@@ -648,6 +648,14 @@ class TestTruncate:
         with pytest.raises(NumericalError):
             truncate(np.array(v), 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_vector_beyond_the_range_of_a_norm(self):
+        # v @ v overflows above about 1e154: the kept part is rescaled by its
+        # largest entry first, and numpy's overflow warning stays silent
+        kept = np.array([1e200, 1e199, 0.0]) / 1e200
+        np.testing.assert_array_equal(truncate(np.array([1e200, 1e199, 1.0]), 2),
+                                      kept / math.sqrt(kept @ kept))
+
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigError):
             truncate(np.array([1.0, 0.0]), 0)

@@ -91,6 +91,11 @@ CONFIGS = [
     # a criterion 5 point whose ADMM stops by settling, well before any cap
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "5", "--p", "100", "--n", "4000",
      "--trials", "2", "--seed", "5"],
+    # the sparse-capped benchmark's two calls at 2 trials: the largest p of any config
+    ["sparse", "--model", "cs", "--sigma", "0", "--s", "5", "--p", "100,200", "--n", "1000,4000",
+     "--trials", "2", "--admm-max-iter", "75"],
+    ["sparse", "--model", "cs", "--sigma", "0", "--s", "10", "--p", "200", "--n", "1000,4000",
+     "--trials", "2", "--admm-max-iter", "75"],
     # a start penalty that puts up to 45 of 60 eigenvalues in the projection's active set
     ["sparse", "--model", "cs", "--s", "3", "--p", "60", "--n", "1000", "--trials", "2",
      "--seed", "5", "--admm-max-iter", "40", "--admm-penalty", "100"],
