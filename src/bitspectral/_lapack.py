@@ -57,7 +57,7 @@ def spectrum(a: np.ndarray):
     """
     f = _LAPACKE
     if f is None or a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
-        return None, None  # np.linalg.eigh then reports a malformed shape
+        return None, None  # LAPACK would read an n x n matrix past a malformed buffer
     n = a.shape[0]
     h = np.array(a, dtype=float, order="C")  # becomes the Householder reflectors
     d, e, tau = np.empty(n), np.zeros(n), np.empty(max(n - 1, 1))

@@ -53,24 +53,36 @@ def _sign(kind) -> int:
     return _SIGNS[kind]
 
 
+def check_matrix(a: np.ndarray, what: str) -> None:
+    """The one rule for a matrix that a solver reads; ``what`` names it in the errors.
+
+    2-D, square and non-empty (``ConfigError``), finite (``NumericalError``) and
+    ||A - A^T||_F <= 1e-12 ||A||_F (``ConfigError``); c A passes as A does, c = 2^k.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ConfigError(f"{what} requires a non-empty square matrix, got shape {a.shape}")
+    with np.errstate(over="ignore"):  # finite only if every entry is, unless it overflows
+        fro = float(np.linalg.norm(a))
+    if not 2.0**-400 <= fro <= 2.0**400:  # squares that may overflow or be subnormal
+        if not np.isfinite(a).all():
+            raise NumericalError(f"{what} requires a finite matrix")
+        a = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])  # max |a| in [1/2, 1)
+        fro = float(np.linalg.norm(a))
+    if float(np.linalg.norm(a - a.T)) > 1e-12 * fro:
+        raise ConfigError(f"{what} requires a symmetric matrix")
+
+
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Symmetric PSD p-by-p second-moment matrix with its construction tag."""
+    """Symmetric PSD p-by-p second-moment matrix and its tag, checked once by ``check_matrix``."""
 
     entries: np.ndarray
     kind: str
     n_pairs: int
 
     def __post_init__(self):
-        a = self.entries
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError(f"matrix must be square, got shape {a.shape}")
         _sign(self.kind)
-        if not np.isfinite(a).all():
-            raise NumericalError("second-moment matrix has non-finite entries")
-        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-            raise ConfigError(f"matrix not symmetric (max asymmetry {asym:.3g})")
+        check_matrix(self.entries, "MomentMatrix")
 
     @property
     def p(self) -> int:
@@ -83,12 +95,11 @@ def second_moment(data: Dataset, kind: str = KIND_DIFFERENCE) -> MomentMatrix:
     y = data.labels
     x = data.covariates
     n = data.n
-    # rows of the first member of each weighted pair; dx.T @ dx is a rank-k update
+    # rows of the first member of each weighted pair; dx.T @ dx is a symmetric rank-k update
     rows = 2 * np.flatnonzero(y[1::2] != s * y[0::2])
     dx = np.take(x, rows + 1, axis=0)
     dx -= np.take(x, rows, axis=0)
     m = (8.0 / n) * (dx.T @ dx)
-    m = 0.5 * (m + m.T)
     return MomentMatrix(entries=m, kind=kind, n_pairs=n // 2)
 
 

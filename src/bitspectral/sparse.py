@@ -112,10 +112,9 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
     eigenvalues, mapped back.  Where that LAPACK is not present, or it does
     not deliver k finite eigenvectors (inverse iteration can fail to converge
     on a large cluster of tied eigenvalues), the eigenpairs come from
-    ``np.linalg.eigh`` instead.
+    ``np.linalg.eigh`` instead.  ``a`` must pass ``check_matrix``.
     """
-    a = np.asarray(a, dtype=float)
-    _check_symmetric(a, "fantope_project")
+    a = _as_matrix(a, "fantope_project")
     lam, top = _lapack.spectrum(a)
     vecs = None
     if lam is not None:
@@ -127,19 +126,6 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
         vecs = vecs[:, -root.size:]
     w = vecs * root
     return w @ w.T  # A @ A.T is computed as a symmetric rank-k update
-
-
-def _check_symmetric(a: np.ndarray, caller: str) -> None:
-    """NumericalError for a non-finite ``a``, ConfigError for an asymmetric one."""
-    with np.errstate(over="ignore"):  # finite only if every entry is, unless it overflows
-        fro = float(np.linalg.norm(a))
-    if fro == math.inf and np.isfinite(a).all():  # finite entries, overflowed norm
-        a = a / np.abs(a).max()
-        fro = float(np.linalg.norm(a))
-    if not math.isfinite(fro):
-        raise NumericalError(f"{caller} requires a finite matrix")
-    if float(np.linalg.norm(a - a.T)) > 1e-8 * max(fro, 1e-300):
-        raise ConfigError(f"{caller} requires a symmetric matrix")
 
 
 def _fantope_roots(lam: np.ndarray) -> np.ndarray:
@@ -177,9 +163,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     first ``BALANCE_ITERS`` iterations tau is doubled or halved to keep the
     primal and dual residuals within ``BALANCE_RATIO`` of each other, and U is
     rescaled by tau_old/tau_new.  The run stops with ``stop="residual"`` once
-    both residuals fall below ``cfg.admm_tol * p``.  Before the first
-    iteration, a non-finite M raises ``NumericalError`` and an asymmetric one
-    ``ConfigError``.
+    both residuals fall below ``cfg.admm_tol * p``.  M must pass ``check_matrix``.
 
     The loop holds one scratch p-by-p array besides Z, Z_prev, U and Pi: it
     takes the projection's argument, then, once the projection has returned,
@@ -195,8 +179,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     ``SETTLE_RUNS + 1``.  Either stop reports ``converged=True``; the cap
     returns the last iterate with ``stop="cap"`` and ``converged=False``.
     """
-    m = _as_matrix(mtx)
-    _check_symmetric(m, "fantope_admm")
+    m = _as_matrix(mtx, "fantope_admm")
     p = m.shape[0]
     tau = cfg.admm_penalty
     threshold = cfg.admm_tol * p
@@ -251,7 +234,7 @@ def _top_support(v: np.ndarray, s_hat: int) -> np.ndarray:
 def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     """Keep the s_hat largest-|.| coordinates (ties: lower index) and renormalize.
 
-    A non-finite entry raises ``NumericalError``, whether or not it would be kept.
+    A non-1-D ``v`` raises ``ConfigError``; a non-finite entry, kept or not, ``NumericalError``.
     """
     return _truncate(v, s_hat)
 
@@ -259,6 +242,8 @@ def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
 def _truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     """``truncate`` without its overflow guard, for loops that hold the guard already."""
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ConfigError(f"truncate requires a 1-D vector, got shape {v.shape}")
     if not 1 <= s_hat <= v.shape[0]:
         raise ConfigError(f"s_hat must satisfy 1 <= s_hat <= p, got {s_hat}")
     if not np.isfinite(v).all():
@@ -278,30 +263,30 @@ def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
     Stops when successive iterates differ by at most ``cfg.tol`` after sign
     alignment, or at ``cfg.t_max``.
     """
-    return _power_iterate(mtx, beta0, cfg.t_max, cfg.tol, lambda mb: _truncate(mb, cfg.s_hat))
+    m = _as_matrix(mtx, "truncated_power_method")
+    return _power_iterate(m, beta0, cfg.t_max, cfg.tol, lambda mb: _truncate(mb, cfg.s_hat))
 
 
 def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     """Sparse pipeline on M: ADMM initializer, then truncated power method.
 
-    ``mtx`` is a ``MomentMatrix`` or any array ``power_method`` accepts.  The
+    ``mtx`` is a ``MomentMatrix`` or an array passing ``check_matrix``, p >= 2.  The
     initializer is the leading eigenvector of the ADMM solution, truncated to
     s_hat and renormalized; ADMM runs with the settle rule
     (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = tr(M)/p.  That
     program has the same minimizer as (M, rho), and every stop test of the
     loop is scale-free: M c^2 with rho c^2, c a power of two, repeats the run
-    bit for bit.  The truncated power method reads the raw M.  A non-finite M
-    raises ``NumericalError`` before any ADMM iteration.  ``stages`` carries
-    the ADMM residuals and stop reason (in the normalized units) and the
-    relaxation solution's eigengap; ``converged`` is the conjunction of the
-    ADMM and power-stage flags.
+    bit for bit.  The truncated power method reads the raw M.  ``stages``
+    carries the ADMM residuals and stop reason (in the normalized units) and
+    the relaxation solution's eigengap; ``converged`` is the conjunction of
+    the ADMM and power-stage flags.
     """
-    m = _as_matrix(mtx)
+    m = _as_matrix(mtx, "sparse_recover")
     p = m.shape[0]
+    if p < 2:
+        raise ConfigError(f"sparse_recover needs p >= 2 for its initializer, got p={p}")
     if cfg.s_hat > p:
         raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={p}")
-    if not np.isfinite(m).all():  # entrywise: a finite M too large for a norm is normalized below
-        raise NumericalError("sparse_recover requires a finite matrix")
     # M is PSD, so tr(M) = 0 only for M = 0, which the power stage reports
     scale = float(np.trace(m)) / p or 1.0
     rho = cfg.rho / scale

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimator import MomentMatrix
+from .estimator import MomentMatrix, check_matrix
 
 # Multiplies of M per step of the squared power path, a power of two.  A step
 # damps the second direction by (lambda2/lambda1)^16, and lambda2/lambda1 is
@@ -36,10 +36,13 @@ class RecoveryReport:
     stages: dict | None = field(default=None, compare=False)
 
 
-def _as_matrix(mtx) -> np.ndarray:
+def _as_matrix(mtx, caller: str) -> np.ndarray:
+    """A ``MomentMatrix``'s entries as they are; anything else through ``check_matrix``."""
     if isinstance(mtx, MomentMatrix):
         return mtx.entries
-    return np.asarray(mtx, dtype=float)
+    a = np.asarray(mtx, dtype=float)
+    check_matrix(a, caller)
+    return a
 
 
 def sign_normalize(v: np.ndarray) -> np.ndarray:
@@ -60,8 +63,10 @@ def orient_by_first_moment(beta_hat: np.ndarray, xty: np.ndarray) -> np.ndarray:
     return -beta_hat if float(beta_hat @ xty) < 0.0 else beta_hat
 
 
-def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
+def _check_unit(v: np.ndarray, what: str, p: int | None = None) -> np.ndarray:
     v = np.asarray(v, dtype=float)
+    if p is not None and v.shape != (p,):
+        raise ConfigError(f"{what} must have shape ({p},), got {v.shape}")
     # written so that a NaN or infinite norm fails too
     if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
         raise ConfigError(f"{what} must be finite and unit norm")
@@ -103,7 +108,7 @@ def _squared(m: np.ndarray, q: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # _normalize rescales a finite v whose v @ v overflows
-def _power_iterate(mtx, beta0, t_max: int, tol: float, step, stride: int = 1) -> RecoveryReport:
+def _power_iterate(m, beta0, t_max: int, tol: float, step, stride: int = 1) -> RecoveryReport:
     """Iterate b <- step(A b) from the unit vector beta0, for at most t_max multiplies of M.
 
     ``step`` maps A b to the next unit iterate.  With ``stride`` 1, A = M and
@@ -114,8 +119,7 @@ def _power_iterate(mtx, beta0, t_max: int, tol: float, step, stride: int = 1) ->
     stopped, are steps on M.  ``iterations`` counts multiplies of M either
     way, and ``rayleigh_trace`` holds b^T M b after every step.
     """
-    m = _as_matrix(mtx)
-    b = _check_unit(beta0, "beta0")
+    b = _check_unit(beta0, "beta0", m.shape[0])
     _check_stop(t_max, tol)
     if not np.any(m):
         raise NumericalError("no dominant direction: matrix is zero")
@@ -161,7 +165,7 @@ def power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryRe
     sign-normalized.  A zero matrix, or an iterate that M annihilates or makes
     non-finite, has no dominant direction and raises ``NumericalError``.
     """
-    return _power_iterate(mtx, beta0, t_max, tol, _normalize)
+    return _power_iterate(_as_matrix(mtx, "power_method"), beta0, t_max, tol, _normalize)
 
 
 def _squared_power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryReport:
@@ -177,20 +181,19 @@ def _squared_power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> R
     more than adjacent ones, so an early stop comes some multiplies later
     than ``power_method``'s.  Raises as ``power_method`` does.
     """
-    return _power_iterate(mtx, beta0, t_max, tol, _normalize, SQUARED_STRIDE)
+    return _power_iterate(_as_matrix(mtx, "power_method"), beta0, t_max, tol, _normalize,
+                          SQUARED_STRIDE)
 
 
 def top_two_eigs(mtx):
     """Top two eigenvalues and the leading eigenvector of a symmetric matrix.
 
     Full symmetric eigendecomposition.  Returns ``(lambda1, lambda2, v1)``
-    with lambda1 >= lambda2 and v1 sign-normalized.  A non-finite matrix
-    raises ``NumericalError``.
+    with lambda1 >= lambda2 and v1 sign-normalized.  The matrix must pass
+    ``check_matrix`` and have p >= 2 (``ConfigError``).
     """
-    m = _as_matrix(mtx)
+    m = _as_matrix(mtx, "top_two_eigs")
     if m.shape[0] < 2:
         raise ConfigError(f"need p >= 2 for a top-two spectrum, got p={m.shape[0]}")
-    if not np.isfinite(m).all():
-        raise NumericalError("top_two_eigs requires a finite matrix")
     vals, vecs = np.linalg.eigh(m)
     return float(vals[-1]), float(vals[-2]), sign_normalize(vecs[:, -1].copy())
