@@ -53,28 +53,34 @@ def _sign(kind) -> int:
     return _SIGNS[kind]
 
 
-def check_matrix(a: np.ndarray, what: str) -> None:
+def check_matrix(mtx, what: str) -> np.ndarray:
     """The one rule for a matrix that a solver reads; ``what`` names it in the errors.
 
+    Reads ``mtx``, a ``MomentMatrix`` or an array-like, as float64 and returns that array:
     2-D, square and non-empty (``ConfigError``), finite (``NumericalError``) and
     ||A - A^T||_F <= 1e-12 ||A||_F (``ConfigError``); c A passes as A does, c = 2^k.
     """
+    a = np.asarray(mtx.entries if isinstance(mtx, MomentMatrix) else mtx, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ConfigError(f"{what} requires a non-empty square matrix, got shape {a.shape}")
     with np.errstate(over="ignore"):  # finite only if every entry is, unless it overflows
         fro = float(np.linalg.norm(a))
+    b = a  # the symmetry test's operand; a rescaled copy is never returned
     if not 2.0**-400 <= fro <= 2.0**400:  # squares that may overflow or be subnormal
         if not np.isfinite(a).all():
             raise NumericalError(f"{what} requires a finite matrix")
-        a = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])  # max |a| in [1/2, 1)
-        fro = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > 1e-12 * fro:
+        b = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])  # max |b| in [1/2, 1)
+        fro = float(np.linalg.norm(b))
+    if float(np.linalg.norm(b - b.T)) > 1e-12 * fro:
         raise ConfigError(f"{what} requires a symmetric matrix")
+    return a
 
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Symmetric PSD p-by-p second-moment matrix and its tag, checked once by ``check_matrix``."""
+    """Symmetric PSD p-by-p second-moment matrix and its tag; ``entries`` is the float64
+    array ``check_matrix`` returns when it is built.  The array stays writable, so
+    every solver runs ``check_matrix`` again on the matrix it reads."""
 
     entries: np.ndarray
     kind: str
@@ -82,7 +88,7 @@ class MomentMatrix:
 
     def __post_init__(self):
         _sign(self.kind)
-        check_matrix(self.entries, "MomentMatrix")
+        object.__setattr__(self, "entries", check_matrix(self.entries, "MomentMatrix"))
 
     @property
     def p(self) -> int:

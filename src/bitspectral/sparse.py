@@ -22,11 +22,9 @@ import numpy as np
 
 from . import _lapack
 from .errors import ConfigError, NumericalError
-# neither is called here; perfbench/tracing.py patches both as sparse attributes
-from .estimator import second_moment, second_moment_sum
-from .spectral import (
-    RecoveryReport, _as_matrix, _check_stop, _normalize, _power_iterate, top_two_eigs,
-)
+# only check_matrix is called here; perfbench/tracing.py patches the other two as sparse attributes
+from .estimator import check_matrix, second_moment, second_moment_sum
+from .spectral import RecoveryReport, _check_stop, _normalize, _power_iterate, top_two_eigs
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,7 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
     on a large cluster of tied eigenvalues), the eigenpairs come from
     ``np.linalg.eigh`` instead.  ``a`` must pass ``check_matrix``.
     """
-    a = _as_matrix(a, "fantope_project")
+    a = check_matrix(a, "fantope_project")
     lam, top = _lapack.spectrum(a)
     vecs = None
     if lam is not None:
@@ -176,11 +174,15 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     residual test, the loop stops with ``stop="settled"`` once ``SETTLE_RUNS``
     consecutive products left v finite and kept its top-``cfg.s_hat`` support
     (stable argsort of -|v|), so this rule never stops it before iteration
-    ``SETTLE_RUNS + 1``.  Either stop reports ``converged=True``; the cap
-    returns the last iterate with ``stop="cap"`` and ``converged=False``.
+    ``SETTLE_RUNS + 1``.  A support wider than p never changes, so with
+    ``settle`` an ``s_hat`` above p raises ``ConfigError`` before the first
+    iteration.  Either stop reports ``converged=True``; the cap returns the
+    last iterate with ``stop="cap"`` and ``converged=False``.
     """
-    m = _as_matrix(mtx, "fantope_admm")
+    m = check_matrix(mtx, "fantope_admm")
     p = m.shape[0]
+    if settle and cfg.s_hat > p:
+        raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={p}")
     tau = cfg.admm_penalty
     threshold = cfg.admm_tol * p
     z, z_prev, u, pi = (np.zeros((p, p)) for _ in range(4))
@@ -263,7 +265,7 @@ def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
     Stops when successive iterates differ by at most ``cfg.tol`` after sign
     alignment, or at ``cfg.t_max``.
     """
-    m = _as_matrix(mtx, "truncated_power_method")
+    m = check_matrix(mtx, "truncated_power_method")
     return _power_iterate(m, beta0, cfg.t_max, cfg.tol, lambda mb: _truncate(mb, cfg.s_hat))
 
 
@@ -281,12 +283,10 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     the relaxation solution's eigengap; ``converged`` is the conjunction of
     the ADMM and power-stage flags.
     """
-    m = _as_matrix(mtx, "sparse_recover")
+    m = check_matrix(mtx, "sparse_recover")
     p = m.shape[0]
     if p < 2:
         raise ConfigError(f"sparse_recover needs p >= 2 for its initializer, got p={p}")
-    if cfg.s_hat > p:
-        raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={p}")
     # M is PSD, so tr(M) = 0 only for M = 0, which the power stage reports
     scale = float(np.trace(m)) / p or 1.0
     rho = cfg.rho / scale

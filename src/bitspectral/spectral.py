@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimator import MomentMatrix, check_matrix
+from .estimator import check_matrix
 
 # Multiplies of M per step of the squared power path, a power of two.  A step
 # damps the second direction by (lambda2/lambda1)^16, and lambda2/lambda1 is
@@ -34,15 +34,6 @@ class RecoveryReport:
     rayleigh_trace: np.ndarray
     converged: bool
     stages: dict | None = field(default=None, compare=False)
-
-
-def _as_matrix(mtx, caller: str) -> np.ndarray:
-    """A ``MomentMatrix``'s entries as they are; anything else through ``check_matrix``."""
-    if isinstance(mtx, MomentMatrix):
-        return mtx.entries
-    a = np.asarray(mtx, dtype=float)
-    check_matrix(a, caller)
-    return a
 
 
 def sign_normalize(v: np.ndarray) -> np.ndarray:
@@ -165,7 +156,7 @@ def power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryRe
     sign-normalized.  A zero matrix, or an iterate that M annihilates or makes
     non-finite, has no dominant direction and raises ``NumericalError``.
     """
-    return _power_iterate(_as_matrix(mtx, "power_method"), beta0, t_max, tol, _normalize)
+    return _power_iterate(check_matrix(mtx, "power_method"), beta0, t_max, tol, _normalize)
 
 
 def _squared_power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> RecoveryReport:
@@ -181,8 +172,8 @@ def _squared_power_method(mtx, beta0, t_max: int = 500, tol: float = 1e-10) -> R
     more than adjacent ones, so an early stop comes some multiplies later
     than ``power_method``'s.  Raises as ``power_method`` does.
     """
-    return _power_iterate(_as_matrix(mtx, "power_method"), beta0, t_max, tol, _normalize,
-                          SQUARED_STRIDE)
+    return _power_iterate(check_matrix(mtx, "_squared_power_method"), beta0, t_max, tol,
+                          _normalize, SQUARED_STRIDE)
 
 
 def top_two_eigs(mtx):
@@ -192,7 +183,7 @@ def top_two_eigs(mtx):
     with lambda1 >= lambda2 and v1 sign-normalized.  The matrix must pass
     ``check_matrix`` and have p >= 2 (``ConfigError``).
     """
-    m = _as_matrix(mtx, "top_two_eigs")
+    m = check_matrix(mtx, "top_two_eigs")
     if m.shape[0] < 2:
         raise ConfigError(f"need p >= 2 for a top-two spectrum, got p={m.shape[0]}")
     vals, vecs = np.linalg.eigh(m)

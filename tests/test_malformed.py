@@ -1,10 +1,12 @@
 """Malformed matrices and start vectors: one error type per input, at every entry point.
 
 Every solver reads its matrix through ``check_matrix``: ``MomentMatrix``
-applies it when built, and the solvers apply it to any other array.  A
+applies it when built, and every solver applies it again to the matrix it
+reads, a ``MomentMatrix`` included, since its entries stay writable.  A
 matrix must be 2-D, square and non-empty (``ConfigError``), finite
 (``NumericalError``) and symmetric to 1e-12 in Frobenius norm
-(``ConfigError``), whatever its scale.
+(``ConfigError``), whatever its scale.  This table is the one place the
+rule is tested for each entry point.
 """
 
 import numpy as np
@@ -35,6 +37,7 @@ ASYMMETRIC = np.array([[2.0, 1.0], [0.0, 2.0]])
 ENTRY_POINTS = {
     "MomentMatrix": lambda a: MomentMatrix(entries=a, kind="difference", n_pairs=1),
     "power_method": lambda a: power_method(a, E1),
+    "_squared_power_method": lambda a: _squared_power_method(a, E1),
     "truncated_power_method": lambda a: truncated_power_method(a, E1, CFG),
     "top_two_eigs": top_two_eigs,
     "fantope_project": fantope_project,
@@ -48,6 +51,9 @@ MALFORMED = {
     "0x0": (np.ones((0, 0)), ConfigError),
     "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), NumericalError),
     "+inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), NumericalError),
+    "diagonal nan": (np.array([[np.nan, 0.0], [0.0, 1.0]]), NumericalError),
+    "off-diagonal +inf": (np.array([[1.0, np.inf], [np.inf, 1.0]]), NumericalError),
+    "off-diagonal -inf": (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), NumericalError),
     "asymmetric": (ASYMMETRIC, ConfigError),
     "asymmetric*2^-60": (2.0**-60 * ASYMMETRIC, ConfigError),
     "asymmetric*2^60": (2.0**60 * ASYMMETRIC, ConfigError),
@@ -65,6 +71,32 @@ def test_malformed_matrix_raises_one_error_type_everywhere(name, entry):
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_well_formed_matrix_passes_every_entry_point(entry):
     ENTRY_POINTS[entry](np.diag([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_moment_matrix_edited_after_it_is_built_is_refused(entry):
+    mtx = MomentMatrix(entries=np.diag([2.0, 1.0]), kind="difference", n_pairs=1)
+    mtx.entries[0, 1] = 5.0
+    with pytest.raises(ConfigError, match=f"^{entry} requires a symmetric matrix"):
+        ENTRY_POINTS[entry](mtx)
+
+
+@pytest.mark.parametrize("entries", [[[2.0, 0.0], [0.0, 1.0]], np.array([[2, 0], [0, 1]])],
+                         ids=["nested list", "int array"])
+def test_moment_matrix_stores_a_float64_array(entries):
+    mtx = MomentMatrix(entries=entries, kind="difference", n_pairs=1)
+    assert type(mtx.entries) is np.ndarray and mtx.entries.dtype == np.float64
+    np.testing.assert_array_equal(mtx.entries, np.diag([2.0, 1.0]))
+    assert mtx.p == 2
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 1.0, 2.0**600], ids=["2^-600", "1", "2^600"])
+def test_check_matrix_returns_the_float64_array_it_was_given(scale):
+    # never the power-of-two rescaled copy that the symmetry test reads
+    a = scale * np.diag([2.0, 1.0])
+    assert check_matrix(a, "a") is a
+    mtx = MomentMatrix(entries=a, kind="difference", n_pairs=1)
+    assert mtx.entries is a and check_matrix(mtx, "a") is a
 
 
 @pytest.mark.parametrize("scale", [2.0**-600, 1.0, 2.0**600], ids=["2^-600", "1", "2^600"])

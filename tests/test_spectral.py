@@ -140,12 +140,6 @@ class TestPowerMethod:
             with pytest.raises(ConfigError):
                 power_method(np.eye(2), np.array(bad))
 
-    def test_non_finite_matrix_fails_at_once(self):
-        m = np.eye(3)
-        m[1, 1] = np.nan
-        with pytest.raises(NumericalError):
-            power_method(m, unit([1.0, 1.0, 1.0]))
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_matrix_beyond_the_range_of_a_norm(self):
         # M b has entries near 1e200, so v @ v overflows though M b is finite
@@ -311,14 +305,6 @@ class TestTopTwoEigs:
     def test_rejects_scalar_dimension(self):
         with pytest.raises(ConfigError):
             top_two_eigs(np.array([[2.0]]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=repr)
-    def test_rejects_non_finite_matrix(self, bad):
-        # eigh alone gives NaN eigenpairs here, or LinAlgError on some NaN inputs
-        m = np.diag([3.0, 2.0, 1.0])
-        m[1, 2] = m[2, 1] = bad
-        with pytest.raises(NumericalError, match="finite"):
-            top_two_eigs(m)
 
     def test_accuracy_against_known_spectrum(self):
         rng = np.random.default_rng(6)
