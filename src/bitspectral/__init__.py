@@ -10,7 +10,6 @@ from .errors import ConfigError, NumericalError
 from .estimator import (
     KIND_DIFFERENCE,
     KIND_SUM,
-    MomentMatrix,
     expected_moment,
     sample_moment,
     second_moment,

@@ -12,12 +12,11 @@ before any trial), 3 numerical failure.
 import argparse
 import json
 import sys
-import typing
 from dataclasses import fields
 
 from .errors import ConfigError, NumericalError
-from .harness import (_EXPERIMENTS, _MATRIX_KINDS, _MODELS, RunConfig, check_csv_path,
-                      default_config, run_experiment, write_csv)
+from .harness import (_EXPERIMENTS, _MATRIX_KINDS, _MODELS, RunConfig, _field_type,
+                      check_csv_path, default_config, run_experiment, write_csv)
 
 _CHOICES = {"model": tuple(_MODELS), "matrix": tuple(_MATRIX_KINDS)}
 _HELP = {
@@ -35,12 +34,6 @@ _HELP = {
     "matrix": "force the difference or sum estimator",
     "out": "output CSV path (default stdout)",
 }
-
-
-def _field_type(annotation) -> tuple[type, bool]:
-    """Scalar type of a field and whether it is a grid (``tuple[T, ...]``)."""
-    args = [a for a in typing.get_args(annotation) if a not in (type(None), Ellipsis)]
-    return (args[0] if args else annotation), typing.get_origin(annotation) is tuple
 
 
 _FIELDS = {f.name: _field_type(f.type) for f in fields(RunConfig)[1:]}  # all but experiment

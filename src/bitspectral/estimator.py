@@ -21,7 +21,7 @@ Labels lie in {-1, +1}, so each pair's weight is 0 or 4, and both matrices
 are built from the weighted pairs alone: M = (8/n) sum dx dx^T over the
 pairs whose weight is 4.  The covariates of zero-weight pairs never enter M,
 so they are not checked; a non-finite covariate of a weighted pair makes M
-non-finite, which ``MomentMatrix`` rejects.
+non-finite, which ``second_moment`` refuses (``check_matrix``).
 
 Because M reads only the differences of weighted pairs, ``sample_moment``
 can draw M, together with X^T y, in the law they have under
@@ -31,7 +31,6 @@ covariate difference per weighted pair.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,11 +55,11 @@ def _sign(kind) -> int:
 def check_matrix(mtx, what: str) -> np.ndarray:
     """The one rule for a matrix that a solver reads; ``what`` names it in the errors.
 
-    Reads ``mtx``, a ``MomentMatrix`` or an array-like, as float64 and returns that array:
+    Reads the array-like ``mtx`` as float64 and returns that array:
     2-D, square and non-empty (``ConfigError``), finite (``NumericalError``) and
     ||A - A^T||_F <= 1e-12 ||A||_F (``ConfigError``); c A passes as A does, c = 2^k.
     """
-    a = np.asarray(mtx.entries if isinstance(mtx, MomentMatrix) else mtx, dtype=float)
+    a = np.asarray(mtx, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ConfigError(f"{what} requires a non-empty square matrix, got shape {a.shape}")
     with np.errstate(over="ignore"):  # finite only if every entry is, unless it overflows
@@ -76,26 +75,7 @@ def check_matrix(mtx, what: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Symmetric PSD p-by-p second-moment matrix and its tag; ``entries`` is the float64
-    array ``check_matrix`` returns when it is built.  The array stays writable, so
-    every solver runs ``check_matrix`` again on the matrix it reads."""
-
-    entries: np.ndarray
-    kind: str
-    n_pairs: int
-
-    def __post_init__(self):
-        _sign(self.kind)
-        object.__setattr__(self, "entries", check_matrix(self.entries, "MomentMatrix"))
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[0]
-
-
-def second_moment(data: Dataset, kind: str = KIND_DIFFERENCE) -> MomentMatrix:
+def second_moment(data: Dataset, kind: str = KIND_DIFFERENCE) -> np.ndarray:
     """M (kind "difference") or M' (kind "sum") from consecutive pairs in stored order."""
     s = _sign(kind)
     y = data.labels
@@ -106,10 +86,10 @@ def second_moment(data: Dataset, kind: str = KIND_DIFFERENCE) -> MomentMatrix:
     dx = np.take(x, rows + 1, axis=0)
     dx -= np.take(x, rows, axis=0)
     m = (8.0 / n) * (dx.T @ dx)
-    return MomentMatrix(entries=m, kind=kind, n_pairs=n // 2)
+    return check_matrix(m, "second_moment")
 
 
-def second_moment_sum(data: Dataset) -> MomentMatrix:
+def second_moment_sum(data: Dataset) -> np.ndarray:
     """``second_moment(data, "sum")``: M', for links whose phi is negative."""
     return second_moment(data, KIND_SUM)
 
@@ -226,7 +206,7 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     if tied:
         orth -= math.sqrt(2.0) * gta[:, 1]
     xty = (y @ z) * b + (orth - (b @ orth) * b)
-    return MomentMatrix(entries=gtg, kind=kind, n_pairs=kept // 2), xty
+    return gtg, xty
 
 
 def expected_moment(
@@ -234,10 +214,9 @@ def expected_moment(
     truth: GroundTruth,
     kind: str = KIND_DIFFERENCE,
     quad_order: int = DEFAULT_QUAD_ORDER,
-) -> MomentMatrix:
+) -> np.ndarray:
     """Exact population matrix E[M] or E[M'] for the given model and truth."""
     s = _sign(kind)
     summ = moments(model, quad_order=quad_order)
     b = truth.beta_star
-    m = 4.0 * s * summ.phi * np.outer(b, b) + 4.0 * (1.0 - s * summ.mu0**2) * np.eye(b.shape[0])
-    return MomentMatrix(entries=m, kind=kind, n_pairs=0)
+    return 4.0 * s * summ.phi * np.outer(b, b) + 4.0 * (1.0 - s * summ.mu0**2) * np.eye(b.shape[0])

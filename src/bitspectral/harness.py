@@ -48,6 +48,7 @@ corresponds to sigma = sqrt(0.1).
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -70,7 +71,8 @@ from .links import (
 )
 from .rng import derive_rng
 from .sparse import SparseConfig, sparse_recover
-from .spectral import _check_unit, _squared_power_method, orient_by_first_moment, top_two_eigs
+from .spectral import (_check_int, _check_unit, _squared_power_method, orient_by_first_moment,
+                       top_two_eigs)
 from .synth import _unit_gaussian, sample_beta_dense, sample_beta_sparse
 
 
@@ -92,6 +94,12 @@ _MODELS = {
 }
 # --matrix value -> forced estimator kind; "auto" picks by the sign of phi
 _MATRIX_KINDS = {"auto": None, "diff": KIND_DIFFERENCE, "sum": KIND_SUM}
+
+
+def _field_type(annotation) -> tuple[type, bool]:
+    """Scalar type of a field and whether it is a grid (``tuple[T, ...]``)."""
+    args = [a for a in typing.get_args(annotation) if a not in (type(None), Ellipsis)]
+    return (args[0] if args else annotation), typing.get_origin(annotation) is tuple
 
 
 @dataclass(frozen=True)
@@ -126,9 +134,14 @@ class RunConfig:
                 f"experiment must be one of {tuple(_EXPERIMENTS)}, got {self.experiment!r}")
         if self.model not in _MODELS:
             raise ConfigError(f"model must be one of {tuple(_MODELS)}, got {self.model!r}")
+        for f in fields(self):  # every int field and int grid value, typed by its annotation
+            cast, is_grid = _field_type(f.type)
+            value = getattr(self, f.name)
+            if cast is int and value is not None:
+                for v in value if is_grid else (value,):
+                    _check_int(v, f"{f.name} grid value" if is_grid else f.name)
         grid = _noise_grid(self)
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        _check_int(self.trials, "trials", 1)
         if not self.n or not self.p or not grid:
             raise ConfigError("grids must be nonempty")
         if self.experiment == "sparse" and not self.s:
@@ -233,6 +246,8 @@ def estimation_error(beta_hat, beta_star, sign_invariant: bool = False) -> float
     """l2 estimation error between unit vectors, optionally modulo sign."""
     beta_hat = _check_unit(beta_hat, "beta_hat")
     beta_star = _check_unit(beta_star, "beta_star")
+    if beta_hat.shape != beta_star.shape:
+        raise ConfigError(f"beta_hat has shape {beta_hat.shape}, beta_star {beta_star.shape}")
     plain = float(np.linalg.norm(beta_hat - beta_star))
     if not sign_invariant:
         return plain

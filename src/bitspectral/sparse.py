@@ -24,7 +24,8 @@ from . import _lapack
 from .errors import ConfigError, NumericalError
 # only check_matrix is called here; perfbench/tracing.py patches the other two as sparse attributes
 from .estimator import check_matrix, second_moment, second_moment_sum
-from .spectral import RecoveryReport, _check_stop, _normalize, _power_iterate, top_two_eigs
+from .spectral import (RecoveryReport, _check_int, _check_stop, _normalize, _power_iterate,
+                       top_two_eigs)
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,13 @@ class SparseConfig:
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho >= 0.0):
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
-        if self.s_hat < 1:
-            raise ConfigError(f"s_hat must be >= 1, got {self.s_hat}")
+        _check_int(self.s_hat, "s_hat", 1)
         _check_stop(self.t_max, self.tol)
         if not (math.isfinite(self.admm_penalty) and self.admm_penalty > 0.0):
             raise ConfigError(f"admm_penalty must be finite and > 0, got {self.admm_penalty}")
         if not (math.isfinite(self.admm_tol) and self.admm_tol > 0.0):
             raise ConfigError(f"admm_tol must be finite and > 0, got {self.admm_tol}")
-        if self.admm_max_iter < 1:
-            raise ConfigError(f"admm_max_iter must be >= 1, got {self.admm_max_iter}")
+        _check_int(self.admm_max_iter, "admm_max_iter", 1)
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,7 @@ def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
 def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     """Sparse pipeline on M: ADMM initializer, then truncated power method.
 
-    ``mtx`` is a ``MomentMatrix`` or an array passing ``check_matrix``, p >= 2.  The
+    ``mtx`` is an array passing ``check_matrix``, p >= 2.  The
     initializer is the leading eigenvector of the ADMM solution, truncated to
     s_hat and renormalized; ADMM runs with the settle rule
     (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = tr(M)/p.  That

@@ -64,9 +64,16 @@ def _check_unit(v: np.ndarray, what: str, p: int | None = None) -> np.ndarray:
     return v
 
 
+def _check_int(value, what: str, low: int | None = None) -> None:
+    """ConfigError unless ``value`` is an integer (a numpy one passes, a bool does not) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{what} must be >= {low}, got {value}")
+
+
 def _check_stop(t_max: int, tol: float) -> None:
-    if t_max < 1:
-        raise ConfigError(f"t_max must be >= 1, got {t_max}")
+    _check_int(t_max, "t_max", 1)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"tol must be finite and >= 0, got {tol}")
 

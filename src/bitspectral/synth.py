@@ -20,12 +20,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Unit-norm target direction and its support set; ConfigError off the unit sphere."""
+    """Unit-norm target direction and its support set; ConfigError unless a 1-D unit vector."""
 
     beta_star: np.ndarray
     support: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.beta_star) != 1:
+            raise ConfigError(f"beta_star must be 1-D, got shape {np.shape(self.beta_star)}")
         norm = float(np.linalg.norm(self.beta_star))
         if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
             raise ConfigError(f"beta_star must be unit norm, got ||.|| = {norm!r}")
@@ -33,12 +35,15 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Paired observations: labels in {-1, +1} and an n-by-p covariate matrix."""
+    """Paired observations: 1-D labels in {-1, +1} and an n-by-p covariate matrix."""
 
     labels: np.ndarray
     covariates: np.ndarray
 
     def __post_init__(self):
+        if self.labels.ndim != 1 or self.covariates.ndim != 2:
+            raise ConfigError(f"dataset needs 1-D labels and 2-D covariates, got shapes "
+                              f"{self.labels.shape} and {self.covariates.shape}")
         n = self.labels.shape[0]
         if n < 2 or n % 2 != 0:
             raise ConfigError(f"dataset needs an even number n >= 2 of rows, got {n}")

@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import wishart
 
-from bitspectral import FlippedLogistic, MomentMatrix, OneBitCS, OneBitPR
+from bitspectral import FlippedLogistic, OneBitCS, OneBitPR
 from bitspectral.links import _ndtr
 
 
@@ -203,4 +203,4 @@ def reference_sample_moment(model, beta: np.ndarray, n: int, kind: str,
     if tied:
         orth -= math.sqrt(2.0) * gta[:, 1]
     xty = (y @ z) * beta + (orth - (beta @ orth) * beta)
-    return MomentMatrix(entries=m, kind=kind, n_pairs=kept // 2), xty
+    return m, xty

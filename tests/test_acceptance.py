@@ -180,7 +180,7 @@ def test_criterion_02_population_oracle_concentration():
         data = generate_dataset(model, truth, n, rng)
         m = second_moment(data, kind)
         em = expected_moment(model, truth, kind=kind)
-        ratios.append(op_norm(m.entries - em.entries) / op_norm(em.entries))
+        ratios.append(op_norm(m - em) / op_norm(em))
     elapsed = time.perf_counter() - started
     print(f"[criterion 2] relative operator errors={np.round(ratios, 4).tolist()} "
           f"elapsed={elapsed:.1f}s")

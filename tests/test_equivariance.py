@@ -67,7 +67,7 @@ def test_pair_swap_leaves_moments_bit_identical(pairs, p, seed, data):
     plain = Dataset(labels=labels, covariates=x)
     swapped = Dataset(labels=labels[order], covariates=x[order])
     for build in (second_moment, second_moment_sum):
-        assert np.array_equal(build(plain).entries, build(swapped).entries)
+        assert np.array_equal(build(plain), build(swapped))
 
 
 @settings(max_examples=25, deadline=None)
@@ -82,8 +82,8 @@ def test_dense_path_rotates_with_the_covariates(p, pairs, t_max, seed):
     data = generate_dataset(OneBitCS(0.3), sample_beta_dense(p, rng), 2 * pairs, rng)
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     rotated = Dataset(labels=data.labels, covariates=data.covariates @ q.T)
-    m = second_moment(data).entries
-    m_rot = second_moment(rotated).entries
+    m = second_moment(data)
+    m_rot = second_moment(rotated)
     scale = float(np.linalg.norm(m))
     assert np.max(np.abs(m_rot - q @ m @ q.T)) <= 1e-12 * scale
     b0 = unit(rng.standard_normal(p))
@@ -141,12 +141,12 @@ def test_settle_rule_follows_a_signed_permutation(p, s, pairs, rho, seed, data):
     perm = rng.permutation(p)
     signs = rng.choice(np.array([-1.0, 1.0]), p)
     moved = Dataset(labels=sample.labels, covariates=sample.covariates[:, perm] * signs)
-    m = second_moment(sample).entries
+    m = second_moment(sample)
     if not np.any(m):  # every pair has equal labels
         return
     cfg = SparseConfig(rho=rho, s_hat=s_hat)
     sol = fantope_admm(m, cfg, settle=True)
-    sol_moved = fantope_admm(second_moment(moved).entries, cfg, settle=True)
+    sol_moved = fantope_admm(second_moment(moved), cfg, settle=True)
     assert (sol_moved.stop, sol_moved.iterations) == (sol.stop, sol.iterations)
     expected = sol.Pi[np.ix_(perm, perm)] * np.outer(signs, signs)
     assert np.max(np.abs(sol_moved.Pi - expected)) <= SPARSE_ATOL

@@ -64,6 +64,10 @@ class TestEstimationError:
         with pytest.raises(ConfigError):
             estimation_error(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
+    def test_rejects_vectors_of_different_lengths(self):
+        with pytest.raises(ConfigError, match="shape"):
+            estimation_error(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
     @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0], [1.0, np.nan]])
     def test_rejects_non_finite(self, bad):
         good = np.array([1.0, 0.0])
@@ -225,6 +229,13 @@ class TestDiag:
         assert "kappa near 1" in capsys.readouterr().out
 
 
+# a fraction or a bool in each int field of RunConfig; the CLI refuses these too
+INT_FAULTS = {
+    "n": (200.5,), "p": (6.5,), "s": (2.5,), "trials": True, "seed": 1.5, "tmax": 2.5,
+    "shat": 1.5, "admm_max_iter": 2.5, "quad_order": 9.5,
+}
+
+
 class TestConfigValidation:
     def test_bad_trials(self):
         with pytest.raises(ConfigError):
@@ -246,6 +257,20 @@ class TestConfigValidation:
     def test_bad_model_parameter_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(small_lowdim_cfg(model="flr", pe=(0.7,)))
+
+    @pytest.mark.parametrize("field", INT_FAULTS)
+    def test_non_integer_setting_refused_when_built(self, field):
+        base = {"experiment": "sparse", "n": (200,), "p": (6,), "s": (2,)}
+        bad = INT_FAULTS[field]
+        with pytest.raises(ConfigError, match=f"^{field}( grid value)? must be an integer"):
+            RunConfig(**{**base, field: bad})
+        # the same value as a numpy integer passes
+        good = tuple(map(np.int64, bad)) if isinstance(bad, tuple) else np.int64(bad)
+        RunConfig(**{**base, field: good})
+
+    def test_every_int_field_is_among_the_faults(self):
+        ints = {f.name for f in fields(RunConfig) if harness._field_type(f.type)[0] is int}
+        assert ints == set(INT_FAULTS)
 
 
 class TestCli:

@@ -1,8 +1,8 @@
 """Malformed matrices and start vectors: one error type per input, at every entry point.
 
-Every solver reads its matrix through ``check_matrix``: ``MomentMatrix``
-applies it when built, and every solver applies it again to the matrix it
-reads, a ``MomentMatrix`` included, since its entries stay writable.  A
+Every solver reads its matrix through ``check_matrix``.  The moment builders
+return plain float64 arrays, which stay writable, so a solver checks the
+matrix it is handed, not the one that was built.  A
 matrix must be 2-D, square and non-empty (``ConfigError``), finite
 (``NumericalError``) and symmetric to 1e-12 in Frobenius norm
 (``ConfigError``), whatever its scale.  This table is the one place the
@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from bitspectral import (
     ConfigError,
-    MomentMatrix,
+    Dataset,
     NumericalError,
     SparseConfig,
     fantope_admm,
     fantope_project,
     power_method,
+    second_moment,
     sparse_recover,
     top_two_eigs,
     truncate,
@@ -35,7 +36,6 @@ E1 = np.array([1.0, 0.0])
 ASYMMETRIC = np.array([[2.0, 1.0], [0.0, 2.0]])
 
 ENTRY_POINTS = {
-    "MomentMatrix": lambda a: MomentMatrix(entries=a, kind="difference", n_pairs=1),
     "power_method": lambda a: power_method(a, E1),
     "_squared_power_method": lambda a: _squared_power_method(a, E1),
     "truncated_power_method": lambda a: truncated_power_method(a, E1, CFG),
@@ -75,19 +75,19 @@ def test_well_formed_matrix_passes_every_entry_point(entry):
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_moment_matrix_edited_after_it_is_built_is_refused(entry):
-    mtx = MomentMatrix(entries=np.diag([2.0, 1.0]), kind="difference", n_pairs=1)
-    mtx.entries[0, 1] = 5.0
+    # one weighted pair with dx = (1, 1): second_moment builds M = 4 [[1, 1], [1, 1]]
+    mtx = second_moment(Dataset(np.array([1, -1]), np.array([[0.0, 0.0], [1.0, 1.0]])))
+    mtx[0, 1] = 5.0
     with pytest.raises(ConfigError, match=f"^{entry} requires a symmetric matrix"):
         ENTRY_POINTS[entry](mtx)
 
 
 @pytest.mark.parametrize("entries", [[[2.0, 0.0], [0.0, 1.0]], np.array([[2, 0], [0, 1]])],
                          ids=["nested list", "int array"])
-def test_moment_matrix_stores_a_float64_array(entries):
-    mtx = MomentMatrix(entries=entries, kind="difference", n_pairs=1)
-    assert type(mtx.entries) is np.ndarray and mtx.entries.dtype == np.float64
-    np.testing.assert_array_equal(mtx.entries, np.diag([2.0, 1.0]))
-    assert mtx.p == 2
+def test_check_matrix_reads_an_array_like_as_float64(entries):
+    a = check_matrix(entries, "a")
+    assert type(a) is np.ndarray and a.dtype == np.float64
+    np.testing.assert_array_equal(a, np.diag([2.0, 1.0]))
 
 
 @pytest.mark.parametrize("scale", [2.0**-600, 1.0, 2.0**600], ids=["2^-600", "1", "2^600"])
@@ -95,8 +95,6 @@ def test_check_matrix_returns_the_float64_array_it_was_given(scale):
     # never the power-of-two rescaled copy that the symmetry test reads
     a = scale * np.diag([2.0, 1.0])
     assert check_matrix(a, "a") is a
-    mtx = MomentMatrix(entries=a, kind="difference", n_pairs=1)
-    assert mtx.entries is a and check_matrix(mtx, "a") is a
 
 
 @pytest.mark.parametrize("scale", [2.0**-600, 1.0, 2.0**600], ids=["2^-600", "1", "2^600"])

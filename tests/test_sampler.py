@@ -79,9 +79,8 @@ def draw_statistics(mtx, xty):
 def draw(model, truth, n, kind, rng, reference: bool):
     if reference:
         data = generate_dataset(model, truth, n, rng)
-        return second_moment(data, kind).entries, data.covariates.T @ data.labels
-    mtx, xty = sample_moment(model, truth, n, kind, rng)
-    return mtx.entries, xty
+        return second_moment(data, kind), data.covariates.T @ data.labels
+    return sample_moment(model, truth, n, kind, rng)
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,7 +117,7 @@ CASES += [pytest.param("cs", kind, n, S, id=f"cs-{kind}-{n}-s{S}")
 def test_mean_of_m_matches_expected_moment(model_name, kind, n, s):
     model, truth, ms, _ = sample(model_name, kind, n, False, s)
     mean, err = mean_and_error(ms)
-    target = expected_moment(model, truth, kind=kind).entries
+    target = expected_moment(model, truth, kind=kind)
     z = np.abs(mean - target) / err
     assert float(np.max(z)) <= Z_BOUND, float(np.max(z))
 
@@ -197,7 +196,7 @@ def test_gaussian_gram_of_no_rows_is_zero():
     assert not gtg.any() and not gta.any()
 
 
-# relative size of rounding in the PSD and rank checks, as in MomentMatrix
+# relative size of rounding in the PSD and rank checks
 ROUND = 1e-12
 
 
@@ -210,8 +209,7 @@ ROUND = 1e-12
     seed=st.integers(0, 2**32 - 1),
 )
 def test_every_draw_is_psd_with_rank_at_most_its_pairs(n, p, model_name, kind, seed):
-    mtx, xty = sample_moment(MODELS[model_name], sample_beta_dense(p, seed), n, kind, seed)
-    m = mtx.entries
+    m, xty = sample_moment(MODELS[model_name], sample_beta_dense(p, seed), n, kind, seed)
     assert m.shape == (p, p) and np.isfinite(m).all()
     lam = np.linalg.eigvalsh(m)
     tol = ROUND * float(np.max(np.abs(lam)))
@@ -232,9 +230,9 @@ def test_odd_n_is_trimmed_as_the_dataset_is(caplog):
     truth = sample_beta_dense(P, 0)
     with caplog.at_level(logging.INFO, logger="bitspectral.synth"):
         mtx, xty = sample_moment(OneBitCS(0.5), truth, 401, "difference", 1)
-    assert mtx.n_pairs == 200 and xty.shape == (P,)
+    assert mtx.shape == (P, P) and xty.shape == (P,)
     assert "odd n=401" in caplog.text
-    assert generate_dataset(OneBitCS(0.5), truth, 401, 1).n == 2 * mtx.n_pairs
+    assert generate_dataset(OneBitCS(0.5), truth, 401, 1).n == 400
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
@@ -252,10 +250,10 @@ def test_no_weighted_pair_gives_a_zero_matrix():
     # theta = 50 makes every label -1: no pair has differing labels
     truth = sample_beta_dense(P, 0)
     mtx, xty = sample_moment(OneBitPR(50.0), truth, 40, "difference", 2)
-    assert not np.any(mtx.entries) and mtx.n_pairs == 20
+    assert not np.any(mtx)
     assert np.isfinite(xty).all() and np.any(xty)
     summed, _ = sample_moment(OneBitPR(50.0), truth, 40, "sum", 2)
-    assert np.all(np.linalg.eigvalsh(summed.entries) > 0.0)
+    assert np.all(np.linalg.eigvalsh(summed) > 0.0)
 
 
 def test_single_pair_hits_both_cases():
@@ -263,9 +261,9 @@ def test_single_pair_hits_both_cases():
     zero = 0
     for seed in range(40):
         mtx, xty = sample_moment(OneBitCS(0.0), truth, 2, "difference", seed)
-        zero += not np.any(mtx.entries)
+        zero += not np.any(mtx)
         assert np.isfinite(xty).all()
-        assert np.linalg.matrix_rank(mtx.entries) <= 1
+        assert np.linalg.matrix_rank(mtx) <= 1
     assert 0 < zero < 40
 
 
@@ -276,8 +274,8 @@ def test_same_generator_state_repeats_bit_for_bit():
         a, xa = sample_moment(model, truth, 301, kind, np.random.default_rng(5))
         b, xb = sample_moment(model, truth, 301, kind, np.random.default_rng(5))
         c, _ = sample_moment(model, truth, 301, kind, np.random.default_rng(6))
-        assert np.array_equal(a.entries, b.entries) and np.array_equal(xa, xb)
-        assert not np.array_equal(a.entries, c.entries)
+        assert np.array_equal(a, b) and np.array_equal(xa, xb)
+        assert not np.array_equal(a, c)
 
 
 # Bit-for-bit pin of the draw: from the same generator state, the package
@@ -311,10 +309,10 @@ def test_sample_moment_repeats_the_reference_draw_bit_for_bit(kind, model_name, 
         rng, ref_rng = pinned_rngs(seed)
         mtx, xty = sample_moment(model, truth, n, kind, rng)
         ref, ref_xty = reference_sample_moment(model, truth.beta_star, n, kind, ref_rng)
-        assert np.array_equal(mtx.entries, ref.entries) and mtx.n_pairs == ref.n_pairs
+        assert np.array_equal(mtx, ref)
         assert np.array_equal(xty, ref_xty)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        empty.add(not mtx.entries.any())  # M = 0 exactly when k = 0
+        empty.add(not mtx.any())  # M = 0 exactly when k = 0
     assert n > 2 or empty == {True, False}
 
 
@@ -354,7 +352,7 @@ def test_sample_moment_repeats_the_reference_draw_at_the_workload_size(kind):
         mtx, xty = sample_moment(OneBitCS(0.0), truth, WORKLOAD_N, kind, rng)
         ref, ref_xty = reference_sample_moment(
             OneBitCS(0.0), truth.beta_star, WORKLOAD_N, kind, ref_rng)
-        assert mtx.entries.tobytes() == ref.entries.tobytes() and mtx.n_pairs == ref.n_pairs
+        assert mtx.tobytes() == ref.tobytes()
         assert xty.tobytes() == ref_xty.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -18,7 +18,6 @@ from bitspectral import (
     Dataset,
     FlippedLogistic,
     GroundTruth,
-    MomentMatrix,
     NumericalError,
     OneBitCS,
     OneBitPR,
@@ -360,7 +359,7 @@ class TestFantopeAdmm:
         rng = np.random.default_rng(6)
         e1 = np.array([1.0, 0.0, 0.0])
         truth = GroundTruth(beta_star=e1, support=np.array([0]))
-        m = expected_moment(OneBitCS(0.0), truth).entries + 0.05 * sym(rng.standard_normal((3, 3)))
+        m = expected_moment(OneBitCS(0.0), truth) + 0.05 * sym(rng.standard_normal((3, 3)))
         sol = fantope_admm(m, base_cfg(rho=0.1))
         vals, vecs = np.linalg.eigh(sol.Pi)
         v1 = vecs[:, -1]
@@ -392,7 +391,7 @@ class TestFantopeAdmm:
         2,000 cap; returns the matrix, config, objective and the balanced run."""
         rng = np.random.default_rng(50)
         truth = sample_beta_sparse(100, 5, rng)
-        m = second_moment(generate_dataset(OneBitCS(math.sqrt(0.1)), truth, 1000, rng)).entries
+        m = second_moment(generate_dataset(OneBitCS(math.sqrt(0.1)), truth, 1000, rng))
         rho = math.sqrt(math.log(100) / 1000)
 
         def objective(pi):
@@ -447,6 +446,13 @@ class TestFantopeAdmm:
                 SparseConfig(rho=0.1, s_hat=2, admm_penalty=bad)
             with pytest.raises(ConfigError):
                 SparseConfig(rho=0.1, s_hat=2, admm_tol=bad)
+
+    @pytest.mark.parametrize("field", ["s_hat", "t_max", "admm_max_iter"])
+    @pytest.mark.parametrize("bad", [1.5, True], ids=["fraction", "bool"])
+    def test_integer_settings_refuse_fractions_and_bools(self, field, bad):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            SparseConfig(**{"rho": 0.1, "s_hat": 2, field: bad})
+        SparseConfig(**{"rho": 0.1, "s_hat": 2, field: np.int64(2)})  # numpy integers pass
 
 
 class TestSettleRule:
@@ -587,7 +593,7 @@ class TestSettleRule:
         for k in range(8):
             rng = np.random.default_rng([63, k])
             truth = sample_beta_sparse(p, s, rng)
-            m = second_moment(generate_dataset(OneBitCS(0.0), truth, n, rng)).entries
+            m = second_moment(generate_dataset(OneBitCS(0.0), truth, n, rng))
             scale = np.trace(m) / p
             ends = []
             for settle in (True, False):
@@ -764,8 +770,8 @@ class TestSparseRecover:
         loose = SparseConfig(rho=0.05, s_hat=6, admm_max_iter=50, tol=0.5)
         m = second_moment(data)
         report = sparse_recover(m, loose)
-        scale = np.trace(m.entries) / data.p  # sparse_recover's ADMM runs on (M/s, rho/s)
-        init = fantope_admm(m.entries / scale, replace(loose, rho=loose.rho / scale), settle=True)
+        scale = np.trace(m) / data.p  # sparse_recover's ADMM runs on (M/s, rho/s)
+        init = fantope_admm(m / scale, replace(loose, rho=loose.rho / scale), settle=True)
         beta0 = truncate(top_two_eigs(init.Pi)[2], loose.s_hat)
         direct = truncated_power_method(m, beta0, loose)
         np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
@@ -819,8 +825,7 @@ class TestSparseRecover:
 
         monkeypatch.setattr(sparse_mod, "fantope_project", no_iteration)
         with pytest.raises(ConfigError, match="sparse_recover needs p >= 2"):
-            sparse_recover(MomentMatrix(np.ones((1, 1)), "difference", 1),
-                           SparseConfig(rho=0.1, s_hat=1))
+            sparse_recover(np.ones((1, 1)), SparseConfig(rho=0.1, s_hat=1))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_matrix_beyond_the_range_of_a_norm(self):
@@ -828,7 +833,7 @@ class TestSparseRecover:
         # are finite: each stage takes them, and still sees an asymmetry
         m = np.diag([1e200, 1e199, 1.0])
         e1 = np.array([1.0, 0.0, 0.0])
-        report = sparse_recover(MomentMatrix(m, "difference", 10), SparseConfig(rho=0.1, s_hat=2))
+        report = sparse_recover(m, SparseConfig(rho=0.1, s_hat=2))
         np.testing.assert_array_equal(report.beta_hat, e1)
         np.testing.assert_array_equal(fantope_project(m), np.outer(e1, e1))
         assert fantope_admm(m, SparseConfig(rho=0.1, s_hat=2)).stop == "residual"

@@ -111,6 +111,14 @@ class TestPowerMethod:
         with pytest.raises(ConfigError):
             power_method(np.eye(2), np.array([1.0, 0.0]), t_max=0)
 
+    @pytest.mark.parametrize("t_max", [True, 2.5], ids=["bool", "fraction"])
+    def test_rejects_a_tmax_that_is_not_an_integer(self, t_max):
+        m, b0 = np.diag([2.0, 1.0]), np.array([0.6, 0.8])
+        for solver in (power_method, _squared_power_method):
+            with pytest.raises(ConfigError, match="t_max must be an integer"):
+                solver(m, b0, t_max=t_max)
+        assert power_method(m, b0, t_max=np.int64(2)).iterations == 2
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_rejects_bad_tol(self, tol):
         b0 = np.array([1.0, 0.0])
@@ -288,7 +296,7 @@ class TestTopTwoEigs:
         e1 = np.zeros(20)
         e1[0] = 1.0
         truth = GroundTruth(beta_star=e1, support=np.array([0]))
-        m = expected_moment(OneBitCS(0.0), truth).entries / 4.0
+        m = expected_moment(OneBitCS(0.0), truth) / 4.0
         lam1, lam2, v1 = top_two_eigs(m)
         assert lam1 == pytest.approx(1.0 + 2.0 / math.pi, rel=1e-12)
         assert lam2 == pytest.approx(1.0, rel=1e-12)

@@ -84,6 +84,11 @@ def test_ground_truth_rejects_a_non_unit_direction(beta):
         GroundTruth(beta_star=np.array(beta), support=np.array([0]))
 
 
+def test_ground_truth_rejects_a_direction_that_is_not_1d():
+    with pytest.raises(ConfigError, match=r"beta_star must be 1-D, got shape \(1, 2\)"):
+        GroundTruth(beta_star=np.array([[0.6, 0.8]]), support=np.arange(2))
+
+
 class TestGenerateDataset:
     def test_labels_and_shapes(self):
         truth = sample_beta_dense(4, 3)
@@ -208,4 +213,13 @@ class TestDatasetInvariants:
     def test_rejects_nan_label(self):
         with pytest.raises(ConfigError):
             Dataset(labels=np.array([1.0, np.nan]), covariates=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("labels, covariates", [
+        (np.array([1, -1]), np.array([1.0, 2.0])),
+        (np.array([1, -1]), np.zeros((2, 2, 2))),
+        (np.array([[1, -1], [-1, 1]]), np.zeros((2, 2))),
+    ], ids=["1-d covariates", "3-d covariates", "2-d labels"])
+    def test_rejects_malformed_shapes(self, labels, covariates):
+        with pytest.raises(ConfigError, match="1-D labels and 2-D covariates"):
+            Dataset(labels=labels, covariates=covariates)
 
