@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_check_int``, the one rule for every
+size, count, order and seed argument (this module imports nothing from the package)."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -7,3 +10,13 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """Numerical failure: zero matrix, vanished iterate, annihilated truncation."""
+
+
+def _check_int(value, what: str, low: int | None = None, high: int | None = None) -> None:
+    """ConfigError unless ``value`` is an int or numpy integer, not a bool, in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{what} must be <= {high}, got {value}")

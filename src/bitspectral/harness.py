@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_int
 from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment
 # no trial calls these four; perfbench/tracing.py patches them as harness attributes
 from .estimator import second_moment, second_moment_sum
@@ -71,8 +71,7 @@ from .links import (
 )
 from .rng import derive_rng
 from .sparse import SparseConfig, sparse_recover
-from .spectral import (_check_int, _check_unit, _squared_power_method, orient_by_first_moment,
-                       top_two_eigs)
+from .spectral import _check_unit, _squared_power_method, orient_by_first_moment, top_two_eigs
 from .synth import _unit_gaussian, sample_beta_dense, sample_beta_sparse
 
 
@@ -168,18 +167,14 @@ class RunConfig:
                 f"diag takes a single p and at most one s; got p grid {self.p}, s grid {self.s}"
             )
         # each grid value against every point it is crossed with, so its smallest p and n
-        p, n = min(self.p), min(self.n)
+        p = min(self.p)  # eigs and sparse read the top two eigenvalues, so need p >= 2
+        _check_int(p, "dimension", 2 if self.experiment in ("eigs", "sparse") else 1)
         for s in self.s if self.experiment in ("sparse", "diag") else ():
-            if s < 1 or s > p:
-                raise ConfigError(f"sparsity grid value {s} out of range for p grid {self.p}")
-        if p < 1:
-            raise ConfigError(f"dimension must be >= 1, got {p}")
-        if self.experiment != "diag" and n < 2:
-            raise ConfigError(f"need n >= 2 observations, got {n}")
-        if self.experiment == "sparse" and self.shat is not None and self.shat > p:
-            raise ConfigError(f"s_hat={self.shat} exceeds dimension p={p}")
-        if self.experiment in ("eigs", "sparse") and p < 2:  # top_two_eigs needs two
-            raise ConfigError(f"need p >= 2 for a top-two spectrum, got p={p}")
+            _check_int(s, "s grid value", 1, p)
+        if self.experiment != "diag":
+            _check_int(min(self.n), "n grid value", 2)
+        if self.experiment == "sparse" and self.shat is not None:
+            _check_int(self.shat, "shat", 1, p)
 
 
 @dataclass(frozen=True)
@@ -256,10 +251,8 @@ def estimation_error(beta_hat, beta_star, sign_invariant: bool = False) -> float
 
 def trial_rng(cfg: RunConfig, param_value: float, n: int, p: int, s: int | None, trial: int):
     """Derived stream for one trial of one grid point (order-independent)."""
-    return derive_rng(
-        cfg.seed, cfg.experiment, cfg.model, float(param_value),
-        int(n), int(p), -1 if s is None else int(s), int(trial),
-    )
+    return derive_rng(cfg.seed, cfg.experiment, cfg.model, float(param_value),
+                      n, p, -1 if s is None else s, trial)
 
 
 def _draw(cfg: RunConfig, param_value: float, s: int | None, p: int, n: int, trial: int):

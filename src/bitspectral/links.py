@@ -37,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_int
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT1_2 = math.sqrt(0.5)
@@ -247,7 +247,7 @@ def link_eval(model: LinkModel, z):
     return float(out) if scalar else out
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSummary:
     """Compute (mu0, mu1, mu2, phi) for a link model.
 
@@ -257,11 +257,11 @@ def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSum
     Each family computes its own moments in ``_moments``.
 
     Results are memoized on the (frozen, hashable) model and the order, so a
-    grid that asks once per trial pays for the quadrature once.
+    grid that asks once per trial pays for the quadrature once.  The cache is
+    typed, so an order of another type (16.0 after 16) is checked, not found.
     """
-    if int(quad_order) < 8:
-        raise ConfigError(f"quadrature order must be >= 8, got {quad_order}")
-    mu0, mu1, mu2, method = model._moments(int(quad_order))
+    _check_int(quad_order, "quadrature order", 8)
+    mu0, mu1, mu2, method = model._moments(quad_order)
     phi = mu1 * mu1 - mu0 * mu2 + mu0 * mu0
     return MomentSummary(mu0=mu0, mu1=mu1, mu2=mu2, phi=phi, method=method)
 
@@ -289,8 +289,9 @@ def theory_diagnostics(
     omitted).  The source leaves ``n_min``'s absolute constant unspecified;
     it is taken as 1 here, so the value is a relative scale, not a gate.
     """
-    if p < 1:
-        raise ConfigError(f"dimension must be >= 1, got {p}")
+    _check_int(p, "p", 1)
+    if s is not None:
+        _check_int(s, "s", 1, p)
     summ = moments(model, quad_order=quad_order)
     phi, mu0 = summ.phi, summ.mu0
     if phi <= 0.0:
@@ -306,8 +307,6 @@ def theory_diagnostics(
     if s is None:
         n_min = math.nan
     else:
-        if not 1 <= s <= p:
-            raise ConfigError(f"sparsity must satisfy 1 <= s <= p, got s={s}, p={p}")
         n_min = (
             s * s * math.log(p)
             * phi * phi

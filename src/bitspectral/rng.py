@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import _check_int
+
 
 def _canonical(part) -> bytes:
     # Floats go through hex() so the key is exact, not a rounded decimal.
@@ -26,9 +28,10 @@ def _canonical(part) -> bytes:
 
 
 def derive_rng(seed: int, *path) -> np.random.Generator:
-    """Return an independent generator keyed by ``seed`` and a value path."""
+    """Return an independent generator keyed by the integer ``seed`` and a value path."""
+    _check_int(seed, "seed")
     h = hashlib.sha256()
-    h.update(_canonical(int(seed)))
+    h.update(_canonical(seed))
     for part in path:
         h.update(b"\x1f")
         h.update(_canonical(part))

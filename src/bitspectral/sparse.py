@@ -21,11 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _check_int
 # only check_matrix is called here; perfbench/tracing.py patches the other two as sparse attributes
 from .estimator import check_matrix, second_moment, second_moment_sum
-from .spectral import (RecoveryReport, _check_int, _check_stop, _normalize, _power_iterate,
-                       top_two_eigs)
+from .spectral import RecoveryReport, _check_stop, _normalize, _power_iterate, top_two_eigs
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,8 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     """
     m = check_matrix(mtx, "fantope_admm")
     p = m.shape[0]
-    if settle and cfg.s_hat > p:
-        raise ConfigError(f"s_hat={cfg.s_hat} exceeds dimension p={p}")
+    if settle:
+        _check_int(cfg.s_hat, "s_hat", 1, p)
     tau = cfg.admm_penalty
     threshold = cfg.admm_tol * p
     z, z_prev, u, pi = (np.zeros((p, p)) for _ in range(4))
@@ -245,8 +244,7 @@ def _truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ConfigError(f"truncate requires a 1-D vector, got shape {v.shape}")
-    if not 1 <= s_hat <= v.shape[0]:
-        raise ConfigError(f"s_hat must satisfy 1 <= s_hat <= p, got {s_hat}")
+    _check_int(s_hat, "s_hat", 1, v.shape[0])
     if not np.isfinite(v).all():
         raise NumericalError("truncate requires a finite vector")
     keep = _top_support(v, s_hat)

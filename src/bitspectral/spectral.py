@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _check_int
 from .estimator import check_matrix
 
 # Multiplies of M per step of the squared power path, a power of two.  A step
@@ -62,14 +62,6 @@ def _check_unit(v: np.ndarray, what: str, p: int | None = None) -> np.ndarray:
     if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
         raise ConfigError(f"{what} must be finite and unit norm")
     return v
-
-
-def _check_int(value, what: str, low: int | None = None) -> None:
-    """ConfigError unless ``value`` is an integer (a numpy one passes, a bool does not) >= low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ConfigError(f"{what} must be >= {low}, got {value}")
 
 
 def _check_stop(t_max: int, tol: float) -> None:

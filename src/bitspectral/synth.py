@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _check_int
 from .links import LinkModel
 
 log = logging.getLogger(__name__)
@@ -64,6 +64,8 @@ class Dataset:
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if np.isscalar(seed):  # one value: an integer >= 0, as numpy takes it, but not a bool
+        _check_int(seed, "seed", 0)
     return np.random.default_rng(seed)
 
 
@@ -79,15 +81,14 @@ def _unit_gaussian(k: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_beta_dense(p: int, seed) -> GroundTruth:
     """Draw a direction uniformly from the unit sphere in R^p."""
-    if p < 1:
-        raise ConfigError(f"dimension must be >= 1, got {p}")
+    _check_int(p, "p", 1)
     return GroundTruth(beta_star=_unit_gaussian(p, _as_rng(seed)), support=np.arange(p))
 
 
 def sample_beta_sparse(p: int, s: int, seed) -> GroundTruth:
     """Draw an s-sparse unit direction: uniform support, uniform on its sphere."""
-    if not 1 <= s <= p:
-        raise ConfigError(f"sparsity must satisfy 1 <= s <= p, got s={s}, p={p}")
+    _check_int(p, "p", 1)
+    _check_int(s, "s", 1, p)
     rng = _as_rng(seed)
     support = np.sort(rng.choice(p, size=s, replace=False))
     beta = np.zeros(p)
@@ -128,10 +129,9 @@ def draw_labels(model: LinkModel, index_values, rng) -> np.ndarray:
 def _paired_size(n: int) -> int:
     """The number of rows kept from n draws: n, or n - 1 when n is odd (logged).
 
-    Fewer than two rows make no pair and raise ``ConfigError``.
+    An n that is not an integer >= 2 makes no pair and raises ``ConfigError``.
     """
-    if n < 2:
-        raise ConfigError(f"need n >= 2 observations, got {n}")
+    _check_int(n, "n", 2)
     if n % 2 != 0:
         log.info("odd n=%d: trimming the last observation to n=%d", n, n - 1)
     return n - n % 2

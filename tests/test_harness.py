@@ -262,8 +262,9 @@ class TestConfigValidation:
     def test_non_integer_setting_refused_when_built(self, field):
         base = {"experiment": "sparse", "n": (200,), "p": (6,), "s": (2,)}
         bad = INT_FAULTS[field]
-        with pytest.raises(ConfigError, match=f"^{field}( grid value)? must be an integer"):
-            RunConfig(**{**base, field: bad})
+        for value in (bad, ("3",) if isinstance(bad, tuple) else "3"):
+            with pytest.raises(ConfigError, match=f"^{field}( grid value)? must be an integer"):
+                RunConfig(**{**base, field: value})
         # the same value as a numpy integer passes
         good = tuple(map(np.int64, bad)) if isinstance(bad, tuple) else np.int64(bad)
         RunConfig(**{**base, field: good})
@@ -520,12 +521,12 @@ class TestStatisticalExamples:
 # Each fault sits behind a good value in its grid, or in a run with no trials,
 # so a check at the wrong grid point, or only inside a trial, lets it through.
 GRID_FAULTS = [
-    (["sparse", "--s", "3", "--p", "5,2"], "sparsity grid value 3 out of range for p grid (5, 2)"),
-    (["sparse", "--s", "2", "--shat", "4", "--p", "5,3"], "s_hat=4 exceeds dimension p=3"),
-    (["sparse", "--s", "1", "--p", "3,1"], "need p >= 2 for a top-two spectrum, got p=1"),
-    (["lowdim", "--n", "40,1", "--p", "3"], "need n >= 2 observations, got 1"),
+    (["sparse", "--s", "3", "--p", "5,2"], "s grid value must be <= 2, got 3"),
+    (["sparse", "--s", "2", "--shat", "4", "--p", "5,3"], "shat must be <= 3, got 4"),
+    (["sparse", "--s", "1", "--p", "3,1"], "dimension must be >= 2, got 1"),
+    (["lowdim", "--n", "40,1", "--p", "3"], "n grid value must be >= 2, got 1"),
     (["diag", "--p", "0"], "dimension must be >= 1, got 0"),
-    (["diag", "--p", "5", "--s", "9"], "sparsity grid value 9 out of range for p grid (5,)"),
+    (["diag", "--p", "5", "--s", "9"], "s grid value must be <= 5, got 9"),
 ]
 
 
@@ -652,3 +653,18 @@ def test_tracer_targets_resolve():
     missing = [(module, attr) for module, attr, *_ in tracing.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing, missing
+
+
+def test_golden_configs_end_in_an_exit_code_not_a_crash():
+    """tools/golden.py on this tree: each config prints one line, with exit code 0, 2 or 3."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("_golden", root / "tools" / "golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    done = subprocess.run([sys.executable, str(root / "tools" / "golden.py"), str(root)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(golden.CONFIGS)
+    bad = [line for line in lines if line.split(" ", 1)[0] not in ("0", "2", "3")]
+    assert not bad, "\n".join(bad) + "\n" + done.stderr

@@ -1,4 +1,5 @@
-"""Malformed matrices and start vectors: one error type per input, at every entry point.
+"""Malformed matrices, start vectors and integer arguments: one error type per input,
+at every entry point.
 
 Every solver reads its matrix through ``check_matrix``.  The moment builders
 return plain float64 arrays, which stay writable, so a solver checks the
@@ -7,6 +8,11 @@ matrix must be 2-D, square and non-empty (``ConfigError``), finite
 (``NumericalError``) and symmetric to 1e-12 in Frobenius norm
 (``ConfigError``), whatever its scale.  This table is the one place the
 rule is tested for each entry point.
+
+Every size, count, order and seed argument goes through one integer rule,
+``errors._check_int``: a fraction, a bool, a string or a value out of range
+raises ``ConfigError`` naming the argument, and a numpy integer passes.  The
+second table tests it at each public integer argument.
 """
 
 import numpy as np
@@ -18,12 +24,21 @@ from bitspectral import (
     ConfigError,
     Dataset,
     NumericalError,
+    OneBitCS,
     SparseConfig,
+    derive_rng,
+    expected_moment,
     fantope_admm,
     fantope_project,
+    generate_dataset,
+    moments,
     power_method,
+    sample_beta_dense,
+    sample_beta_sparse,
+    sample_moment,
     second_moment,
     sparse_recover,
+    theory_diagnostics,
     top_two_eigs,
     truncate,
     truncated_power_method,
@@ -155,3 +170,53 @@ def test_start_vector_not_of_shape_p_is_a_config_error(solver, start):
 def test_truncate_refuses_a_vector_that_is_not_1d(v):
     with pytest.raises(ConfigError, match="1-D"):
         truncate(v, 1)
+
+
+MODEL = OneBitCS(0.5)
+TRUTH = sample_beta_dense(4, 0)
+
+# argument -> (call taking the value, name in the message, a value in range, more faults:
+# values out of range, and orders that int() would have truncated or parsed to >= 8)
+INT_ARGUMENTS = {
+    "sample_beta_dense p": (lambda k: sample_beta_dense(k, 0), "p", 4, [0]),
+    "sample_beta_dense seed": (lambda k: sample_beta_dense(4, k), "seed", 3, [-1]),
+    "sample_beta_sparse p": (lambda k: sample_beta_sparse(k, 1, 0), "p", 4, [0]),
+    "sample_beta_sparse s": (lambda k: sample_beta_sparse(4, k, 0), "s", 2, [0, 5]),
+    "generate_dataset n": (lambda k: generate_dataset(MODEL, TRUTH, k, 0), "n", 10, [1]),
+    "sample_moment n": (lambda k: sample_moment(MODEL, TRUTH, k, "difference", 0), "n", 10, [1]),
+    "moments quad_order": (lambda k: moments(MODEL, k), "quadrature order", 16, [7, 9.5, "16"]),
+    "expected_moment quad_order": (lambda k: expected_moment(MODEL, TRUTH, quad_order=k),
+                                   "quadrature order", 16, [7, 9.5, "16"]),
+    "theory_diagnostics p": (lambda k: theory_diagnostics(MODEL, k), "p", 10, [0]),
+    "theory_diagnostics s": (lambda k: theory_diagnostics(MODEL, 10, k), "s", 2, [0, 11]),
+    "truncate s_hat": (lambda k: truncate(np.array([0.1, 0.4, 0.2, 0.3]), k), "s_hat", 2, [0, 5]),
+    "power_method t_max": (lambda k: power_method(np.diag([2.0, 1.0]), E1, t_max=k), "t_max", 2,
+                           [0]),
+    "derive_rng seed": (lambda k: derive_rng(k, "a"), "seed", 3, []),  # any integer keys a stream
+}
+
+
+@pytest.mark.parametrize("argument", INT_ARGUMENTS)
+def test_integer_argument_refuses_all_but_an_integer_in_range(argument):
+    call, name, good, more = INT_ARGUMENTS[argument]
+    for bad in [2.5, True, "3", *more]:
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            call(bad)
+    call(np.int64(good))  # numpy integers pass
+
+
+def test_moments_cache_checks_an_order_of_another_type():
+    # 16.0 == 16 and hashes alike, so an untyped cache would return 16's summary unchecked
+    model = OneBitCS(0.25)
+    moments(model, 16)
+    with pytest.raises(ConfigError, match="^quadrature order must be an integer, got 16.0"):
+        moments(model, 16.0)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), None, [3], np.random.SeedSequence(3),
+                                  np.random.PCG64(3)],
+                         ids=["int64", "None", "list", "SeedSequence", "PCG64"])
+def test_every_other_seed_form_numpy_takes_still_draws(seed):
+    truth = sample_beta_dense(3, seed)
+    if isinstance(seed, np.integer):
+        np.testing.assert_array_equal(truth.beta_star, sample_beta_dense(3, 3).beta_star)

@@ -13,6 +13,7 @@ def draws(seed, *path):
 def test_same_key_same_stream():
     np.testing.assert_array_equal(draws(3, "eigs", 0.5, 2), draws(3, "eigs", 0.5, 2))
     np.testing.assert_array_equal(draws(3, np.int64(2)), draws(3, 2))
+    np.testing.assert_array_equal(draws(np.int64(3), 2), draws(3, 2))
 
 
 def test_part_types_give_distinct_streams():

@@ -237,7 +237,7 @@ def test_odd_n_is_trimmed_as_the_dataset_is(caplog):
 
 @pytest.mark.parametrize("n", [1, 0, -3])
 def test_fewer_than_two_rows_raise(n):
-    with pytest.raises(ConfigError, match="n >= 2"):
+    with pytest.raises(ConfigError, match="n must be >= 2"):
         sample_moment(OneBitCS(0.5), sample_beta_dense(P, 0), n, "difference", 1)
 
 

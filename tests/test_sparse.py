@@ -448,7 +448,7 @@ class TestFantopeAdmm:
                 SparseConfig(rho=0.1, s_hat=2, admm_tol=bad)
 
     @pytest.mark.parametrize("field", ["s_hat", "t_max", "admm_max_iter"])
-    @pytest.mark.parametrize("bad", [1.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("bad", [1.5, True, "3"], ids=["fraction", "bool", "string"])
     def test_integer_settings_refuse_fractions_and_bools(self, field, bad):
         with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
             SparseConfig(**{"rho": 0.1, "s_hat": 2, field: bad})
@@ -481,7 +481,7 @@ class TestSettleRule:
             raise AssertionError("an ADMM iteration ran")
 
         monkeypatch.setattr(sparse_mod, "fantope_project", no_iteration)
-        with pytest.raises(ConfigError, match=r"^s_hat=9 exceeds dimension p=4$"):
+        with pytest.raises(ConfigError, match=r"^s_hat must be <= 4, got 9$"):
             fantope_admm(m, cfg, settle=True)
 
     @staticmethod

@@ -151,6 +151,10 @@ CONFIGS = [
     ["diag", "--admm-penalty", "nan", "--tol", "nan"],
     ["eigs", "--tol", "nan", "--n", "200", "--p", "4", "--trials", "1"],
     ["diag", "--config", "bool_float.json"],
+    # integer settings refused below their range
+    ["sparse", "--s", "2", "--shat", "0"],
+    ["lowdim", "--quad-order", "7"],
+    ["lowdim", "--tmax", "0"],
     # settings the chosen model or estimator cannot use
     ["lowdim", "--model", "cs", "--matrix", "sum", "--quad-order", "3", *LOWDIM],
     ["lowdim", "--model", "flr", "--sigma", "0.5", *LOWDIM],
