@@ -93,6 +93,7 @@ _MODELS = {
 }
 # --matrix value -> forced estimator kind; "auto" picks by the sign of phi
 _MATRIX_KINDS = {"auto": None, "diff": KIND_DIFFERENCE, "sum": KIND_SUM}
+_REALS = (int, float, np.integer, np.floating)  # what a RunConfig float takes, bar bool
 
 
 def _field_type(annotation) -> tuple[type, bool]:
@@ -133,12 +134,16 @@ class RunConfig:
                 f"experiment must be one of {tuple(_EXPERIMENTS)}, got {self.experiment!r}")
         if self.model not in _MODELS:
             raise ConfigError(f"model must be one of {tuple(_MODELS)}, got {self.model!r}")
-        for f in fields(self):  # every int field and int grid value, typed by its annotation
+        for f in fields(self):  # every int and float field and grid value, typed by its annotation
             cast, is_grid = _field_type(f.type)
             value = getattr(self, f.name)
-            if cast is int and value is not None:
+            if cast in (int, float) and value is not None:
                 for v in value if is_grid else (value,):
-                    _check_int(v, f"{f.name} grid value" if is_grid else f.name)
+                    what = f"{f.name} grid value" if is_grid else f.name
+                    if cast is int:
+                        _check_int(v, what)
+                    elif isinstance(v, bool) or not isinstance(v, _REALS):
+                        raise ConfigError(f"{what} must be a real number, got {v!r}")
         grid = _noise_grid(self)
         _check_int(self.trials, "trials", 1)
         if not self.n or not self.p or not grid:

@@ -304,15 +304,9 @@ def theory_diagnostics(
     gamma = ((one_minus / (phi + one_minus)) + 1.0) / 2.0
     xi = (gamma * phi + (gamma - 1.0) * one_minus) / ((1.0 + gamma) * (phi + one_minus))
     kappa = (4.0 * one_minus + phi) / (4.0 * one_minus + 3.0 * phi)
-    if s is None:
-        n_min = math.nan
-    else:
-        n_min = (
-            s * s * math.log(p)
-            * phi * phi
-            * min(kappa * (1.0 - math.sqrt(kappa)) / 2.0, kappa / 8.0)
-            / (one_minus + phi) ** 2
-        )
+    n_min = math.nan if s is None else (
+        s * s * math.log(p) * phi * phi
+        * min(kappa * (1.0 - math.sqrt(kappa)) / 2.0, kappa / 8.0) / (one_minus + phi) ** 2)
     return TheoryDiagnostics(
         gamma=gamma, xi=xi, kappa=kappa, n_min=n_min, theta_m=theta_median()
     )

@@ -18,7 +18,7 @@ def _canonical(part) -> bytes:
     # Floats go through hex() so the key is exact, not a rounded decimal.
     if isinstance(part, float):
         return f"f:{part.hex()}".encode()
-    if isinstance(part, (int, np.integer)):
+    if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
         return f"i:{int(part)}".encode()
     if isinstance(part, str):
         return f"s:{part}".encode()

@@ -161,9 +161,10 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     rescaled by tau_old/tau_new.  The run stops with ``stop="residual"`` once
     both residuals fall below ``cfg.admm_tol * p``.  M must pass ``check_matrix``.
 
-    The loop holds one scratch p-by-p array besides Z, Z_prev, U and Pi: it
-    takes the projection's argument, then, once the projection has returned,
-    Pi + U and the two residual differences in turn.
+    The loop holds M/tau (not M), Z, Z_prev, U, Pi and one scratch p-by-p array
+    (the projection's argument, Pi + U, the residual differences).  As tau only
+    doubles or halves, M/tau is rescaled in place, which repeats M / tau bit for bit
+    unless an entry is subnormal (nonzero, below 2.2e-308 in magnitude).
 
     With ``settle`` the loop also tracks a unit vector, one product
     v <- Pi v / ||Pi v|| per iteration, started from Pi's column with the
@@ -177,15 +178,15 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     iteration.  Either stop reports ``converged=True``; the cap returns the
     last iterate with ``stop="cap"`` and ``converged=False``.
     """
-    m = check_matrix(mtx, "fantope_admm")
-    p = m.shape[0]
+    m_scaled = check_matrix(mtx, "fantope_admm") / cfg.admm_penalty
+    del mtx  # so a caller's temporary M is freed before the first iteration
+    p = m_scaled.shape[0]
     if settle:
         _check_int(cfg.s_hat, "s_hat", 1, p)
     tau = cfg.admm_penalty
     threshold = cfg.admm_tol * p
-    z, z_prev, u, pi = (np.zeros((p, p)) for _ in range(4))
+    z, z_prev, u = (np.zeros((p, p)) for _ in range(3))
     arg = np.empty((p, p))  # reused every iteration
-    m_scaled = m / tau
     t = cfg.rho / tau
     primal = dual = math.inf
     iterations = updates = runs = 0
@@ -219,7 +220,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
             continue
         tau *= scale
         u /= scale
-        np.divide(m, tau, out=m_scaled)
+        m_scaled /= scale
         t = cfg.rho / tau
         updates += 1
     return FantopeSolution(pi, iterations, primal, dual, tau, updates, "cap")

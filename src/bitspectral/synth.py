@@ -72,10 +72,8 @@ def _as_rng(seed) -> np.random.Generator:
 def _unit_gaussian(k: int, rng: np.random.Generator) -> np.ndarray:
     """A direction drawn uniformly from the unit sphere in R^k."""
     v = rng.standard_normal(k)
-    norm = np.linalg.norm(v)
-    while norm == 0.0:  # probability-zero guard
+    while (norm := np.linalg.norm(v)) == 0.0:  # probability-zero guard
         v = rng.standard_normal(k)
-        norm = np.linalg.norm(v)
     return v / norm
 
 

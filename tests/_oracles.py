@@ -6,7 +6,8 @@ root-finder instead of the breakpoint search, moment oracles recompute from
 first principles, and the eigenvalue oracle samples a spiked Wishart law
 directly.  The reference power loop and the reference moment are the
 straightforward forms that the production code computes faster: two products
-per power step, and a weighted sum over every pair.  The reference draws
+per power step, and a weighted sum over every pair; the reference ADMM loop
+divides M by the penalty afresh on every iteration.  The reference draws
 (links, labels, datasets and sampled moments) are the first formulation of
 the package's draws, with ``np.where`` labels, boolean-mask gathers and
 out-of-place products; the package must reproduce them bit for bit from the
@@ -22,6 +23,7 @@ from scipy.stats import wishart
 
 from bitspectral import FlippedLogistic, OneBitCS, OneBitPR
 from bitspectral.links import _ndtr
+from bitspectral.sparse import fantope_project, soft_threshold
 
 
 def split_domain_moment(f, k: int, cuts=()) -> float:
@@ -121,6 +123,34 @@ def reference_power_method(m: np.ndarray, b: np.ndarray, t_max: int, tol: float)
     if b[int(np.argmax(np.abs(b)))] < 0.0:
         b = -b
     return b, iterations, np.asarray(trace), converged
+
+
+def reference_fantope_admm(m: np.ndarray, cfg, ratio: float, window: int):
+    """``fantope_admm`` without the settle rule, out of place, with M/tau taken from M afresh.
+
+    Residual balancing doubles tau when the primal residual exceeds ``ratio``
+    times the dual one and halves it in the opposite case, during the first
+    ``window`` iterations.  The projection and the threshold are the package's.
+    Returns (Pi, tau, iterations, penalty updates).
+    """
+    p = m.shape[0]
+    tau = cfg.admm_penalty
+    z = u = np.zeros((p, p))
+    updates = 0
+    for iterations in range(1, cfg.admm_max_iter + 1):
+        pi = fantope_project(z - u + m / tau)
+        z_prev, z = z, soft_threshold(pi + u, cfg.rho / tau)
+        u = pi + u - z
+        primal = float(np.linalg.norm(pi - z))
+        dual = tau * float(np.linalg.norm(z - z_prev))
+        if primal < cfg.admm_tol * p and dual < cfg.admm_tol * p:
+            break
+        if iterations <= window and (primal > ratio * dual or dual > ratio * primal):
+            scale = 2.0 if primal > ratio * dual else 0.5
+            tau *= scale
+            u = u / scale
+            updates += 1
+    return pi, tau, iterations, updates
 
 
 def reference_moment(labels: np.ndarray, covariates: np.ndarray, kind: str) -> np.ndarray:

@@ -32,7 +32,8 @@ def test_seed_and_path_both_key_the_stream():
     assert not np.array_equal(draws(0), draws(0, 0))
 
 
-@pytest.mark.parametrize("part", [[1], (1,), b"1", {"a": 1}])
+# a bool too: True == 1, so keyed as its integer it would repeat that integer's stream
+@pytest.mark.parametrize("part", [[1], (1,), b"1", {"a": 1}, True, False, np.True_])
 def test_unsupported_part_raises(part):
     with pytest.raises(TypeError):
         derive_rng(0, part)

@@ -37,7 +37,7 @@ from bitspectral import (
     truncated_power_method,
 )
 
-from _oracles import exact_fantope_projection, random_fantope_point
+from _oracles import exact_fantope_projection, random_fantope_point, reference_fantope_admm
 
 
 def sym(a):
@@ -431,6 +431,18 @@ class TestFantopeAdmm:
         assert 1 <= at_window.penalty_updates <= 20
         assert after.penalty == at_window.penalty
         assert after.penalty_updates == at_window.penalty_updates
+
+    @pytest.mark.parametrize("start", [1e-9, 1e6])
+    def test_in_place_rescale_repeats_dividing_m_afresh(self, start):
+        # the instance above: from 1e-9 tau doubles more than 20 times; from 1e6 it halves
+        m = sym(np.random.default_rng(12).standard_normal((10, 10)))
+        cfg = base_cfg(rho=0.1, admm_penalty=start, admm_tol=1e-300, admm_max_iter=60)
+        sol = fantope_admm(m, cfg)
+        pi, tau, iterations, updates = reference_fantope_admm(
+            m, cfg, sparse_mod.BALANCE_RATIO, sparse_mod.BALANCE_ITERS)
+        assert np.array_equal(sol.Pi, pi)
+        assert (sol.penalty, sol.iterations, sol.penalty_updates) == (tau, iterations, updates)
+        assert updates > 20 if start < 1.0 else tau < start
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
