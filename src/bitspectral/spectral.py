@@ -13,6 +13,8 @@ from .estimator import check_matrix
 # 0.74-0.97 in the median on the criterion 4 grids.
 SQUARED_STRIDE = 16
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 
 @dataclass(frozen=True)
 class RecoveryReport:
@@ -72,11 +74,14 @@ def _check_stop(t_max: int, tol: float) -> None:
 
 def _normalize(v: np.ndarray) -> np.ndarray:
     # v @ v overflows, and numpy warns, for finite entries above about 1e154;
-    # _power_iterate silences that once per run, not on every call here
-    norm = math.sqrt(v @ v)  # what np.linalg.norm computes for a real vector
-    if norm == math.inf and np.isfinite(v).all():  # v @ v overflowed: rescale first
+    # _power_iterate silences that once per run, not on every call here.  Below
+    # about 1e-154 it falls under the smallest normal float and loses bits or
+    # reaches 0, so v / norm would not be a unit vector.
+    sq = v @ v  # what np.linalg.norm squares for a real vector
+    if not _TINY <= sq < math.inf and np.isfinite(v).all() and v.any():  # rescale first
         v = v / np.abs(v).max()
-        norm = math.sqrt(v @ v)
+        sq = v @ v
+    norm = math.sqrt(sq)
     if not 0.0 < norm < math.inf:
         raise NumericalError("no dominant direction: iterate annihilated or not finite")
     return v / norm

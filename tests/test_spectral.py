@@ -103,6 +103,15 @@ class TestPowerMethod:
         with pytest.raises(NumericalError, match="no dominant direction"):
             power_method(m, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("scale", [2.08e-162, 1e-170, 1e-300])
+    def test_iterate_whose_squared_norm_underflows_is_still_unit(self, scale):
+        # M b has entries below 1e-154, so b @ b is subnormal or 0 before the rescale
+        m = scale * np.diag([1.0, 0.5])
+        for solver in (power_method, _squared_power_method):
+            got = solver(m, unit([0.6, 0.8]), t_max=1, tol=0.0)
+            assert np.linalg.norm(got.beta_hat) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(got.beta_hat, unit([0.6, 0.4]), rtol=1e-12)
+
     def test_rejects_non_unit_start(self):
         with pytest.raises(ConfigError):
             power_method(np.eye(2), np.array([1.0, 1.0]))
