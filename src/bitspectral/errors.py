@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``_check_int``, the one rule for every
-size, count, order and seed argument (this module imports nothing from the package)."""
+"""Exception types shared across the package, ``_check_int``, the one rule for every size,
+count, order and seed argument, and ``_check_real``, the one rule for every real-valued
+setting (this module imports nothing from the package)."""
 
 import numpy as np
 
@@ -20,3 +21,9 @@ def _check_int(value, what: str, low: int | None = None, high: int | None = None
         raise ConfigError(f"{what} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise ConfigError(f"{what} must be <= {high}, got {value}")
+
+
+def _check_real(value, what: str) -> None:
+    """ConfigError unless ``value`` is an int, a float or a numpy real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{what} must be a real number, got {value!r}")

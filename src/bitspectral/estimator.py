@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .links import DEFAULT_QUAD_ORDER, LinkModel, moments
-from .synth import Dataset, GroundTruth, _as_rng, _paired_size, _plus_mask
+from .synth import Dataset, GroundTruth, _as_rng, _labels, _paired_size
 
 KIND_DIFFERENCE = "difference"
 KIND_SUM = "sum"
@@ -159,15 +159,15 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     -sqrt(2) P G^T y_1 and the m equal-label pairs one N(0, 2m P) draw;
     under the sum kind the whole orthogonal term is one N(0, n P) draw.
 
-    The O(n) pass runs without a per-element branch.  The labels stay a
-    boolean mask of the +1 labels (``synth._plus_mask``, the rule
-    ``draw_labels`` uses), the float labels are 2 mask - 1, and a pair is
-    weighted when its two mask entries differ (difference kind) or agree
-    (sum kind).  The weighted pairs are gathered by index, as in
-    ``second_moment``.  The draws come in a fixed order: z, one uniform per
-    row, then the Gram normals.  The tests pin every drawn value, bit for
-    bit, to a reference that forms the labels with np.where and gathers the
-    pairs with boolean masks.
+    The O(n) pass runs without a per-element branch and holds two n-length
+    float arrays: z, and f(z), whose buffer then holds the float labels
+    (``synth._labels``, the rule ``draw_labels`` uses).  A pair is weighted
+    when its two labels differ (difference kind) or agree (sum kind), and
+    the weighted pairs are gathered by index, as in ``second_moment``,
+    straight into the columns that ``_gaussian_gram`` reads.  The draws come
+    in a fixed order: z, one uniform per row, then the Gram normals.  The
+    tests pin every drawn value, bit for bit, to a reference that forms the
+    labels with np.where and gathers the pairs with boolean masks.
 
     M is built in the buffer of G^T G, which ``_gaussian_gram`` returns and
     nothing reads after G^T G b, by the same floating-point operations, in
@@ -179,19 +179,25 @@ def sample_moment(model: LinkModel, truth: GroundTruth, n: int, kind: str, rng):
     b = truth.beta_star
     p = b.shape[0]
     z = rng.standard_normal(n)
-    plus = _plus_mask(model, z, rng)[:kept]
+    y = _labels(model, z, rng)[:kept]
     z = z[:kept]
-    y = plus.astype(float)
-    y *= 2.0
-    y -= 1.0
     # the weighted pairs' g enters X^T y only when their labels differ (s = 1)
     tied = s > 0
-    first, second = plus[0::2], plus[1::2]
-    rows = 2 * np.flatnonzero(second != first if tied else second == first)
-    dz = np.take(z, rows + 1)
-    dz -= np.take(z, rows)
-    cols = (dz, np.take(y, rows)) if tied else (dz,)
-    gtg, gta = _gaussian_gram(np.stack(cols, axis=1), p, rng)
+    first, second = y[0::2], y[1::2]
+    rows = np.flatnonzero(second != first if tied else second == first)
+    rows *= 2
+    # columns [dz, y_1] of the weighted pairs, gathered by rows; the sum kind
+    # reads dz alone and its second row only holds z_1.  mode="clip" writes
+    # straight into out (the rows are in range), where "raise" buffers a copy.
+    cols = np.empty((2, rows.shape[0]))
+    np.take(z, rows, out=cols[1], mode="clip")
+    rows += 1
+    dz = np.take(z, rows, out=cols[0], mode="clip")
+    dz -= cols[1]
+    if tied:
+        rows -= 1
+        np.take(y, rows, out=cols[1], mode="clip")
+    gtg, gta = _gaussian_gram(cols[:1 + tied].T, p, rng)
     h = rng.standard_normal(p)
     # sum dx dx^T = 2 G^T G + b e^T + e b^T, with P G^T G P expanded about b
     w = gtg @ b

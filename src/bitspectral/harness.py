@@ -34,11 +34,11 @@ differences, in the law ``generate_dataset`` gives them.  ``sparse`` hands
 that matrix to ``sparse_recover``.  In ``lowdim`` and ``sparse`` the sign of
 the estimate is set by X^T y (``orient_by_first_moment``).
 
-``lowdim`` finds the top eigenvector by power iteration stepping by M^16
-(``_squared_power_method``): the same iterate sequence as ``power_method``,
-taken every 16th multiply.  Its ``iters`` counts multiplies of M, so
-``--tmax`` caps multiplies, and ``--tol 0`` runs all ``--tmax`` of them unless
-an iterate repeats exactly.
+``lowdim`` finds the top eigenvector by power iteration stepping by M^64,
+then M^16, then M (``_squared_power_method``): the iterate sequence of
+``power_method``, taken every 64th multiply, then every 16th, then at each.
+Its ``iters`` counts multiplies of M, so ``--tmax`` caps multiplies, and
+``--tol 0`` runs all ``--tmax`` of them unless an iterate repeats exactly.
 
 The noisy-sign model is parameterized by the noise standard deviation sigma;
 a variance of 0.1 (the usual figure setting, sometimes written delta^2)
@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, _check_int
+from .errors import ConfigError, _check_int, _check_real
 from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment
 # no trial calls these four; perfbench/tracing.py patches them as harness attributes
 from .estimator import second_moment, second_moment_sum
@@ -93,7 +93,6 @@ _MODELS = {
 }
 # --matrix value -> forced estimator kind; "auto" picks by the sign of phi
 _MATRIX_KINDS = {"auto": None, "diff": KIND_DIFFERENCE, "sum": KIND_SUM}
-_REALS = (int, float, np.integer, np.floating)  # what a RunConfig float takes, bar bool
 
 
 def _field_type(annotation) -> tuple[type, bool]:
@@ -138,12 +137,11 @@ class RunConfig:
             cast, is_grid = _field_type(f.type)
             value = getattr(self, f.name)
             if cast in (int, float) and value is not None:
+                if is_grid and not isinstance(value, tuple):
+                    raise ConfigError(f"{f.name} takes a tuple of values, got {value!r}")
                 for v in value if is_grid else (value,):
                     what = f"{f.name} grid value" if is_grid else f.name
-                    if cast is int:
-                        _check_int(v, what)
-                    elif isinstance(v, bool) or not isinstance(v, _REALS):
-                        raise ConfigError(f"{what} must be a real number, got {v!r}")
+                    (_check_int if cast is int else _check_real)(v, what)
         grid = _noise_grid(self)
         _check_int(self.trials, "trials", 1)
         if not self.n or not self.p or not grid:

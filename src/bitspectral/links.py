@@ -37,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, _check_int
+from .errors import ConfigError, _check_int, _check_real
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT1_2 = math.sqrt(0.5)
@@ -54,6 +54,8 @@ class FlippedLogistic:
     pe: float = 0.0
 
     def __post_init__(self):
+        _check_real(self.zeta, "zeta")
+        _check_real(self.pe, "pe")
         if not 0.0 <= self.pe < 0.5:
             raise ConfigError(f"flip probability must lie in [0, 0.5), got {self.pe}")
         if not math.isfinite(self.zeta):
@@ -87,6 +89,7 @@ class OneBitCS:
     sigma: float = 0.0
 
     def __post_init__(self):
+        _check_real(self.sigma, "sigma")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ConfigError(f"noise standard deviation must be >= 0, got {self.sigma}")
 
@@ -112,6 +115,7 @@ class OneBitPR:
     theta: float = 1.0
 
     def __post_init__(self):
+        _check_real(self.theta, "theta")
         if not (math.isfinite(self.theta) and self.theta > 0.0):
             raise ConfigError(f"threshold must be > 0, got {self.theta}")
 

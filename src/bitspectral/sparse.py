@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
-from .errors import ConfigError, NumericalError, _check_int
+from .errors import ConfigError, NumericalError, _check_int, _check_real
 # only check_matrix is called here; perfbench/tracing.py patches the other two as sparse attributes
 from .estimator import check_matrix, second_moment, second_moment_sum
 from .spectral import RecoveryReport, _check_stop, _normalize, _power_iterate, top_two_eigs
@@ -51,6 +51,8 @@ class SparseConfig:
     admm_max_iter: int = 2000
 
     def __post_init__(self):
+        for name in ("rho", "admm_penalty", "admm_tol"):  # tol is _check_stop's
+            _check_real(getattr(self, name), name)
         if not (math.isfinite(self.rho) and self.rho >= 0.0):
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
         _check_int(self.s_hat, "s_hat", 1)

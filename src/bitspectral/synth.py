@@ -94,16 +94,29 @@ def sample_beta_sparse(p: int, s: int, seed) -> GroundTruth:
     return GroundTruth(beta_star=beta, support=support)
 
 
-def _plus_mask(model: LinkModel, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The boolean mask u < (f(z) + 1) / 2 of the +1 labels, one uniform u per value.
+_BLOCK = 8192  # uniforms per draw into the labels' one scratch buffer (64 KiB)
 
-    ``z`` is a 1-d float array.  The mask is returned as it is, so callers
-    form labels or pair tests from it by arithmetic, with no per-element branch.
+
+def _labels(model: LinkModel, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Float labels in {-1, +1}: +1 iff u < (f(z) + 1) / 2, one uniform u per value in order.
+
+    ``z`` is a 1-d float array.  The labels are written into the buffer of
+    f(z), with no per-element branch.  The uniforms are drawn ``_BLOCK`` at a
+    time into one reused buffer, which gives the values, and leaves the
+    generator in the state, of one draw of them all.
     """
-    p_plus = model.f(z)  # a new array, never z itself, so it is safe to update in place
-    p_plus += 1.0
-    p_plus *= 0.5
-    return rng.random(z.shape[0]) < p_plus
+    y = model.f(z)  # a new array, never z itself, so it is safe to update in place
+    y += 1.0
+    y *= 0.5
+    u = np.empty(min(_BLOCK, y.shape[0]))
+    plus = np.empty(u.shape[0], dtype=bool)
+    for start in range(0, y.shape[0], _BLOCK):
+        part = y[start:start + _BLOCK]
+        k = part.shape[0]
+        np.less(rng.random(out=u[:k]), part, out=plus[:k])
+        np.multiply(plus[:k], 2.0, out=part)
+        part -= 1.0
+    return y
 
 
 def draw_labels(model: LinkModel, index_values, rng) -> np.ndarray:
@@ -121,7 +134,7 @@ def draw_labels(model: LinkModel, index_values, rng) -> np.ndarray:
         raise ConfigError(f"index values must be a 1-d array, got {z.ndim} dimensions")
     if np.isnan(z).any():
         raise NumericalError("index values must not be NaN")
-    return 2 * _plus_mask(model, z, rng) - 1
+    return _labels(model, z, rng).astype(np.int64)
 
 
 def _paired_size(n: int) -> int:

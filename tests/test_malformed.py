@@ -12,7 +12,10 @@ rule is tested for each entry point.
 Every size, count, order and seed argument goes through one integer rule,
 ``errors._check_int``: a fraction, a bool, a string or a value out of range
 raises ``ConfigError`` naming the argument, and a numpy integer passes.  The
-second table tests it at each public integer argument.
+second table tests it at each public integer argument.  Every real-valued
+setting goes through ``errors._check_real`` in the same way: a bool or a
+string raises ``ConfigError`` naming it, and a numpy real passes.  The third
+table tests it at each such setting of the library.
 """
 
 import numpy as np
@@ -23,8 +26,11 @@ from hypothesis import strategies as st
 from bitspectral import (
     ConfigError,
     Dataset,
+    FlippedLogistic,
     NumericalError,
     OneBitCS,
+    OneBitPR,
+    RunConfig,
     SparseConfig,
     derive_rng,
     expected_moment,
@@ -220,3 +226,30 @@ def test_every_other_seed_form_numpy_takes_still_draws(seed):
     truth = sample_beta_dense(3, seed)
     if isinstance(seed, np.integer):
         np.testing.assert_array_equal(truth.beta_star, sample_beta_dense(3, 3).beta_star)
+
+
+# setting -> call taking the value; each is named in its message
+REAL_ARGUMENTS = {
+    "rho": lambda v: SparseConfig(rho=v, s_hat=2),
+    "tol": lambda v: SparseConfig(rho=0.1, s_hat=2, tol=v),
+    "admm_penalty": lambda v: SparseConfig(rho=0.1, s_hat=2, admm_penalty=v),
+    "admm_tol": lambda v: SparseConfig(rho=0.1, s_hat=2, admm_tol=v),
+    "zeta": lambda v: FlippedLogistic(zeta=v),
+    "pe": lambda v: FlippedLogistic(pe=v),
+    "sigma": lambda v: OneBitCS(sigma=v),
+    "theta": lambda v: OneBitPR(theta=v),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_real_setting_refuses_a_bool_or_a_string(name):
+    for bad in [True, False, "1", "0.1"]:
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number, got {bad!r}"):
+            REAL_ARGUMENTS[name](bad)
+    REAL_ARGUMENTS[name](np.float64(0.25))  # numpy reals pass
+
+
+@pytest.mark.parametrize("field, value", [("n", 200), ("sigma", 0.5)])
+def test_scalar_given_for_a_grid_is_a_config_error(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} takes a tuple of values, got {value!r}"):
+        RunConfig(experiment="lowdim", **{field: value})

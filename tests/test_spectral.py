@@ -22,9 +22,9 @@ from bitspectral import (
     top_two_eigs,
     truncated_power_method,
 )
-from bitspectral.spectral import SQUARED_STRIDE, _squared_power_method
+from bitspectral.spectral import _squared_power_method
 
-from _oracles import reference_power_method
+from _oracles import reference_phased_power_method, reference_power_method
 
 
 def random_psd(p, rng, scale=1.0):
@@ -183,11 +183,13 @@ class TestOneProductPerStep:
         m = factor @ factor.T
         assume(np.any(m))
         b0 = unit(np.random.default_rng(start).standard_normal(m.shape[0]))
+        # an M b whose squared norm underflows is
+        # test_iterate_whose_squared_norm_underflows_is_still_unit's domain
         try:
-            got = power_method(m, b0, t_max=t_max, tol=tol)
-        except NumericalError:
+            beta, iterations, trace, converged = reference_power_method(m, b0, t_max, tol)
+        except FloatingPointError:
             assume(False)
-        beta, iterations, trace, converged = reference_power_method(m, b0, t_max, tol)
+        got = power_method(m, b0, t_max=t_max, tol=tol)
         assert np.array_equal(got.beta_hat, beta)
         assert np.array_equal(got.rayleigh_trace, trace)
         assert got.iterations == iterations
@@ -212,38 +214,72 @@ class TestOneProductPerStep:
         assert tol == 0.0 or (2.0, True) in outcomes
 
 
-def squared_steps(t_max, iterations):
-    """Steps of the squared path that make up `iterations` multiplies under cap t_max."""
-    if t_max < SQUARED_STRIDE:
-        return iterations
-    squared = SQUARED_STRIDE * (t_max // SQUARED_STRIDE)
-    if iterations <= squared:
-        return iterations // SQUARED_STRIDE
-    return squared // SQUARED_STRIDE + iterations - squared
+PHASES = (64, 16, 1)  # multiplies of M per step of the squared path, phase by phase
+
+
+def squared_step_ends(t_max):
+    """Multiplies of M taken by the end of each step of the squared path under cap t_max."""
+    sizes, left = [], t_max
+    for q in PHASES:
+        sizes += [q] * (left // q)
+        left %= q
+    return np.cumsum(sizes)
+
+
+def slow_pair(rng):
+    """A 20-by-20 PSD matrix with lambda2/lambda1 = 0.97 and a unit start.
+
+    0.97 is the slow end of the lowdim grids: no iterate repeats exactly
+    within 500 multiplies, so tol=0 runs to the cap.
+    """
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    m = (q * np.r_[1.0, 0.97, rng.uniform(0.0, 0.9, 18)]) @ q.T
+    return m, unit(rng.standard_normal(20))
 
 
 class TestSquaredPowerPath:
-    """lowdim's power loop: steps by M^16, counts multiplies of M, stops by power_method's rule."""
+    """lowdim's power loop: steps by M^64, M^16 and M in turn, counts multiplies of M,
+    stops by power_method's rule."""
 
-    @pytest.mark.parametrize("t_max", [1, 7, 16, 37, 500])
+    @pytest.mark.parametrize("t_max", [1, 7, 16, 37, 64, 83, 500])
     def test_fixed_budget_matches_reference(self, t_max):
-        # lambda2/lambda1 = 0.97, the slow end of the lowdim grids: no iterate
-        # repeats exactly within 500 multiplies, so tol=0 runs to the cap
         rng = np.random.default_rng(31)
         for _ in range(10):
-            q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-            m = (q * np.r_[1.0, 0.97, rng.uniform(0.0, 0.9, 18)]) @ q.T
-            b0 = unit(rng.standard_normal(20))
+            m, b0 = slow_pair(rng)
             got = _squared_power_method(m, b0, t_max=t_max, tol=0.0)
             beta, iterations, _, _ = reference_power_method(m, b0, t_max, 0.0)
             assert got.iterations == iterations == t_max
             assert not got.converged
-            assert len(got.rayleigh_trace) == squared_steps(t_max, t_max)
+            assert len(got.rayleigh_trace) == len(squared_step_ends(t_max))
             assert np.linalg.norm(got.beta_hat - beta) <= 1e-9
-            if t_max < SQUARED_STRIDE:  # no squared step: power_method's run
+            if t_max < 16:  # no squared step: power_method's run
                 plain = power_method(m, b0, t_max=t_max, tol=0.0)
                 assert np.array_equal(got.beta_hat, plain.beta_hat)
                 assert np.array_equal(got.rayleigh_trace, plain.rayleigh_trace)
+
+    @pytest.mark.parametrize("t_max, steps", [(15, 15), (16, 1), (63, 3 + 15), (64, 1),
+                                              (83, 1 + 1 + 3), (500, 7 + 3 + 4)])
+    def test_trace_has_one_entry_per_step_of_each_phase(self, t_max, steps):
+        m, b0 = slow_pair(np.random.default_rng(32))
+        got = _squared_power_method(m, b0, t_max=t_max, tol=0.0)
+        assert got.iterations == t_max and not got.converged
+        assert len(got.rayleigh_trace) == len(squared_step_ends(t_max)) == steps
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-4])
+    def test_steps_match_the_phased_reference_bit_for_bit(self, tol):
+        # below 64 multiplies the run forms no M^64 and steps by M^16, then M;
+        # a random PSD matrix of p = 6 often stops early
+        rng = np.random.default_rng(33)
+        for t_max in (*range(1, 64), 64, 83, 500):
+            m, b0 = slow_pair(rng)
+            if t_max % 2:
+                m, b0 = random_psd(6, rng), unit(rng.standard_normal(6))
+            got = _squared_power_method(m, b0, t_max=t_max, tol=tol)
+            beta, iterations, trace, converged = reference_phased_power_method(
+                m, b0, t_max, tol, (16, 1) if t_max < 64 else PHASES)
+            assert np.array_equal(got.beta_hat, beta)
+            assert np.array_equal(got.rayleigh_trace, trace)
+            assert (got.iterations, got.converged) == (iterations, converged)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -263,15 +299,18 @@ class TestSquaredPowerPath:
             assume(False)
         beta = got.beta_hat
         assert 1 <= got.iterations <= t_max
-        assert len(got.rayleigh_trace) == squared_steps(t_max, got.iterations)
+        ends = list(squared_step_ends(t_max))
+        assert got.iterations in ends  # runs stop at the end of a step
+        steps = ends.index(got.iterations) + 1
+        assert len(got.rayleigh_trace) == steps
         assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(beta, sign_normalize(beta))
         if not got.converged:
             assert got.iterations == t_max
             return
-        # the stop test, redone between the last iterate and the one a step before
-        last = SQUARED_STRIDE if got.iterations <= t_max - t_max % SQUARED_STRIDE else 1
-        before = got.iterations - last
+        # the stop test, redone between the last iterate and the one a step before;
+        # a run capped at the end of any step takes the same steps up to there
+        before = ends[steps - 2] if steps > 1 else 0
         prev = b0 if before == 0 else _squared_power_method(m, b0, t_max=before, tol=0.0).beta_hat
         minus, plus = beta - prev, beta + prev
         assert min(math.sqrt(minus @ minus), math.sqrt(plus @ plus)) <= tol

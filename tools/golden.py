@@ -53,8 +53,11 @@ CONFIGS = [
     ["lowdim", "--model", "pr", "--theta", "0.4", *LOWDIM],
     ["lowdim", "--model", "pr", "--theta", "1", "--matrix", "sum", *LOWDIM],
     ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "7", *LOWDIM],
-    # a fixed budget that ends in single multiplies after the last 16-multiply step
+    # fixed budgets: below 64 multiplies, two M^16 steps and then single multiplies;
+    # one M^64 step alone; and every phase, 64 + 16 + 3 multiplies
     ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "37", *LOWDIM],
+    ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "64", *LOWDIM],
+    ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "83", *LOWDIM],
     # a small eigengap (flr, pe 0.1), where trials can stop on the 500-multiply cap
     ["lowdim", "--model", "flr", "--pe", "0.1", "--n", "7840", "--p", "5", "--trials", "2",
      "--seed", "4"],
