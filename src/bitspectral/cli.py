@@ -56,7 +56,7 @@ def _parse(name: str, raw):
         items = raw if grid and isinstance(raw, (list, tuple)) else [raw]
     try:
         values = tuple(_cast(v, cast) for v in items)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         what = f"grid value {raw!r}" if grid else f"value for {name}"
         raise ConfigError(f"bad {what}: {exc}") from None
     return values if grid else values[0]

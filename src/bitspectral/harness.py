@@ -158,7 +158,8 @@ class RunConfig:
             raise ConfigError(
                 f"experiment {self.experiment!r} takes a single noise value, got grid {grid}"
             )
-        # every solver setting is checked, whichever experiment uses it
+        # every solver setting is checked, whichever experiment uses it, rho_const by its name
+        _check_real(self.rho_const, "rho_const", 0)
         _sparse_config(self, self.rho_const, 1 if self.shat is None else self.shat)
         if self.experiment == "eigs" and (len(self.n) != 1 or len(self.p) != 1):
             raise ConfigError(

@@ -33,7 +33,7 @@ sign(0) = +1 is fixed throughout for determinism.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -55,11 +55,7 @@ class FlippedLogistic:
 
     def __post_init__(self):
         _check_real(self.zeta, "zeta")
-        _check_real(self.pe, "pe")
-        if not 0.0 <= self.pe < 0.5:
-            raise ConfigError(f"flip probability must lie in [0, 0.5), got {self.pe}")
-        if not math.isfinite(self.zeta):
-            raise ConfigError(f"intercept must be finite, got {self.zeta}")
+        _check_real(self.pe, "pe", 0, 0.5)
 
     def f(self, z):
         # (1 - 2 pe) tanh((z + zeta) / 2), each step written into one new
@@ -89,9 +85,7 @@ class OneBitCS:
     sigma: float = 0.0
 
     def __post_init__(self):
-        _check_real(self.sigma, "sigma")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ConfigError(f"noise standard deviation must be >= 0, got {self.sigma}")
+        _check_real(self.sigma, "sigma", 0)
 
     def f(self, z):
         if self.sigma == 0.0:
@@ -115,9 +109,7 @@ class OneBitPR:
     theta: float = 1.0
 
     def __post_init__(self):
-        _check_real(self.theta, "theta")
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise ConfigError(f"threshold must be > 0, got {self.theta}")
+        _check_real(self.theta, "theta", 0, above=True)
 
     def f(self, z):
         return _sign_pos(np.abs(z) - self.theta)
@@ -131,6 +123,13 @@ class OneBitPR:
 
 
 LinkModel = Union[FlippedLogistic, OneBitCS, OneBitPR]
+
+
+def _check_model(model) -> None:
+    """ConfigError unless ``model`` is an instance of one of the three link families."""
+    if not isinstance(model, LinkModel):
+        names = ", ".join(family.__name__ for family in get_args(LinkModel))
+        raise ConfigError(f"model must be one of the link families {names}, got {model!r}")
 
 
 @dataclass(frozen=True)
@@ -244,14 +243,15 @@ def normal_pdf(x):
 def link_eval(model: LinkModel, z):
     """Evaluate the link f(z) of ``model``; accepts scalars or arrays.
 
-    Output is always in [-1, 1].  Total over the reals: no error cases.
+    Output is always in [-1, 1].  Total over the reals; a ``model`` that is not
+    one of the three families raises ``ConfigError``.
     """
+    _check_model(model)
     scalar = np.isscalar(z)
     out = model.f(np.asarray(z, dtype=float))
     return float(out) if scalar else out
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSummary:
     """Compute (mu0, mu1, mu2, phi) for a link model.
 
@@ -261,9 +261,17 @@ def moments(model: LinkModel, quad_order: int = DEFAULT_QUAD_ORDER) -> MomentSum
     Each family computes its own moments in ``_moments``.
 
     Results are memoized on the (frozen, hashable) model and the order, so a
-    grid that asks once per trial pays for the quadrature once.  The cache is
-    typed, so an order of another type (16.0 after 16) is checked, not found.
+    grid that asks once per trial pays for the quadrature once.  A ``model``
+    that is not one of the three families raises ``ConfigError`` before the
+    cache is read.  The cache is typed, so an order of another type (16.0
+    after 16) is checked, not found.
     """
+    _check_model(model)
+    return _cached_moments(model, quad_order)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _cached_moments(model: LinkModel, quad_order: int) -> MomentSummary:
     _check_int(quad_order, "quadrature order", 8)
     mu0, mu1, mu2, method = model._moments(quad_order)
     phi = mu1 * mu1 - mu0 * mu2 + mu0 * mu0

@@ -51,16 +51,11 @@ class SparseConfig:
     admm_max_iter: int = 2000
 
     def __post_init__(self):
-        for name in ("rho", "admm_penalty", "admm_tol"):  # tol is _check_stop's
-            _check_real(getattr(self, name), name)
-        if not (math.isfinite(self.rho) and self.rho >= 0.0):
-            raise ConfigError(f"rho must be >= 0, got {self.rho}")
+        _check_real(self.rho, "rho", 0)
         _check_int(self.s_hat, "s_hat", 1)
         _check_stop(self.t_max, self.tol)
-        if not (math.isfinite(self.admm_penalty) and self.admm_penalty > 0.0):
-            raise ConfigError(f"admm_penalty must be finite and > 0, got {self.admm_penalty}")
-        if not (math.isfinite(self.admm_tol) and self.admm_tol > 0.0):
-            raise ConfigError(f"admm_tol must be finite and > 0, got {self.admm_tol}")
+        _check_real(self.admm_penalty, "admm_penalty", 0, above=True)
+        _check_real(self.admm_tol, "admm_tol", 0, above=True)
         _check_int(self.admm_max_iter, "admm_max_iter", 1)
 
 
@@ -86,10 +81,9 @@ def soft_threshold(a, t: float, out=None):
     """Entrywise sign(a) * max(|a| - t, 0); the l1 proximal map.
 
     ``out``, as for a numpy ufunc, receives the result; it must not be ``a``.
-    A negative or NaN ``t`` raises ``ConfigError``.
+    A negative, NaN or infinite ``t``, a bool or a string raises ``ConfigError``.
     """
-    if not t >= 0.0:  # written so that a NaN threshold fails too
-        raise ConfigError(f"threshold must be >= 0, got {t}")
+    _check_real(t, "threshold", 0)
     a = np.asarray(a, dtype=float)
     return np.subtract(a, np.clip(a, -t, t, out=out), out=out)
 
@@ -144,6 +138,7 @@ def _fantope_roots(lam: np.ndarray) -> np.ndarray:
 # fixed-penalty convergence guarantee covers the rest of the run.
 BALANCE_RATIO = 10.0
 BALANCE_ITERS = 1000
+_FLOAT_MAX = np.finfo(float).max  # a threshold rho/tau above it clips as +inf would
 
 # Iterations of fantope_admm(settle=True)'s rule: the smallest of 2-5 that,
 # with every larger one, left per-trial errors no worse than the earlier rule
@@ -189,7 +184,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     threshold = cfg.admm_tol * p
     z, z_prev, u = (np.zeros((p, p)) for _ in range(3))
     arg = np.empty((p, p))  # reused every iteration
-    t = cfg.rho / tau
+    t = min(cfg.rho / tau, _FLOAT_MAX)
     primal = dual = math.inf
     iterations = updates = runs = 0
     v = support = None
@@ -223,7 +218,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
         tau *= scale
         u /= scale
         m_scaled /= scale
-        t = cfg.rho / tau
+        t = min(cfg.rho / tau, _FLOAT_MAX)
         updates += 1
     return FantopeSolution(pi, iterations, primal, dual, tau, updates, "cap")
 
@@ -272,21 +267,20 @@ def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
 def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     """Sparse pipeline on M: ADMM initializer, then truncated power method.
 
-    ``mtx`` is an array passing ``check_matrix``, p >= 2.  The
-    initializer is the leading eigenvector of the ADMM solution, truncated to
-    s_hat and renormalized; ADMM runs with the settle rule
-    (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = tr(M)/p.  That
-    program has the same minimizer as (M, rho), and every stop test of the
-    loop is scale-free: M c^2 with rho c^2, c a power of two, repeats the run
-    bit for bit.  The truncated power method reads the raw M.  ``stages``
-    carries the ADMM residuals and stop reason (in the normalized units) and
-    the relaxation solution's eigengap; ``converged`` is the conjunction of
-    the ADMM and power-stage flags.
+    ``mtx`` is an array passing ``check_matrix``, p >= 2 (else ``ConfigError``
+    before any ADMM iteration).  The initializer is the leading eigenvector of
+    the ADMM solution, truncated to s_hat and renormalized; ADMM runs with the
+    settle rule (``fantope_admm(..., settle=True)``) on (M/s, rho/s),
+    s = tr(M)/p.  That program has the same minimizer as (M, rho), and every
+    stop test of the loop is scale-free: M c^2 with rho c^2, c a power of two,
+    repeats the run bit for bit.  The truncated power method reads the raw M.
+    ``stages`` carries the ADMM residuals and stop reason (in the normalized
+    units) and the relaxation solution's eigengap; ``converged`` is the
+    conjunction of the ADMM and power-stage flags.
     """
     m = check_matrix(mtx, "sparse_recover")
     p = m.shape[0]
-    if p < 2:
-        raise ConfigError(f"sparse_recover needs p >= 2 for its initializer, got p={p}")
+    _check_int(p, "p", 2)  # the initializer reads the top two eigenvalues
     # M is PSD, so tr(M) = 0 only for M = 0, which the power stage reports
     scale = float(np.trace(m)) / p or 1.0
     rho = cfg.rho / scale

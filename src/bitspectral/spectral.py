@@ -70,9 +70,7 @@ def _check_unit(v: np.ndarray, what: str, p: int | None = None) -> np.ndarray:
 
 def _check_stop(t_max: int, tol: float) -> None:
     _check_int(t_max, "t_max", 1)
-    _check_real(tol, "tol")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
+    _check_real(tol, "tol", 0)
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -198,10 +196,9 @@ def top_two_eigs(mtx):
 
     Full symmetric eigendecomposition.  Returns ``(lambda1, lambda2, v1)``
     with lambda1 >= lambda2 and v1 sign-normalized.  The matrix must pass
-    ``check_matrix`` and have p >= 2 (``ConfigError``).
+    ``check_matrix`` and have p >= 2 (``ConfigError: p must be >= 2``).
     """
     m = check_matrix(mtx, "top_two_eigs")
-    if m.shape[0] < 2:
-        raise ConfigError(f"need p >= 2 for a top-two spectrum, got p={m.shape[0]}")
+    _check_int(m.shape[0], "p", 2)
     vals, vecs = np.linalg.eigh(m)
     return float(vals[-1]), float(vals[-2]), sign_normalize(vecs[:, -1].copy())

@@ -13,21 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, _check_int
-from .links import LinkModel
+from .links import LinkModel, _check_model
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Unit-norm target direction and its support set; ConfigError unless a 1-D unit vector."""
+    """Unit-norm target direction and its support set; ConfigError unless a real 1-D unit
+    vector.  ``beta_star`` is stored as a float64 array."""
 
     beta_star: np.ndarray
     support: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.beta_star) != 1:
-            raise ConfigError(f"beta_star must be 1-D, got shape {np.shape(self.beta_star)}")
+        beta = np.asarray(self.beta_star)
+        if beta.dtype.kind not in "iuf":
+            raise ConfigError(f"beta_star must be real, got dtype {beta.dtype}")
+        if beta.ndim != 1:
+            raise ConfigError(f"beta_star must be 1-D, got shape {beta.shape}")
+        object.__setattr__(self, "beta_star", beta.astype(float, copy=False))
         norm = float(np.linalg.norm(self.beta_star))
         if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
             raise ConfigError(f"beta_star must be unit norm, got ||.|| = {norm!r}")
@@ -40,7 +45,9 @@ class Dataset:
     labels: np.ndarray
     covariates: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self):  # labels and covariates are stored as arrays, covariates as float
+        object.__setattr__(self, "labels", np.asarray(self.labels))
+        object.__setattr__(self, "covariates", np.asarray(self.covariates, dtype=float))
         if self.labels.ndim != 1 or self.covariates.ndim != 2:
             raise ConfigError(f"dataset needs 1-D labels and 2-D covariates, got shapes "
                               f"{self.labels.shape} and {self.covariates.shape}")
@@ -103,8 +110,11 @@ def _labels(model: LinkModel, z: np.ndarray, rng: np.random.Generator) -> np.nda
     ``z`` is a 1-d float array.  The labels are written into the buffer of
     f(z), with no per-element branch.  The uniforms are drawn ``_BLOCK`` at a
     time into one reused buffer, which gives the values, and leaves the
-    generator in the state, of one draw of them all.
+    generator in the state, of one draw of them all.  A ``model`` that is not
+    one of the three link families raises ``ConfigError`` before any uniform
+    is drawn.
     """
+    _check_model(model)
     y = model.f(z)  # a new array, never z itself, so it is safe to update in place
     y += 1.0
     y *= 0.5

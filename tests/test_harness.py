@@ -436,6 +436,16 @@ class TestCli:
         assert main(["diag", "--config", str(cfgfile)]) == 2
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [{"zeta": 10**400}, {"sigma": [0.5, -10**400]}],
+                             ids=["zeta", "sigma-grid"])
+    def test_config_file_integer_beyond_a_float_is_a_config_error(self, tmp_path, capsys,
+                                                                   values):
+        # json reads the literal as an int; float() of it raised OverflowError, a crash
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"model": "flr" if "zeta" in values else "cs", **values}))
+        assert main(["diag", "--config", str(cfgfile)]) == 2
+        assert "int too large to convert to float" in capsys.readouterr().err
+
     def test_every_field_has_a_flag_and_a_key(self, tmp_path, capsys):
         common = {
             "n": (100, 200), "p": (3,), "s": (1, 2), "trials": 4,

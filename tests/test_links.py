@@ -19,6 +19,7 @@ from bitspectral import (
     theory_diagnostics,
     theta_median,
 )
+from bitspectral.harness import select_matrix_kind
 from bitspectral.links import LinkModel, _ndtr, _sign_pos, normal_cdf, normal_pdf
 
 from _oracles import reference_link, split_domain_moment
@@ -163,6 +164,18 @@ class TestConstructors:
     def test_pr_rejects_bad_theta(self, theta):
         with pytest.raises(ConfigError):
             OneBitPR(theta=theta)
+
+
+@pytest.mark.parametrize("model", ["cs", {}, None, OneBitCS],
+                         ids=["name", "unhashable", "None", "class"])
+def test_a_model_that_is_not_a_link_family_is_a_config_error(model):
+    # "cs" raised AttributeError in each call, and {} TypeError from moments' cache
+    calls = [lambda: moments(model), lambda: link_eval(model, 0.0),
+             lambda: select_matrix_kind(model), lambda: theory_diagnostics(model, 10)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="^model must be one of the link families "
+                                              "FlippedLogistic, OneBitCS, OneBitPR, got"):
+            call()
 
 
 class TestMoments:

@@ -13,10 +13,13 @@ Every size, count, order and seed argument goes through one integer rule,
 ``errors._check_int``: a fraction, a bool, a string or a value out of range
 raises ``ConfigError`` naming the argument, and a numpy integer passes.  The
 second table tests it at each public integer argument.  Every real-valued
-setting goes through ``errors._check_real`` in the same way: a bool or a
-string raises ``ConfigError`` naming it, and a numpy real passes.  The third
-table tests it at each such setting of the library.
+setting goes through ``errors._check_real`` in the same way: a bool, a string,
+a NaN, an infinity or a value out of the setting's range raises
+``ConfigError`` naming it, and a numpy real passes.  The third table tests it
+at each such setting of the library and of ``RunConfig``.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -43,12 +46,14 @@ from bitspectral import (
     sample_beta_sparse,
     sample_moment,
     second_moment,
+    soft_threshold,
     sparse_recover,
     theory_diagnostics,
     top_two_eigs,
     truncate,
     truncated_power_method,
 )
+from bitspectral import harness
 from bitspectral.estimator import check_matrix
 from bitspectral.spectral import _squared_power_method
 
@@ -238,7 +243,34 @@ REAL_ARGUMENTS = {
     "pe": lambda v: FlippedLogistic(pe=v),
     "sigma": lambda v: OneBitCS(sigma=v),
     "theta": lambda v: OneBitPR(theta=v),
+    "threshold": lambda v: soft_threshold(np.eye(2), v),  # soft_threshold's t
+    "rho_const": lambda v: RunConfig(experiment="lowdim", rho_const=v),
 }
+
+# setting -> (values below its range, the value at its open bound if it has one, and its
+# message for the last of them); a NaN, +inf and -inf are refused everywhere
+REAL_RANGES = {
+    "rho": [-0.5, "must be >= 0, got -0.5"],
+    "tol": [-1e-12, "must be >= 0, got -1e-12"],
+    "admm_penalty": [-1.0, 0.0, "must be > 0, got 0.0"],
+    "admm_tol": [-1.0, 0, "must be > 0, got 0"],
+    "zeta": ["must be finite, got -inf"],
+    "pe": [-0.1, 0.5, "must be < 0.5, got 0.5"],
+    "sigma": [-1.0, "must be >= 0, got -1.0"],
+    "theta": [-1.0, 0.0, "must be > 0, got 0.0"],
+    "threshold": [-0.1, "must be >= 0, got -0.1"],
+    "rho_const": [-1.0, "must be >= 0, got -1.0"],
+}
+
+# RunConfig field -> the model that reads it; each reaches the rule through RunConfig
+RUN_FIELDS = {"pe": "flr", "sigma": "cs", "theta": "pr", "zeta": "flr", "tol": "cs",
+              "rho_const": "cs", "admm_penalty": "cs", "admm_tol": "cs"}
+
+
+def test_every_real_setting_has_a_range_row():
+    assert set(REAL_RANGES) == set(REAL_ARGUMENTS)
+    assert set(RUN_FIELDS) == {f.name for f in fields(RunConfig)
+                               if harness._field_type(f.type)[0] is float}
 
 
 @pytest.mark.parametrize("name", REAL_ARGUMENTS)
@@ -247,6 +279,36 @@ def test_real_setting_refuses_a_bool_or_a_string(name):
         with pytest.raises(ConfigError, match=f"^{name} must be a real number, got {bad!r}"):
             REAL_ARGUMENTS[name](bad)
     REAL_ARGUMENTS[name](np.float64(0.25))  # numpy reals pass
+
+
+def _refuses_out_of_range(call, name):
+    *outside, last = REAL_RANGES[name]
+    for bad in [np.nan, np.inf, -np.inf, *outside]:
+        with pytest.raises(ConfigError, match=f"^{name}( grid value)? must be ") as caught:
+            call(bad)
+        if not -np.inf < bad < np.inf:
+            assert str(caught.value).endswith(f"must be finite, got {bad}")
+    assert str(caught.value).endswith(last)
+
+
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_real_setting_refuses_a_value_out_of_its_range(name):
+    _refuses_out_of_range(REAL_ARGUMENTS[name], name)
+
+
+@pytest.mark.parametrize("name", RUN_FIELDS)
+def test_run_config_names_the_real_setting_out_of_range(name):
+    grid = isinstance(getattr(RunConfig, name), tuple)
+    _refuses_out_of_range(lambda v: RunConfig(experiment="lowdim", model=RUN_FIELDS[name],
+                                              **{name: (v,) if grid else v}), name)
+
+
+def test_real_setting_takes_its_closed_bound_and_an_integer():
+    SparseConfig(rho=0, s_hat=2, tol=0.0)
+    FlippedLogistic(zeta=-3, pe=0)
+    OneBitCS(sigma=0.0)
+    soft_threshold(np.eye(2), 0)
+    RunConfig(experiment="lowdim", rho_const=0.0)
 
 
 @pytest.mark.parametrize("field, value", [("n", 200), ("sigma", 0.5)])

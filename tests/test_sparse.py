@@ -444,6 +444,16 @@ class TestFantopeAdmm:
         assert (sol.penalty, sol.iterations, sol.penalty_updates) == (tau, iterations, updates)
         assert updates > 20 if start < 1.0 else tau < start
 
+    def test_threshold_beyond_the_largest_float_runs_as_one_above_every_entry(self):
+        # rho / tau overflows to +inf at rho = 1e10; rho = 1e-280 keeps it finite and above
+        # every entry of Pi + U, so both runs zero Z at every iteration
+        m = sym(np.random.default_rng(12).standard_normal((6, 6)))
+        runs = [fantope_admm(m, base_cfg(rho=rho, admm_penalty=1e-300, admm_tol=1e-300,
+                                         admm_max_iter=30)) for rho in (1e10, 1e-280)]
+        assert np.array_equal(runs[0].Pi, runs[1].Pi)
+        assert [(r.penalty, r.penalty_updates, r.stop) for r in runs] == \
+            [(runs[1].penalty, runs[1].penalty_updates, "cap")] * 2
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SparseConfig(rho=-0.1, s_hat=2)
@@ -836,7 +846,7 @@ class TestSparseRecover:
             raise AssertionError("an ADMM iteration ran")
 
         monkeypatch.setattr(sparse_mod, "fantope_project", no_iteration)
-        with pytest.raises(ConfigError, match="sparse_recover needs p >= 2"):
+        with pytest.raises(ConfigError, match="^p must be >= 2, got 1$"):
             sparse_recover(np.ones((1, 1)), SparseConfig(rho=0.1, s_hat=1))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

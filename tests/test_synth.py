@@ -16,9 +16,11 @@ from bitspectral import (
     OneBitCS,
     OneBitPR,
     draw_labels,
+    expected_moment,
     generate_dataset,
     sample_beta_dense,
     sample_beta_sparse,
+    sample_moment,
 )
 
 
@@ -87,6 +89,24 @@ def test_ground_truth_rejects_a_non_unit_direction(beta):
 def test_ground_truth_rejects_a_direction_that_is_not_1d():
     with pytest.raises(ConfigError, match=r"beta_star must be 1-D, got shape \(1, 2\)"):
         GroundTruth(beta_star=np.array([[0.6, 0.8]]), support=np.arange(2))
+
+
+def test_ground_truth_stores_a_list_as_a_float_array():
+    truth = GroundTruth([1.0, 0.0], np.arange(2))
+    assert type(truth.beta_star) is np.ndarray and truth.beta_star.dtype == np.float64
+    assert GroundTruth([0, 1], np.arange(2)).beta_star.dtype == np.float64
+    # both raised AttributeError on the list's missing shape
+    assert generate_dataset(OneBitCS(0.5), truth, 10, 0).p == 2
+    as_array = GroundTruth(np.array([1.0, 0.0]), np.arange(2))
+    np.testing.assert_array_equal(expected_moment(OneBitCS(0.5), truth),
+                                  expected_moment(OneBitCS(0.5), as_array))
+
+
+@pytest.mark.parametrize("beta", [np.array([1j, 0]), np.array([True, False]), ["a", "b"]],
+                         ids=["complex", "bool", "str"])
+def test_ground_truth_refuses_a_direction_that_is_not_real(beta):
+    with pytest.raises(ConfigError, match="^beta_star must be real, got dtype"):
+        GroundTruth(beta, np.arange(2))
 
 
 class TestGenerateDataset:
@@ -222,4 +242,30 @@ class TestDatasetInvariants:
     def test_rejects_malformed_shapes(self, labels, covariates):
         with pytest.raises(ConfigError, match="1-D labels and 2-D covariates"):
             Dataset(labels=labels, covariates=covariates)
+
+    def test_reads_lists_as_arrays_and_covariates_as_float(self):
+        # a list of labels raised AttributeError on its missing ndim
+        data = Dataset([1, -1], [[0, 0], [1, 1]])
+        assert type(data.labels) is np.ndarray and data.labels.dtype.kind == "i"
+        assert data.covariates.dtype == np.float64 and (data.n, data.p) == (2, 2)
+        with pytest.raises(ConfigError, match="1-D labels and 2-D covariates"):
+            Dataset([1, -1], [0.0, 1.0])
+
+
+NOT_A_FAMILY = {"name": "cs", "unhashable": {}, "None": None, "class": OneBitCS}
+
+
+@pytest.mark.parametrize("model", NOT_A_FAMILY.values(), ids=NOT_A_FAMILY.keys())
+def test_draws_refuse_a_model_that_is_not_a_link_family_before_any_uniform(model):
+    truth = sample_beta_dense(3, 0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    calls = [lambda: draw_labels(model, [0.1, -0.2], rng),
+             lambda: generate_dataset(model, truth, 10, 0),
+             lambda: sample_moment(model, truth, 10, "difference", 0)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="^model must be one of the link families "
+                                              "FlippedLogistic, OneBitCS, OneBitPR, got"):
+            call()
+    assert rng.bit_generator.state == state
 

@@ -154,6 +154,12 @@ CONFIGS = [
     ["diag", "--admm-penalty", "nan", "--tol", "nan"],
     ["eigs", "--tol", "nan", "--n", "200", "--p", "4", "--trials", "1"],
     ["diag", "--config", "bool_float.json"],
+    # real settings refused out of their range, each named as typed
+    ["lowdim", "--sigma", "-1"],
+    ["lowdim", "--model", "pr", "--theta", "0"],
+    ["lowdim", "--model", "flr", "--zeta", "inf"],
+    ["sparse", "--s", "2", "--rho-const", "-1"],
+    ["diag", "--admm-tol", "0"],
     # integer settings refused below their range
     ["sparse", "--s", "2", "--shat", "0"],
     ["lowdim", "--quad-order", "7"],
