@@ -40,8 +40,10 @@ _FIELDS = {f.name: _field_type(f.type) for f in fields(RunConfig)[1:]}  # all bu
 
 
 def _cast(raw, cast):
-    """One flag or JSON value; no field takes a bool, and an int field no fraction."""
-    if isinstance(raw, bool) or (cast is int and isinstance(raw, float) and not raw.is_integer()):
+    """One flag or JSON value; no field takes a bool, an int field no fraction, and a string
+    field nothing but a string."""
+    if (isinstance(raw, bool) or (cast is int and isinstance(raw, float) and not raw.is_integer())
+            or (cast is str and not isinstance(raw, str))):
         expected = {int: "an integer", float: "a number"}.get(cast, "a string")
         raise ValueError(f"expected {expected}, got {raw!r}")
     return cast(raw)

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _check_array, _check_choice
 from .links import DEFAULT_QUAD_ORDER, LinkModel, moments
 from .synth import Dataset, GroundTruth, _as_rng, _labels, _paired_size
 
@@ -47,19 +47,18 @@ _SIGNS = {KIND_DIFFERENCE: 1, KIND_SUM: -1}
 
 def _sign(kind) -> int:
     """The sign s of a moment kind; ConfigError for anything else."""
-    if not isinstance(kind, str) or kind not in _SIGNS:
-        raise ConfigError(f"kind must be one of {tuple(_SIGNS)}, got {kind!r}")
+    _check_choice(kind, "kind", _SIGNS)
     return _SIGNS[kind]
 
 
 def check_matrix(mtx, what: str) -> np.ndarray:
     """The one rule for a matrix that a solver reads; ``what`` names it in the errors.
 
-    Reads the array-like ``mtx`` as float64 and returns that array:
+    Reads the array-like ``mtx`` by ``errors._check_array`` and returns that float64 array:
     2-D, square and non-empty (``ConfigError``), finite (``NumericalError``) and
     ||A - A^T||_F <= 1e-12 ||A||_F (``ConfigError``); c A passes as A does, c = 2^k.
     """
-    a = np.asarray(mtx, dtype=float)
+    a = _check_array(mtx, f"{what}'s matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ConfigError(f"{what} requires a non-empty square matrix, got shape {a.shape}")
     with np.errstate(over="ignore"):  # finite only if every entry is, unless it overflows

@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, _check_int, _check_real
+from .errors import ConfigError, _check_choice, _check_int, _check_real
 from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment
 # no trial calls these four; perfbench/tracing.py patches them as harness attributes
 from .estimator import second_moment, second_moment_sum
@@ -128,11 +128,10 @@ class RunConfig:
     out: str | None = None  # CSV path; None writes to stdout
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise ConfigError(
-                f"experiment must be one of {tuple(_EXPERIMENTS)}, got {self.experiment!r}")
-        if self.model not in _MODELS:
-            raise ConfigError(f"model must be one of {tuple(_MODELS)}, got {self.model!r}")
+        _check_choice(self.experiment, "experiment", _EXPERIMENTS)
+        _check_choice(self.model, "model", _MODELS)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string or None, got {self.out!r}")
         for f in fields(self):  # every int and float field and grid value, typed by its annotation
             cast, is_grid = _field_type(f.type)
             value = getattr(self, f.name)
@@ -208,8 +207,10 @@ CSV_HEADER = ",".join(_COLUMNS)
 
 def default_config(experiment: str, model: str = "cs", **overrides) -> RunConfig:
     """Config with the standard desk-scale grids for the given experiment."""
-    grids = dict(_EXPERIMENTS[experiment].grids) if experiment in _EXPERIMENTS else {}
-    if experiment == "eigs" and model in _MODELS:  # eigs sweeps the model's own noise grid
+    _check_choice(experiment, "experiment", _EXPERIMENTS)
+    _check_choice(model, "model", _MODELS)
+    grids = dict(_EXPERIMENTS[experiment].grids)
+    if experiment == "eigs":  # eigs sweeps the model's own noise grid
         grids[_MODELS[model].noise] = _MODELS[model].eigs_grid
     return RunConfig(experiment=experiment, model=model, **{**grids, **overrides})
 
@@ -235,8 +236,7 @@ def select_matrix_kind(
 
     phi is evaluated under a forced flag too, so a bad ``quad_order`` fails.
     """
-    if override not in _MATRIX_KINDS:
-        raise ConfigError(f"matrix must be {'|'.join(_MATRIX_KINDS)}, got {override!r}")
+    _check_choice(override, "matrix", _MATRIX_KINDS)
     auto = KIND_SUM if moments(model, quad_order=quad_order).phi < 0.0 else KIND_DIFFERENCE
     return _MATRIX_KINDS[override] or auto
 
@@ -391,6 +391,8 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
 
 
 def _open_csv(path: str, mode: str):
+    if not isinstance(path, str):
+        raise ConfigError(f"the CSV path must be a string, got {path!r}")
     try:
         return open(path, mode, newline="")
     except OSError as exc:
@@ -400,7 +402,7 @@ def _open_csv(path: str, mode: str):
 def check_csv_path(path: str | None) -> None:
     """Raise now the ConfigError ``write_csv`` would raise; leave ``path`` as it was found."""
     if path is not None:
-        created = not os.path.lexists(path)
+        created = isinstance(path, str) and not os.path.lexists(path)  # else _open_csv refuses it
         _open_csv(path, "a").close()
         if created:
             os.remove(path)

@@ -37,7 +37,7 @@ from typing import Union, get_args
 
 import numpy as np
 
-from .errors import ConfigError, _check_int, _check_real
+from .errors import ConfigError, _check_array, _check_int, _check_real
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT1_2 = math.sqrt(0.5)
@@ -243,12 +243,12 @@ def normal_pdf(x):
 def link_eval(model: LinkModel, z):
     """Evaluate the link f(z) of ``model``; accepts scalars or arrays.
 
-    Output is always in [-1, 1].  Total over the reals; a ``model`` that is not
-    one of the three families raises ``ConfigError``.
+    Output is always in [-1, 1].  Total over the reals; a ``z`` that is not real,
+    or a ``model`` that is not one of the three families, raises ``ConfigError``.
     """
     _check_model(model)
     scalar = np.isscalar(z)
-    out = model.f(np.asarray(z, dtype=float))
+    out = model.f(_check_array(z, "link_eval's z"))
     return float(out) if scalar else out
 
 

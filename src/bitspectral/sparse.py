@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
-from .errors import ConfigError, NumericalError, _check_int, _check_real
+from .errors import NumericalError, _check_array, _check_int, _check_real
 # only check_matrix is called here; perfbench/tracing.py patches the other two as sparse attributes
 from .estimator import check_matrix, second_moment, second_moment_sum
 from .spectral import RecoveryReport, _check_stop, _normalize, _power_iterate, top_two_eigs
@@ -81,10 +81,10 @@ def soft_threshold(a, t: float, out=None):
     """Entrywise sign(a) * max(|a| - t, 0); the l1 proximal map.
 
     ``out``, as for a numpy ufunc, receives the result; it must not be ``a``.
-    A negative, NaN or infinite ``t``, a bool or a string raises ``ConfigError``.
+    A negative, NaN, infinite, bool or string ``t``, or a non-real ``a``, raises ``ConfigError``.
     """
     _check_real(t, "threshold", 0)
-    a = np.asarray(a, dtype=float)
+    a = _check_array(a, "soft_threshold's a")
     return np.subtract(a, np.clip(a, -t, t, out=out), out=out)
 
 
@@ -232,16 +232,14 @@ def _top_support(v: np.ndarray, s_hat: int) -> np.ndarray:
 def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     """Keep the s_hat largest-|.| coordinates (ties: lower index) and renormalize.
 
-    A non-1-D ``v`` raises ``ConfigError``; a non-finite entry, kept or not, ``NumericalError``.
+    A non-real or non-1-D ``v`` raises ``ConfigError``; any non-finite entry ``NumericalError``.
     """
     return _truncate(v, s_hat)
 
 
 def _truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     """``truncate`` without its overflow guard, for loops that hold the guard already."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ConfigError(f"truncate requires a 1-D vector, got shape {v.shape}")
+    v = _check_array(v, "truncate's v", ndim=1)
     _check_int(s_hat, "s_hat", 1, v.shape[0])
     if not np.isfinite(v).all():
         raise NumericalError("truncate requires a finite vector")

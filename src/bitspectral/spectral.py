@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_int, _check_real
+from .errors import ConfigError, NumericalError, _check_array, _check_int, _check_real
 from .estimator import check_matrix
 
 # Multiplies of M per step of the squared power path's first phase, a power of
@@ -53,13 +53,18 @@ def orient_by_first_moment(beta_hat: np.ndarray, xty: np.ndarray) -> np.ndarray:
     of <beta_hat, X^T y> is the sign of <beta_hat, b> once beta_hat is
     close to +-b and mu1 > 0.  That assumption holds for the flipped-logistic
     and noisy-sign links.  The thresholded-magnitude link is even, mu1 = 0,
-    and its sign is not identifiable; there the flip is a coin toss.
+    and its sign is not identifiable; there the flip is a coin toss.  Both
+    vectors must be real, 1-D and of one length (``ConfigError``).
     """
+    beta_hat = _check_array(beta_hat, "beta_hat", ndim=1)
+    xty = _check_array(xty, "xty", ndim=1)
+    if beta_hat.shape != xty.shape:
+        raise ConfigError(f"beta_hat has shape {beta_hat.shape}, xty {xty.shape}")
     return -beta_hat if float(beta_hat @ xty) < 0.0 else beta_hat
 
 
 def _check_unit(v: np.ndarray, what: str, p: int | None = None) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    v = _check_array(v, what)
     if p is not None and v.shape != (p,):
         raise ConfigError(f"{what} must have shape ({p},), got {v.shape}")
     # written so that a NaN or infinite norm fails too

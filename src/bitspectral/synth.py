@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_int
+from .errors import ConfigError, NumericalError, _check_array, _check_int
 from .links import LinkModel, _check_model
 
 log = logging.getLogger(__name__)
@@ -27,12 +27,7 @@ class GroundTruth:
     support: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta_star)
-        if beta.dtype.kind not in "iuf":
-            raise ConfigError(f"beta_star must be real, got dtype {beta.dtype}")
-        if beta.ndim != 1:
-            raise ConfigError(f"beta_star must be 1-D, got shape {beta.shape}")
-        object.__setattr__(self, "beta_star", beta.astype(float, copy=False))
+        object.__setattr__(self, "beta_star", _check_array(self.beta_star, "beta_star", ndim=1))
         norm = float(np.linalg.norm(self.beta_star))
         if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
             raise ConfigError(f"beta_star must be unit norm, got ||.|| = {norm!r}")
@@ -47,7 +42,7 @@ class Dataset:
 
     def __post_init__(self):  # labels and covariates are stored as arrays, covariates as float
         object.__setattr__(self, "labels", np.asarray(self.labels))
-        object.__setattr__(self, "covariates", np.asarray(self.covariates, dtype=float))
+        object.__setattr__(self, "covariates", _check_array(self.covariates, "covariates"))
         if self.labels.ndim != 1 or self.covariates.ndim != 2:
             raise ConfigError(f"dataset needs 1-D labels and 2-D covariates, got shapes "
                               f"{self.labels.shape} and {self.covariates.shape}")
@@ -135,13 +130,11 @@ def draw_labels(model: LinkModel, index_values, rng) -> np.ndarray:
     Uses one uniform variate per value: y = +1 iff u < (f(z) + 1) / 2.  Since
     u lives in [0, 1), links with f(z) = +-1 reduce exactly to the sign rule,
     and +-inf take the labels of f's limits there.  Index values that are not
-    a 1-d array raise ``ConfigError`` and a NaN among them ``NumericalError``,
+    a real 1-D array raise ``ConfigError`` and a NaN among them ``NumericalError``,
     both before any uniform is drawn.
     """
     rng = _as_rng(rng)
-    z = np.asarray(index_values, dtype=float)
-    if z.ndim != 1:
-        raise ConfigError(f"index values must be a 1-d array, got {z.ndim} dimensions")
+    z = _check_array(index_values, "index values", ndim=1)
     if np.isnan(z).any():
         raise NumericalError("index values must not be NaN")
     return _labels(model, z, rng).astype(np.int64)

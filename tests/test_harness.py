@@ -33,7 +33,7 @@ from bitspectral import (
 )
 from bitspectral import harness
 from bitspectral.cli import build_parser, config_from_args, main
-from bitspectral.harness import RunConfig, lowdim_trial
+from bitspectral.harness import RunConfig, check_csv_path, lowdim_trial, write_csv
 from bitspectral.links import OneBitPR
 
 
@@ -86,7 +86,8 @@ class TestMatrixSelection:
         assert select_matrix_kind(OneBitPR(1.0), override="sum") == "sum"
 
     def test_rejects_unknown_override(self):
-        with pytest.raises(ConfigError, match=r"matrix must be auto\|diff\|sum, got 'xyz'"):
+        with pytest.raises(ConfigError,
+                           match=r"matrix must be one of \('auto', 'diff', 'sum'\), got 'xyz'"):
             select_matrix_kind(OneBitPR(0.3), "xyz")
 
     def test_forced_override_still_checks_quad_order(self):
@@ -435,6 +436,31 @@ class TestCli:
         cfgfile.write_text(json.dumps({"p": 4, "trials": 1, **values}))
         assert main(["diag", "--config", str(cfgfile)]) == 2
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["out", "model", "matrix"])
+    def test_config_file_rejects_a_number_for_a_string_field(self, key, tmp_path, monkeypatch,
+                                                             capsys):
+        # {"out": 5} wrote the CSV to a file named 5, and {"model": 5} was refused as '5'
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({"n": 100, "p": 4, "trials": 1, key: 5}))
+        assert main(["lowdim", "--config", "run.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: bad value for {key}: expected a string, got 5\n")
+        assert os.listdir() == ["run.json"]
+
+    @pytest.mark.parametrize("out", [True, 5], ids=["bool", "int"])
+    def test_out_that_is_not_a_string_is_refused(self, out):
+        with pytest.raises(ConfigError, match=f"^out must be a path string or None, got {out!r}$"):
+            RunConfig(experiment="lowdim", out=out)
+
+    @pytest.mark.parametrize("path", [True, 5], ids=["bool", "int"])
+    def test_csv_path_that_is_not_a_string_is_refused_before_opening(self, path, capsys):
+        # open(True) is file descriptor 1: write_csv wrote the rows there and closed stdout
+        for call in (check_csv_path, lambda p: write_csv([], p)):
+            with pytest.raises(ConfigError, match=f"^the CSV path must be a string, got {path!r}$"):
+                call(path)
+        print("stdout still open")
+        assert capsys.readouterr().out == "stdout still open\n"
 
     @pytest.mark.parametrize("values", [{"zeta": 10**400}, {"sigma": [0.5, -10**400]}],
                              ids=["zeta", "sigma-grid"])

@@ -1,5 +1,5 @@
-"""Malformed matrices, start vectors and integer arguments: one error type per input,
-at every entry point.
+"""Malformed matrices, start vectors, arrays, named choices and integer and real
+arguments: one error type per input, at every entry point.
 
 Every solver reads its matrix through ``check_matrix``.  The moment builders
 return plain float64 arrays, which stay writable, so a solver checks the
@@ -17,8 +17,16 @@ setting goes through ``errors._check_real`` in the same way: a bool, a string,
 a NaN, an infinity or a value out of the setting's range raises
 ``ConfigError`` naming it, and a numpy real passes.  The third table tests it
 at each such setting of the library and of ``RunConfig``.
+
+Every array the library reads goes through ``errors._check_array``: a complex,
+bool, string or object array, or a ragged nested list, raises ``ConfigError``
+naming the argument, and an integer array is read as float64.  Every setting
+named from a fixed set goes through ``errors._check_choice``: anything but a
+string among the choices raises ``ConfigError`` listing them.  The array and
+choice tables test each rule at each door that reads one.
 """
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -30,22 +38,29 @@ from bitspectral import (
     ConfigError,
     Dataset,
     FlippedLogistic,
+    GroundTruth,
     NumericalError,
     OneBitCS,
     OneBitPR,
     RunConfig,
     SparseConfig,
+    default_config,
     derive_rng,
+    draw_labels,
+    estimation_error,
     expected_moment,
     fantope_admm,
     fantope_project,
     generate_dataset,
+    link_eval,
     moments,
+    orient_by_first_moment,
     power_method,
     sample_beta_dense,
     sample_beta_sparse,
     sample_moment,
     second_moment,
+    select_matrix_kind,
     soft_threshold,
     sparse_recover,
     theory_diagnostics,
@@ -315,3 +330,85 @@ def test_real_setting_takes_its_closed_bound_and_an_integer():
 def test_scalar_given_for_a_grid_is_a_config_error(field, value):
     with pytest.raises(ConfigError, match=f"^{field} takes a tuple of values, got {value!r}"):
         RunConfig(experiment="lowdim", **{field: value})
+
+
+@pytest.mark.parametrize("name", ["zeta", "rho", "threshold"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+def test_real_setting_refuses_an_int_beyond_the_float_range(name, sign):
+    # math.isfinite(10**400) raises OverflowError; the message does not print the int
+    with pytest.raises(ConfigError, match=f"^{name} must be finite, got an int too large"):
+        REAL_ARGUMENTS[name](sign * 10**400)
+
+
+DIAG = np.diag([2.0, 1.0])
+
+# door -> (call taking the array, the argument's name in the message, a real array it takes)
+ARRAY_DOORS = {
+    **{f"{entry} matrix": (call, f"{entry}'s matrix", DIAG)
+       for entry, call in ENTRY_POINTS.items()},
+    "power_method beta0": (lambda v: power_method(DIAG, v), "beta0", E1),
+    "estimation_error beta_hat": (lambda v: estimation_error(v, E1), "beta_hat", E1),
+    "estimation_error beta_star": (lambda v: estimation_error(E1, v), "beta_star", E1),
+    "soft_threshold": (lambda v: soft_threshold(v, 0.5), "soft_threshold's a", DIAG),
+    "truncate": (lambda v: truncate(v, 1), "truncate's v", E1),
+    "draw_labels": (lambda v: draw_labels(MODEL, v, 0), "index values", E1),
+    "link_eval": (lambda v: link_eval(MODEL, v), "link_eval's z", E1),
+    "GroundTruth": (lambda v: GroundTruth(v, np.arange(2)), "beta_star", E1),
+    "Dataset covariates": (lambda v: Dataset([1, -1], v), "covariates", DIAG),
+    "orient_by_first_moment beta_hat": (lambda v: orient_by_first_moment(v, E1), "beta_hat", E1),
+    "orient_by_first_moment xty": (lambda v: orient_by_first_moment(E1, v), "xty", E1),
+}
+
+# fault -> the faulty form of a door's real array
+BAD_ARRAYS = {
+    "complex": lambda a: a.astype(complex),
+    "bool": lambda a: a.astype(bool),
+    "string": lambda a: a.astype(str),
+    "object": lambda a: a.astype(object),
+    "ragged": lambda a: [a.tolist(), [0.0]],
+}
+
+
+@pytest.mark.parametrize("fault", BAD_ARRAYS)
+@pytest.mark.parametrize("door", ARRAY_DOORS)
+def test_array_door_refuses_all_but_a_real_array(door, fault):
+    call, name, good = ARRAY_DOORS[door]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be "):
+        call(BAD_ARRAYS[fault](good))
+    call(good.astype(np.int64))  # integer arrays pass
+
+
+@pytest.mark.parametrize("xty", [np.ones(3), np.ones((2, 1))], ids=["longer", "2-d"])
+def test_orient_by_first_moment_refuses_a_vector_of_another_shape(xty):
+    with pytest.raises(ConfigError, match="^(beta_hat has shape|xty must be 1-D)"):
+        orient_by_first_moment(E1, xty)
+
+
+DATA = Dataset(np.array([1, -1]), np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+# door -> (call taking the name, the setting's name in the message, its choices)
+CHOICE_DOORS = {
+    "RunConfig experiment": (lambda v: RunConfig(experiment=v), "experiment",
+                             tuple(harness._EXPERIMENTS)),
+    "RunConfig model": (lambda v: RunConfig(experiment="lowdim", model=v), "model",
+                        tuple(harness._MODELS)),
+    "RunConfig matrix": (lambda v: RunConfig(experiment="lowdim", matrix=v), "matrix",
+                         tuple(harness._MATRIX_KINDS)),
+    "select_matrix_kind": (lambda v: select_matrix_kind(MODEL, v), "matrix",
+                           tuple(harness._MATRIX_KINDS)),
+    "second_moment kind": (lambda v: second_moment(DATA, v), "kind", ("difference", "sum")),
+    "default_config experiment": (lambda v: default_config(v), "experiment",
+                                  tuple(harness._EXPERIMENTS)),
+    "default_config model": (lambda v: default_config("lowdim", v), "model",
+                             tuple(harness._MODELS)),
+}
+
+
+@pytest.mark.parametrize("fault", ["list", "int", "None", "unknown"])
+@pytest.mark.parametrize("door", CHOICE_DOORS)
+def test_choice_refuses_all_but_a_listed_name(door, fault):
+    call, name, choices = CHOICE_DOORS[door]
+    bad = {"list": [choices[0]], "int": 5, "None": None, "unknown": "xyz"}[fault]
+    message = f"{name} must be one of {choices}, got {bad!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(bad)

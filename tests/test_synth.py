@@ -210,7 +210,7 @@ class TestDrawLabelsNonFinite:
 def test_draw_labels_refuses_non_vector_index_values(z):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ConfigError, match="1-d"):
+    with pytest.raises(ConfigError, match="1-D"):
         draw_labels(OneBitCS(0.0), z, rng)
     assert rng.bit_generator.state == state
 

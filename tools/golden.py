@@ -38,6 +38,7 @@ FILES = {
     "bad_scalar.json": {"trials": "x"},
     "bool_float.json": {"sigma": True},
     "bad_matrix.json": {"matrix": "foo"},
+    "out_number.json": {"out": 5, "n": 400, "p": 5, "trials": 1},
 }
 
 CONFIGS = [
@@ -168,6 +169,8 @@ CONFIGS = [
     ["lowdim", "--model", "cs", "--matrix", "sum", "--quad-order", "3", *LOWDIM],
     ["lowdim", "--model", "flr", "--sigma", "0.5", *LOWDIM],
     ["lowdim", "--config", "bad_matrix.json"],
+    # a JSON number for a string field: a file named 5 once took the CSV
+    ["lowdim", "--config", "out_number.json"],
     # grid values checked against every point they are crossed with, before any trial
     ["sparse", "--s", "3", "--p", "5,2"],
     ["sparse", "--s", "2", "--shat", "4", "--p", "5,3"],
