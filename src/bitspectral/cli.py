@@ -2,11 +2,12 @@
 
 Subcommands: ``eigs``, ``lowdim``, ``sparse``, ``diag``.  There is one flag
 per field of ``harness.RunConfig`` but ``experiment`` (``rho_const`` is
-``--rho-const``), typed by the field's annotation; grids are comma separated.
-``--config FILE`` supplies the same settings as JSON, with explicit flags
-taking precedence over the file.  Exit codes: 0 success, 2 configuration
-error (an ``--out`` path that cannot be opened for writing is one, found
-before any trial), 3 numerical failure.
+``--rho-const``); grids are comma separated.  ``--config FILE`` supplies the
+same settings as JSON, with explicit flags taking precedence over the file.
+argparse only splits the command line: a flag's value reaches ``_parse`` as a
+string, as a JSON string does, and is typed there by the field's annotation.
+Exit codes: 0 success, 2 configuration error (an ``--out`` path that cannot be
+opened for writing is one, found before any trial), 3 numerical failure.
 """
 
 import argparse
@@ -18,7 +19,9 @@ from .errors import ConfigError, NumericalError
 from .harness import (_EXPERIMENTS, _MATRIX_KINDS, _MODELS, RunConfig, _field_type,
                       check_csv_path, default_config, run_experiment, write_csv)
 
-_CHOICES = {"model": tuple(_MODELS), "matrix": tuple(_MATRIX_KINDS)}
+# the choice lists --help shows; RunConfig judges the values
+_METAVARS = {name: "{" + ",".join(choices) + "}"
+             for name, choices in (("model", _MODELS), ("matrix", _MATRIX_KINDS))}
 _HELP = {
     "pe": "flip probability (comma grid for eigs)",
     "sigma": "noise standard deviation; variance v means sigma=sqrt(v)",
@@ -72,11 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="experiment", required=True)
     for name, spec in _EXPERIMENTS.items():
         sub = subs.add_parser(name, help=spec.help)
-        for field, (cast, grid) in _FIELDS.items():
-            sub.add_argument(
-                "--" + field.replace("_", "-"), dest=field, type=None if grid else cast,
-                choices=_CHOICES.get(field), help=_HELP.get(field),
-            )
+        for field in _FIELDS:  # every value stays a string for _parse, as a JSON string does
+            sub.add_argument("--" + field.replace("_", "-"), dest=field,
+                             metavar=_METAVARS.get(field), help=_HELP.get(field))
         sub.add_argument("--config", help="JSON file mirroring these flags")
     return parser
 
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         check_csv_path(cfg.out)
         rows = run_experiment(cfg)
-        if cfg.experiment != "diag" or cfg.out is not None:
+        if rows or cfg.out is not None:
             write_csv(rows, cfg.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Exception types shared across the package and one rule per kind of input: ``_check_int``
 (sizes, counts, orders, seeds), ``_check_real`` (real settings, range included),
-``_check_array`` (arrays), ``_check_choice`` (named choices); imports nothing of the package."""
+``_check_array`` (arrays), ``check_matrix`` (a solver's matrix), ``_check_choice`` (named
+choices); imports nothing of the package."""
 
 import math
 
@@ -60,3 +61,26 @@ def _check_choice(value, what: str, choices) -> None:
     """ConfigError unless ``value`` is a str among ``choices``."""
     if not isinstance(value, str) or value not in choices:
         raise ConfigError(f"{what} must be one of {tuple(choices)}, got {value!r}")
+
+
+def check_matrix(mtx, what: str) -> np.ndarray:
+    """The one rule for a matrix that a solver reads; ``what`` names it in the errors.
+
+    Reads the array-like ``mtx`` by ``_check_array`` and returns that float64 array:
+    2-D, square and non-empty (``ConfigError``), finite (``NumericalError``) and
+    ||A - A^T||_F <= 1e-12 ||A||_F (``ConfigError``); c A passes as A does, c = 2^k.
+    """
+    a = _check_array(mtx, f"{what}'s matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ConfigError(f"{what} requires a non-empty square matrix, got shape {a.shape}")
+    with np.errstate(over="ignore"):  # finite only if every entry is, unless it overflows
+        fro = float(np.linalg.norm(a))
+    b = a  # the symmetry test's operand; a rescaled copy is never returned
+    if not 2.0**-400 <= fro <= 2.0**400:  # squares that may overflow or be subnormal
+        if not np.isfinite(a).all():
+            raise NumericalError(f"{what} requires a finite matrix")
+        b = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])  # max |b| in [1/2, 1)
+        fro = float(np.linalg.norm(b))
+    if float(np.linalg.norm(b - b.T)) > 1e-12 * fro:
+        raise ConfigError(f"{what} requires a symmetric matrix")
+    return a

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_array, _check_choice
+from .errors import _check_choice, check_matrix
 from .links import DEFAULT_QUAD_ORDER, LinkModel, moments
 from .synth import Dataset, GroundTruth, _as_rng, _labels, _paired_size
 
@@ -49,29 +49,6 @@ def _sign(kind) -> int:
     """The sign s of a moment kind; ConfigError for anything else."""
     _check_choice(kind, "kind", _SIGNS)
     return _SIGNS[kind]
-
-
-def check_matrix(mtx, what: str) -> np.ndarray:
-    """The one rule for a matrix that a solver reads; ``what`` names it in the errors.
-
-    Reads the array-like ``mtx`` by ``errors._check_array`` and returns that float64 array:
-    2-D, square and non-empty (``ConfigError``), finite (``NumericalError``) and
-    ||A - A^T||_F <= 1e-12 ||A||_F (``ConfigError``); c A passes as A does, c = 2^k.
-    """
-    a = _check_array(mtx, f"{what}'s matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise ConfigError(f"{what} requires a non-empty square matrix, got shape {a.shape}")
-    with np.errstate(over="ignore"):  # finite only if every entry is, unless it overflows
-        fro = float(np.linalg.norm(a))
-    b = a  # the symmetry test's operand; a rescaled copy is never returned
-    if not 2.0**-400 <= fro <= 2.0**400:  # squares that may overflow or be subnormal
-        if not np.isfinite(a).all():
-            raise NumericalError(f"{what} requires a finite matrix")
-        b = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])  # max |b| in [1/2, 1)
-        fro = float(np.linalg.norm(b))
-    if float(np.linalg.norm(b - b.T)) > 1e-12 * fro:
-        raise ConfigError(f"{what} requires a symmetric matrix")
-    return a
 
 
 def second_moment(data: Dataset, kind: str = KIND_DIFFERENCE) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Experiment drivers and CSV emission for the desk-scale numerical studies.
 
-Four experiments, each an entry of ``_EXPERIMENTS`` (runner, default grids,
-CLI help), reached only through ``run_experiment``:
+Four experiments, each a row of ``_EXPERIMENTS``, reached only through
+``run_experiment``.  A row holds the runner, the default grids, the grids the
+experiment reads (of the model's noise grid, s, p and n), those it crosses,
+its smallest p and its CLI help.  ``RunConfig``, ``default_config``,
+``_run_trials`` and the CLI read the row, and nothing else branches on an
+experiment's name:
 
 * ``eigs``   -- top-two eigenvalues of the (scaled) second moment across a
   noise-parameter grid; per-trial rows.
@@ -12,15 +16,19 @@ CLI help), reached only through ``run_experiment``:
   stdout; no sampling.
 
 The three sampled experiments share one loop, ``_run_trials``, over noise
-value, s (``sparse`` only, else None), p, n and trial, in that order.  It
-calls ``<experiment>_trial(cfg, param_value, s, p, n, trial)`` by name, so a
-module attribute set in its place is the one called.
+value, s (where the row crosses it, else None), p, n and trial, in that
+order.  It calls ``<experiment>_trial(cfg, param_value, s, p, n, trial)`` by
+name, so a module attribute set in its place is the one called.
 
-A ``RunConfig`` is checked whole when it is built, before any trial.  Each
-trial of each grid point draws from its own derived stream keyed by the grid
-point's parameter values and the trial index, so results are independent of
-execution order and stable under grid edits.  Reruns with the same config
-and seed produce byte-identical CSV.
+A ``RunConfig`` is checked whole when it is built, before any trial: a grid
+the row crosses must be nonempty, one it reads but does not cross takes one
+value (an empty s grid, a dense truth, is allowed where s is not crossed),
+one it does not read is ignored, and p may not fall below the row's smallest
+p, 2 where the top two eigenvalues are read.  Each trial of each grid point
+draws from its own derived stream keyed by the grid point's parameter values
+and the trial index, so results are independent of execution order and
+stable under grid edits.  Reruns with the same config and seed produce
+byte-identical CSV.
 
 CSV columns (unused cells empty, floats with 17 significant digits):
 
@@ -78,7 +86,7 @@ from .synth import _unit_gaussian, sample_beta_dense, sample_beta_sparse
 class _Model(NamedTuple):
     params: tuple  # the RunConfig fields the link reads; the first holds the noise grid
     link: Callable  # (cfg, noise value) -> LinkModel
-    eigs_grid: tuple  # default noise grid of the eigs experiment
+    sweep: tuple  # the default noise grid of an experiment that crosses it
 
     @property
     def noise(self) -> str:
@@ -141,42 +149,32 @@ class RunConfig:
                 for v in value if is_grid else (value,):
                     what = f"{f.name} grid value" if is_grid else f.name
                     (_check_int if cast is int else _check_real)(v, what)
-        grid = _noise_grid(self)
         _check_int(self.trials, "trials", 1)
-        if not self.n or not self.p or not grid:
-            raise ConfigError("grids must be nonempty")
-        if self.experiment == "sparse" and not self.s:
-            raise ConfigError("sparse experiment needs an s grid")
+        row = _EXPERIMENTS[self.experiment]
+        for name in row.reads:  # an empty s grid alone is allowed where s is not crossed
+            values = _grid(self, name)
+            if not values and (name in row.crosses or name != "s"):
+                raise ConfigError("grids must be nonempty")
+            if len(values) > 1 and name not in row.crosses:
+                raise ConfigError(f"experiment {self.experiment!r} takes a single {name} value, "
+                                  f"got grid {values}")
         own = _MODELS[self.model].params  # any other model's field must keep its default
         for name in (name for spec in _MODELS.values() for name in spec.params if name not in own):
             if getattr(self, name) != getattr(RunConfig, name):
                 raise ConfigError(f"{name} is not a parameter of model {self.model!r}")
-        for value in grid:  # checks the noise range, the matrix override and the quadrature order
+        for value in _grid(self, "noise"):  # the noise range, the matrix override, quad order
             select_matrix_kind(_make_model(self, value), self.matrix, self.quad_order)
-        if self.experiment != "eigs" and len(grid) != 1:
-            raise ConfigError(
-                f"experiment {self.experiment!r} takes a single noise value, got grid {grid}"
-            )
         # every solver setting is checked, whichever experiment uses it, rho_const by its name
         _check_real(self.rho_const, "rho_const", 0)
         _sparse_config(self, self.rho_const, 1 if self.shat is None else self.shat)
-        if self.experiment == "eigs" and (len(self.n) != 1 or len(self.p) != 1):
-            raise ConfigError(
-                f"the eigs experiment varies the noise parameter at one (n, p); "
-                f"got n grid {self.n}, p grid {self.p}"
-            )
-        if self.experiment == "diag" and (len(self.p) != 1 or len(self.s) > 1):
-            raise ConfigError(
-                f"diag takes a single p and at most one s; got p grid {self.p}, s grid {self.s}"
-            )
         # each grid value against every point it is crossed with, so its smallest p and n
-        p = min(self.p)  # eigs and sparse read the top two eigenvalues, so need p >= 2
-        _check_int(p, "dimension", 2 if self.experiment in ("eigs", "sparse") else 1)
-        for s in self.s if self.experiment in ("sparse", "diag") else ():
+        p = min(self.p)
+        _check_int(p, "dimension", row.min_p)
+        for s in self.s if "s" in row.reads else ():
             _check_int(s, "s grid value", 1, p)
-        if self.experiment != "diag":
+        if "n" in row.reads:
             _check_int(min(self.n), "n grid value", 2)
-        if self.experiment == "sparse" and self.shat is not None:
+        if "s" in row.crosses and self.shat is not None:
             _check_int(self.shat, "shat", 1, p)
 
 
@@ -210,13 +208,14 @@ def default_config(experiment: str, model: str = "cs", **overrides) -> RunConfig
     _check_choice(experiment, "experiment", _EXPERIMENTS)
     _check_choice(model, "model", _MODELS)
     grids = dict(_EXPERIMENTS[experiment].grids)
-    if experiment == "eigs":  # eigs sweeps the model's own noise grid
-        grids[_MODELS[model].noise] = _MODELS[model].eigs_grid
+    if "noise" in _EXPERIMENTS[experiment].crosses:  # a crossed noise grid is the model's sweep
+        grids[_MODELS[model].noise] = _MODELS[model].sweep
     return RunConfig(experiment=experiment, model=model, **{**grids, **overrides})
 
 
-def _noise_grid(cfg: RunConfig) -> tuple:
-    return getattr(cfg, _MODELS[cfg.model].noise)
+def _grid(cfg: RunConfig, name: str) -> tuple:
+    """The values of one grid an experiment reads: "noise" is the model's own noise field."""
+    return getattr(cfg, _MODELS[cfg.model].noise if name == "noise" else name)
 
 
 def _make_model(cfg: RunConfig, param_value: float) -> LinkModel:
@@ -317,8 +316,8 @@ def _run_trials(cfg: RunConfig) -> list[ExperimentRow]:
     trial_fn = globals()[f"{cfg.experiment}_trial"]
     return [
         trial_fn(cfg, value, s, p, n, t)
-        for value in _noise_grid(cfg)
-        for s in (cfg.s if cfg.experiment == "sparse" else (None,))
+        for value in _grid(cfg, "noise")
+        for s in (cfg.s if "s" in _EXPERIMENTS[cfg.experiment].crosses else (None,))
         for p in cfg.p
         for n in cfg.n
         for t in range(cfg.trials)
@@ -331,7 +330,7 @@ def _run_diag(cfg: RunConfig) -> list[ExperimentRow]:
     A non-positive eigengap statistic is reported with the sum-estimator
     advisory rather than raised.  Emits no CSV rows.
     """
-    param_value = _noise_grid(cfg)[0]
+    param_value = _grid(cfg, "noise")[0]
     model = _make_model(cfg, param_value)
     p = cfg.p[0]
     s = cfg.s[0] if cfg.s else None
@@ -352,16 +351,22 @@ def _run_diag(cfg: RunConfig) -> list[ExperimentRow]:
     return []
 
 
-# name -> runner, default_config's settings over RunConfig's defaults, CLI help
-_Experiment = NamedTuple("_Experiment", [("run", Callable), ("grids", dict), ("help", str)])
+# name -> runner, default_config's settings over RunConfig's defaults, the grids it reads
+# ("noise", the model's, "s", "p", "n"), those it crosses (each other grid it reads takes one
+# value), its smallest p (2 where the top two eigenvalues are read), CLI help
+_Experiment = NamedTuple("_Experiment", [("run", Callable), ("grids", dict), ("reads", tuple),
+                                         ("crosses", tuple), ("min_p", int), ("help", str)])
 _EXPERIMENTS = {
-    "eigs": _Experiment(_run_trials, dict(trials=10),
+    "eigs": _Experiment(_run_trials, dict(trials=10), ("noise", "p", "n"), ("noise",), 2,
                         "top-two eigenvalues of the second moment over a noise grid"),
     "lowdim": _Experiment(_run_trials, dict(trials=100, n=(500, 2000, 8000), p=(20,)),
+                          ("noise", "p", "n"), ("p", "n"), 1,
                           "dense recovery error over a (p, n) grid"),
     "sparse": _Experiment(_run_trials, dict(trials=100, n=(1000, 2000, 4000), p=(100,), s=(5,)),
+                          ("noise", "s", "p", "n"), ("s", "p", "n"), 2,
                           "sparse recovery error over an (s, p, n) grid"),
-    "diag": _Experiment(_run_diag, {}, "moment summary and theory constants (no sampling)"),
+    "diag": _Experiment(_run_diag, {}, ("noise", "s", "p"), (), 1,
+                        "moment summary and theory constants (no sampling)"),
 }
 
 

@@ -14,8 +14,9 @@ reals into [-1, 1].  Three concrete families are provided:
 
 A family is one frozen class with two methods: ``f(z)``, the link on an array,
 and ``_moments(quad_order)``, which returns ``(mu0, mu1, mu2, method)``.
-``link_eval`` and ``moments`` only call them.  Adding a family means adding
-that class (and naming it in ``LinkModel``) and one ``harness._MODELS`` row.
+``link_eval`` and ``moments`` only call them.  A new family is that class
+(named in ``LinkModel``) and one ``harness._MODELS`` row, whose ``params``
+name the ``RunConfig`` fields the link reads; those fields must exist.
 
 The moment functionals mu_k = E[f(Z) Z^k] for standard normal Z (k = 0, 1, 2)
 determine the eigengap statistic

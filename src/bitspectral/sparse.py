@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
-from .errors import NumericalError, _check_array, _check_int, _check_real
-# only check_matrix is called here; perfbench/tracing.py patches the other two as sparse attributes
-from .estimator import check_matrix, second_moment, second_moment_sum
+from .errors import NumericalError, _check_array, _check_int, _check_real, check_matrix
+# never called here; perfbench/tracing.py patches these two as sparse attributes
+from .estimator import second_moment, second_moment_sum
 from .spectral import RecoveryReport, _check_stop, _normalize, _power_iterate, top_two_eigs
 
 

@@ -5,8 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_array, _check_int, _check_real
-from .estimator import check_matrix
+from .errors import ConfigError, NumericalError, _check_array, _check_int, _check_real, check_matrix
 
 # Multiplies of M per step of the squared power path's first phase, a power of
 # two.  A step damps the second direction by (lambda2/lambda1)^64, and
@@ -41,7 +40,10 @@ class RecoveryReport:
 
 
 def sign_normalize(v: np.ndarray) -> np.ndarray:
-    """Flip sign so the largest-magnitude coordinate is positive (ties: lowest index)."""
+    """Flip sign so the largest-magnitude coordinate is positive (ties: lowest index).
+
+    ``v`` is read by ``_check_array`` as a real 1-D array (``ConfigError``)."""
+    v = _check_array(v, "sign_normalize's v", ndim=1)
     idx = int(np.argmax(np.abs(v)))
     return -v if v[idx] < 0.0 else v
 
@@ -64,7 +66,8 @@ def orient_by_first_moment(beta_hat: np.ndarray, xty: np.ndarray) -> np.ndarray:
 
 
 def _check_unit(v: np.ndarray, what: str, p: int | None = None) -> np.ndarray:
-    v = _check_array(v, what)
+    """``v`` as a real unit vector: of shape (p,) if p is given, else 1-D (``ConfigError``)."""
+    v = _check_array(v, what, ndim=1 if p is None else None)
     if p is not None and v.shape != (p,):
         raise ConfigError(f"{what} must have shape ({p},), got {v.shape}")
     # written so that a NaN or infinite norm fails too

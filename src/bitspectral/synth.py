@@ -20,8 +20,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Unit-norm target direction and its support set; ConfigError unless a real 1-D unit
-    vector.  ``beta_star`` is stored as a float64 array."""
+    """Unit-norm target direction and its support set; ConfigError unless ``beta_star`` is a
+    real 1-D unit vector, stored as a float64 array, and ``support`` a 1-D array of distinct
+    integer indices into it that holds every index where ``beta_star`` is nonzero."""
 
     beta_star: np.ndarray
     support: np.ndarray
@@ -31,6 +32,15 @@ class GroundTruth:
         norm = float(np.linalg.norm(self.beta_star))
         if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
             raise ConfigError(f"beta_star must be unit norm, got ||.|| = {norm!r}")
+        support, p = np.asarray(self.support), self.beta_star.shape[0]
+        ints = support.ndim == 1 and support.dtype.kind in "iu"
+        held = set(support.tolist()) if ints else set()  # each trial builds one: no numpy reduction
+        if (not ints or len(held) != support.size or min(held, default=0) < 0
+                or max(held, default=0) >= p
+                or not held.issuperset(np.flatnonzero(self.beta_star).tolist())):
+            raise ConfigError(f"support must be a 1-D array of distinct integer indices in "
+                              f"[0, {p}) holding every nonzero of beta_star, got {self.support!r}")
+        object.__setattr__(self, "support", support)
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,7 @@ class Dataset:
     covariates: np.ndarray
 
     def __post_init__(self):  # labels and covariates are stored as arrays, covariates as float
+        _check_array(self.labels, "labels")  # real labels only; integer labels stay integer
         object.__setattr__(self, "labels", np.asarray(self.labels))
         object.__setattr__(self, "covariates", _check_array(self.covariates, "covariates"))
         if self.labels.ndim != 1 or self.covariates.ndim != 2:

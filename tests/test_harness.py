@@ -590,6 +590,51 @@ def test_grid_fault_refused_when_built(argv, message, monkeypatch, capsys):
     assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
+# each grid of an experiment row, by its name in the row: its RunConfig field and two values
+ROW_GRIDS = {"noise": ("sigma", (0.5, 0.6)), "s": ("s", (1, 2)), "p": ("p", (4, 5)),
+             "n": ("n", (40, 60))}
+
+
+@pytest.mark.parametrize("experiment", list(harness._EXPERIMENTS))
+def test_experiment_row_rules_hold_before_any_trial(experiment):
+    """What a row reads and crosses, and its smallest p, decide which grids a config may set;
+    RunConfig applies each rule when it is built."""
+    row = harness._EXPERIMENTS[experiment]
+    base = {"experiment": experiment, **{field: vals[:1] for field, vals in ROW_GRIDS.values()}}
+    for grid, (field, values) in ROW_GRIDS.items():
+        if grid not in row.reads:  # ignored, whatever it holds
+            RunConfig(**{**base, field: values})
+            RunConfig(**{**base, field: ()})
+        elif grid in row.crosses:
+            RunConfig(**{**base, field: values})
+            with pytest.raises(ConfigError, match="^grids must be nonempty$"):
+                RunConfig(**{**base, field: ()})
+        else:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"experiment {experiment!r} takes a single {grid} value, got grid {values}")):
+                RunConfig(**{**base, field: values})
+    RunConfig(**{**base, "p": (row.min_p,)})
+    with pytest.raises(ConfigError, match=f"^dimension must be >= {row.min_p}, "
+                                          f"got {row.min_p - 1}$"):
+        RunConfig(**{**base, "p": (row.min_p - 1,)})
+
+
+# flag -> a malformed value; argparse once typed these itself and printed its usage
+FLAG_FAULTS = {"trials": "x", "tmax": "2.5", "zeta": "abc", "model": "xyz", "matrix": "foo"}
+
+
+@pytest.mark.parametrize("field", FLAG_FAULTS)
+def test_a_flag_fails_as_the_same_string_in_a_config_file(field, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(harness, "lowdim_trial", None)  # no trial may run
+    assert main(["lowdim", "--" + field, FLAG_FAULTS[field]]) == 2
+    from_flag = capsys.readouterr()
+    assert from_flag.out == "" and from_flag.err.startswith("config error: ")
+    (tmp_path / "run.json").write_text(json.dumps({field: FLAG_FAULTS[field]}))
+    assert main(["lowdim", "--config", str(tmp_path / "run.json")]) == 2
+    assert capsys.readouterr() == from_flag
+
+
 def test_trials_reached_by_module_attribute(monkeypatch):
     """The loop looks each trial function up by name, where perfbench's tracer patches it."""
     calls = []

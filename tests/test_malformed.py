@@ -23,7 +23,8 @@ bool, string or object array, or a ragged nested list, raises ``ConfigError``
 naming the argument, and an integer array is read as float64.  Every setting
 named from a fixed set goes through ``errors._check_choice``: anything but a
 string among the choices raises ``ConfigError`` listing them.  The array and
-choice tables test each rule at each door that reads one.
+choice tables test each rule at each door that reads one; a door that reads
+one vector refuses a 2-D array by name.
 """
 
 import re
@@ -61,6 +62,7 @@ from bitspectral import (
     sample_moment,
     second_moment,
     select_matrix_kind,
+    sign_normalize,
     soft_threshold,
     sparse_recover,
     theory_diagnostics,
@@ -69,7 +71,7 @@ from bitspectral import (
     truncated_power_method,
 )
 from bitspectral import harness
-from bitspectral.estimator import check_matrix
+from bitspectral.errors import check_matrix
 from bitspectral.spectral import _squared_power_method
 
 CFG = SparseConfig(rho=0.1, s_hat=1)
@@ -355,6 +357,8 @@ ARRAY_DOORS = {
     "link_eval": (lambda v: link_eval(MODEL, v), "link_eval's z", E1),
     "GroundTruth": (lambda v: GroundTruth(v, np.arange(2)), "beta_star", E1),
     "Dataset covariates": (lambda v: Dataset([1, -1], v), "covariates", DIAG),
+    "Dataset labels": (lambda v: Dataset(v, DIAG), "labels", np.array([1.0, -1.0])),
+    "sign_normalize": (sign_normalize, "sign_normalize's v", E1),
     "orient_by_first_moment beta_hat": (lambda v: orient_by_first_moment(v, E1), "beta_hat", E1),
     "orient_by_first_moment xty": (lambda v: orient_by_first_moment(E1, v), "xty", E1),
 }
@@ -376,6 +380,29 @@ def test_array_door_refuses_all_but_a_real_array(door, fault):
     with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be "):
         call(BAD_ARRAYS[fault](good))
     call(good.astype(np.int64))  # integer arrays pass
+
+
+# doors that read one vector and refuse a 2-D array by name; the other such doors, truncate,
+# draw_labels, GroundTruth and orient_by_first_moment, have tests of their own
+VECTOR_DOORS = ["estimation_error beta_hat", "estimation_error beta_star", "sign_normalize"]
+
+
+@pytest.mark.parametrize("door", VECTOR_DOORS)
+def test_vector_door_refuses_a_2d_array(door):
+    call, name, _ = ARRAY_DOORS[door]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be 1-D, got shape \\(2, 2\\)$"):
+        call(np.eye(2) / np.sqrt(2))
+
+
+def test_estimation_error_refuses_two_matrices():
+    # each row of I / sqrt(2) has unit norm, and the error between the two matrices was 0.0
+    with pytest.raises(ConfigError, match="^beta_hat must be 1-D"):
+        estimation_error(np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2))
+
+
+def test_sign_normalize_reads_a_list_as_a_float_array():
+    # -v on the list raised TypeError
+    np.testing.assert_array_equal(sign_normalize([1.0, -2.0]), [-1.0, 2.0])
 
 
 @pytest.mark.parametrize("xty", [np.ones(3), np.ones((2, 1))], ids=["longer", "2-d"])

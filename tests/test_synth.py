@@ -109,6 +109,35 @@ def test_ground_truth_refuses_a_direction_that_is_not_real(beta):
         GroundTruth(beta, np.arange(2))
 
 
+# support -> why GroundTruth(e1, support) is refused; the old code stored each unchecked
+BAD_SUPPORTS = {
+    "string": "x",
+    "misses a nonzero": np.array([1]),
+    "repeated": np.array([0, 0]),
+    "out of range": np.array([0, 2]),
+    "negative": np.array([-2, 0]),
+    "2-d": np.array([[0, 1]]),
+    "float": np.array([0.0, 1.0]),
+    "bool": np.array([True, False]),
+    "empty": np.array([], dtype=int),
+}
+
+
+@pytest.mark.parametrize("support", BAD_SUPPORTS.values(), ids=BAD_SUPPORTS.keys())
+def test_ground_truth_refuses_a_support_that_is_not_its_indices(support):
+    with pytest.raises(ConfigError, match=r"^support must be a 1-D array of distinct integer "
+                                          r"indices in \[0, 2\) holding every nonzero"):
+        GroundTruth(np.array([1.0, 0.0]), support)
+
+
+@pytest.mark.parametrize("support", [[0], np.array([1, 0]), np.arange(2, dtype=np.uint8)],
+                         ids=["list", "unsorted", "uint8"])
+def test_ground_truth_stores_its_support_as_an_array(support):
+    truth = GroundTruth(np.array([1.0, 0.0]), support)
+    assert type(truth.support) is np.ndarray
+    np.testing.assert_array_equal(truth.support, support)
+
+
 class TestGenerateDataset:
     def test_labels_and_shapes(self):
         truth = sample_beta_dense(4, 3)

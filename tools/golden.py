@@ -183,6 +183,10 @@ CONFIGS = [
     ["lowdim", "--n", "400", "--p", "5", "--trials", "2", "--out", "."],
     ["lowdim", "--model", "cs", "--zeta", "0.5", *LOWDIM],
     ["lowdim", "--model", "pr", "--zeta", "0.5", *LOWDIM],
+    # a flag value typed as a JSON string is, and grids an experiment reads with one value
+    ["lowdim", "--tmax", "2.5"],
+    ["eigs", "--p", "5,10"],
+    ["diag", "--s", "2,3"],
 ]
 
 
