@@ -154,7 +154,7 @@ class RunConfig:
         for name in row.reads:  # an empty s grid alone is allowed where s is not crossed
             values = _grid(self, name)
             if not values and (name in row.crosses or name != "s"):
-                raise ConfigError("grids must be nonempty")
+                raise ConfigError(f"{_grid_field(self, name)} grid must be nonempty")
             if len(values) > 1 and name not in row.crosses:
                 raise ConfigError(f"experiment {self.experiment!r} takes a single {name} value, "
                                   f"got grid {values}")
@@ -213,9 +213,14 @@ def default_config(experiment: str, model: str = "cs", **overrides) -> RunConfig
     return RunConfig(experiment=experiment, model=model, **{**grids, **overrides})
 
 
+def _grid_field(cfg: RunConfig, name: str) -> str:
+    """The field that holds one grid an experiment reads: "noise" is the model's own."""
+    return _MODELS[cfg.model].noise if name == "noise" else name
+
+
 def _grid(cfg: RunConfig, name: str) -> tuple:
-    """The values of one grid an experiment reads: "noise" is the model's own noise field."""
-    return getattr(cfg, _MODELS[cfg.model].noise if name == "noise" else name)
+    """The values of one grid an experiment reads."""
+    return getattr(cfg, _grid_field(cfg, name))
 
 
 def _make_model(cfg: RunConfig, param_value: float) -> LinkModel:
@@ -267,12 +272,14 @@ def _draw(cfg: RunConfig, param_value: float, s: int | None, p: int, n: int, tri
 
 
 def _row(cfg: RunConfig, param_value: float, s: int | None, p: int, n: int, trial: int,
-         abscissa: float, truth=None, report=None, xty=None, **columns) -> ExperimentRow:
-    """One trial's row; given a recovery report and X^T y, also its error against the truth."""
+         abscissa: float, model=None, truth=None, report=None, xty=None,
+         **columns) -> ExperimentRow:
+    """One trial's row; given the link, a recovery report and X^T y, also its error
+    against the truth, which is the sign-free error where the link is even."""
     if report is not None:
         beta_hat = orient_by_first_moment(report.beta_hat, xty)
         signfree = estimation_error(beta_hat, truth.beta_star, True)
-        err = signfree if cfg.model == "pr" else estimation_error(beta_hat, truth.beta_star)
+        err = signfree if model.even else estimation_error(beta_hat, truth.beta_star)
         columns.update(err=err, err_signfree=signfree, iters=report.iterations,
                        converged=report.converged)
     return ExperimentRow(cfg.experiment, cfg.model, _MODELS[cfg.model].noise, param_value,
@@ -293,7 +300,7 @@ def lowdim_trial(cfg: RunConfig, param_value: float, s: None, p: int, n: int,
     rng, model, truth, kind = _draw(cfg, param_value, s, p, n, trial)
     mtx, xty = sample_moment(model, truth, n, kind, rng)
     report = _squared_power_method(mtx, _unit_gaussian(p, rng), t_max=cfg.tmax, tol=cfg.tol)
-    return _row(cfg, param_value, s, p, n, trial, math.sqrt(p / n), truth, report, xty)
+    return _row(cfg, param_value, s, p, n, trial, math.sqrt(p / n), model, truth, report, xty)
 
 
 def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int,
@@ -304,7 +311,7 @@ def sparse_trial(cfg: RunConfig, param_value: float, s: int, p: int, n: int,
                           cfg.shat if cfg.shat is not None else min(2 * s, p))
     report = sparse_recover(mtx, scfg)
     return _row(cfg, param_value, s, p, n, trial, math.sqrt(s * math.log(p) / n),
-                truth, report, xty)
+                model, truth, report, xty)
 
 
 def _run_trials(cfg: RunConfig) -> list[ExperimentRow]:

@@ -13,10 +13,12 @@ reals into [-1, 1].  Three concrete families are provided:
   identifiable up to sign.
 
 A family is one frozen class with two methods: ``f(z)``, the link on an array,
-and ``_moments(quad_order)``, which returns ``(mu0, mu1, mu2, method)``.
-``link_eval`` and ``moments`` only call them.  A new family is that class
-(named in ``LinkModel``) and one ``harness._MODELS`` row, whose ``params``
-name the ``RunConfig`` fields the link reads; those fields must exist.
+and ``_moments(quad_order)``, which returns ``(mu0, mu1, mu2, method)``, and
+one class attribute, ``even``: True where f(-z) = f(z), so that a run reports
+its error up to sign.  ``link_eval`` and ``moments`` only call the methods.  A
+new family is that class (named in ``LinkModel``) and one ``harness._MODELS``
+row, whose ``params`` name the ``RunConfig`` fields the link reads; those
+fields must exist.
 
 The moment functionals mu_k = E[f(Z) Z^k] for standard normal Z (k = 0, 1, 2)
 determine the eigengap statistic
@@ -51,6 +53,7 @@ DEFAULT_QUAD_ORDER = 64
 class FlippedLogistic:
     """Logistic link with intercept ``zeta`` and label-flip probability ``pe``."""
 
+    even = False
     zeta: float = 0.0
     pe: float = 0.0
 
@@ -83,6 +86,7 @@ class FlippedLogistic:
 class OneBitCS:
     """Noisy sign link: sign of the index plus N(0, sigma^2) noise."""
 
+    even = False
     sigma: float = 0.0
 
     def __post_init__(self):
@@ -107,6 +111,7 @@ class OneBitCS:
 class OneBitPR:
     """Thresholded-magnitude link: sign(|z| - theta) with theta > 0."""
 
+    even = True
     theta: float = 1.0
 
     def __post_init__(self):

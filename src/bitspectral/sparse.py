@@ -12,7 +12,9 @@ relax"), so ``sparse_recover`` stops ADMM once the leading direction of its
 iterate stays finite on one top-s_hat support for ``SETTLE_RUNS`` iterations
 in a row, however it turns within it.  The residual rule and the iteration
 cap stay as upper bounds; ADMM that stops on its cap is demoted to
-``converged=False`` but still used.
+``converged=False`` but still used.  Each ADMM step runs one
+eigendecomposition, in the Fantope projection, and the initializer is read
+off the last projection's eigenpairs, so none runs after the loop.
 """
 
 import math
@@ -22,9 +24,10 @@ import numpy as np
 
 from . import _lapack
 from .errors import NumericalError, _check_array, _check_int, _check_real, check_matrix
-# never called here; perfbench/tracing.py patches these two as sparse attributes
+# never called here; perfbench/tracing.py patches these three as sparse attributes
 from .estimator import second_moment, second_moment_sum
-from .spectral import RecoveryReport, _check_stop, _normalize, _power_iterate, top_two_eigs
+from .spectral import top_two_eigs
+from .spectral import RecoveryReport, _check_stop, _normalize, _power_iterate, sign_normalize
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,12 @@ class SparseConfig:
 
 @dataclass(frozen=True)
 class FantopeSolution:
-    """ADMM output: feasible iterate Pi plus convergence diagnostics."""
+    """ADMM output: feasible iterate Pi plus convergence diagnostics.
+
+    Pi is the last Fantope projection; ``weights`` and ``vectors`` are that
+    projection's k nonzero eigenvalues, ascending, and their eigenvectors as
+    the columns of a p x k array (see ``_fantope_project``).
+    """
 
     Pi: np.ndarray
     iterations: int
@@ -70,6 +78,8 @@ class FantopeSolution:
     penalty: float  # tau at the last iteration
     penalty_updates: int  # how often residual balancing changed tau
     stop: str  # "residual", "settled" or "cap"
+    weights: np.ndarray
+    vectors: np.ndarray
 
     @property
     def converged(self) -> bool:
@@ -91,6 +101,19 @@ def soft_threshold(a, t: float, out=None):
 def fantope_project(a: np.ndarray) -> np.ndarray:
     """Frobenius projection onto {0 <= Pi <= I, Tr Pi = 1}.
 
+    ``a`` must pass ``check_matrix``; the projection itself is ``_fantope_project``,
+    which ``fantope_admm`` calls directly.
+    """
+    return _fantope_project(check_matrix(a, "fantope_project"))[0]
+
+
+def _fantope_project(a: np.ndarray):
+    """``fantope_project`` of a finite symmetric ``a``, with Pi's nonzero eigenpairs.
+
+    Returns (Pi, weights, vectors): the k nonzero eigenvalues of Pi in ascending
+    order and their eigenvectors as the columns of a p x k array, so that
+    Pi = (vectors * weights) @ vectors.T up to rounding.
+
     Eigenvalues are shifted by a scalar gamma and clipped to [0, 1] so the
     clipped values sum to one; the eigenvectors are untouched.  gamma is exact:
     gamma >= lambda_max - 1, so only eigenvalues above lambda_max - 1 can carry
@@ -104,32 +127,31 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
     eigenvalues, mapped back.  Where that LAPACK is not present, or it does
     not deliver k finite eigenvectors (inverse iteration can fail to converge
     on a large cluster of tied eigenvalues), the eigenpairs come from
-    ``np.linalg.eigh`` instead.  ``a`` must pass ``check_matrix``.
+    ``np.linalg.eigh`` instead.
     """
-    a = check_matrix(a, "fantope_project")
     lam, top = _lapack.spectrum(a)
     vecs = None
     if lam is not None:
-        root = _fantope_roots(lam)
-        vecs = top(root.size)
+        weights = _fantope_weights(lam)
+        vecs = top(weights.size)
     if vecs is None:
         lam, vecs = np.linalg.eigh(a)
-        root = _fantope_roots(lam)
-        vecs = vecs[:, -root.size:]
-    w = vecs * root
-    return w @ w.T  # A @ A.T is computed as a symmetric rank-k update
+        weights = _fantope_weights(lam)
+        vecs = vecs[:, -weights.size:].copy()  # not a view that holds all p vectors
+    w = vecs * np.sqrt(weights)
+    return w @ w.T, weights, vecs  # A @ A.T is computed as a symmetric rank-k update
 
 
-def _fantope_roots(lam: np.ndarray) -> np.ndarray:
-    """Square roots of the k nonzero projected eigenvalues, for the ascending
-    eigenvalues ``lam``; the k entries belong to the k largest, in ascending order."""
+def _fantope_weights(lam: np.ndarray) -> np.ndarray:
+    """The k nonzero projected eigenvalues, for the ascending eigenvalues ``lam``;
+    the k entries belong to the k largest, in ascending order."""
     # top eigenvalues in descending order, shifted by lambda_max into (-1, 0];
     # lambda_max itself always, even where lambda_max - 1 rounds to it
     cut = int(np.searchsorted(lam[:-1], lam[-1] - 1.0, side="right"))
     top = lam[cut:][::-1] - lam[-1]
     shift = (np.cumsum(top) - 1.0) / np.arange(1, top.size + 1)
     k = int(np.flatnonzero(top > shift)[-1]) + 1
-    return np.sqrt(np.clip(top[k - 1::-1] - shift[k - 1], 0.0, 1.0))
+    return np.clip(top[k - 1::-1] - shift[k - 1], 0.0, 1.0)
 
 
 # Residual balancing (Boyd et al. 2011, sec. 3.4.1): the penalty doubles when
@@ -156,12 +178,16 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     first ``BALANCE_ITERS`` iterations tau is doubled or halved to keep the
     primal and dual residuals within ``BALANCE_RATIO`` of each other, and U is
     rescaled by tau_old/tau_new.  The run stops with ``stop="residual"`` once
-    both residuals fall below ``cfg.admm_tol * p``.  M must pass ``check_matrix``.
+    both residuals fall below ``cfg.admm_tol * p``.  M must pass ``check_matrix``,
+    once, at entry.  The loop calls ``_fantope_project``, not the checked door:
+    its argument is built from arrays the loop already holds, so it is only
+    tested to be finite (``NumericalError`` as ``fantope_project`` raises it).
 
-    The loop holds M/tau (not M), Z, Z_prev, U, Pi and one scratch p-by-p array
-    (the projection's argument, Pi + U, the residual differences).  As tau only
-    doubles or halves, M/tau is rescaled in place, which repeats M / tau bit for bit
-    unless an entry is subnormal (nonzero, below 2.2e-308 in magnitude).
+    The loop holds M/tau (not M), Z, Z_prev, U, Pi with its k eigenvectors, and
+    one scratch p-by-p array (the projection's argument, Pi + U, the residual
+    differences).  As tau only doubles or halves, M/tau is rescaled in place,
+    which repeats M / tau bit for bit unless an entry is subnormal (nonzero,
+    below 2.2e-308 in magnitude).
 
     With ``settle`` the loop also tracks a unit vector, one product
     v <- Pi v / ||Pi v|| per iteration, started from Pi's column with the
@@ -190,7 +216,10 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     v = support = None
     for iterations in range(1, cfg.admm_max_iter + 1):
         np.subtract(z, u, out=arg)
-        pi = fantope_project(np.add(arg, m_scaled, out=arg))
+        np.add(arg, m_scaled, out=arg)
+        if not np.isfinite(arg).all():
+            raise NumericalError("fantope_project requires a finite matrix")
+        pi, weights, vectors = _fantope_project(arg)
         z, z_prev = z_prev, z
         np.add(pi, u, out=arg)
         soft_threshold(arg, t, out=z)
@@ -198,7 +227,8 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
         primal = float(np.linalg.norm(np.subtract(pi, z, out=arg)))
         dual = tau * float(np.linalg.norm(np.subtract(z, z_prev, out=arg)))
         if primal < threshold and dual < threshold:
-            return FantopeSolution(pi, iterations, primal, dual, tau, updates, "residual")
+            return FantopeSolution(pi, iterations, primal, dual, tau, updates, "residual",
+                                   weights, vectors)
         if settle:
             pv = pi[:, int(np.argmax(np.diag(pi)))] if v is None else pi @ v
             v = pv / np.linalg.norm(pv)
@@ -206,7 +236,8 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
             still = np.isfinite(v).all() and np.array_equal(support, support_prev)
             runs = runs + 1 if still else 0
             if runs >= SETTLE_RUNS:
-                return FantopeSolution(pi, iterations, primal, dual, tau, updates, "settled")
+                return FantopeSolution(pi, iterations, primal, dual, tau, updates,
+                                       "settled", weights, vectors)
         if iterations > BALANCE_ITERS:
             continue
         if primal > BALANCE_RATIO * dual:
@@ -220,7 +251,8 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
         m_scaled /= scale
         t = min(cfg.rho / tau, _FLOAT_MAX)
         updates += 1
-    return FantopeSolution(pi, iterations, primal, dual, tau, updates, "cap")
+    return FantopeSolution(pi, iterations, primal, dual, tau, updates, "cap", weights,
+                           vectors)
 
 
 def _top_support(v: np.ndarray, s_hat: int) -> np.ndarray:
@@ -267,14 +299,17 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
 
     ``mtx`` is an array passing ``check_matrix``, p >= 2 (else ``ConfigError``
     before any ADMM iteration).  The initializer is the leading eigenvector of
-    the ADMM solution, truncated to s_hat and renormalized; ADMM runs with the
-    settle rule (``fantope_admm(..., settle=True)``) on (M/s, rho/s),
-    s = tr(M)/p.  That program has the same minimizer as (M, rho), and every
-    stop test of the loop is scale-free: M c^2 with rho c^2, c a power of two,
-    repeats the run bit for bit.  The truncated power method reads the raw M.
-    ``stages`` carries the ADMM residuals and stop reason (in the normalized
-    units) and the relaxation solution's eigengap; ``converged`` is the
-    conjunction of the ADMM and power-stage flags.
+    the ADMM solution, read off the eigenpairs of the last Fantope projection
+    (no eigendecomposition runs after ADMM), sign-normalized, truncated to
+    s_hat and renormalized; ADMM runs with the settle rule
+    (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = tr(M)/p.  That
+    program has the same minimizer as (M, rho), and every stop test of the
+    loop is scale-free: M c^2 with rho c^2, c a power of two, repeats the run
+    bit for bit.  The truncated power method reads the raw M.  ``stages``
+    carries the ADMM residuals and stop reason (in the normalized units) and
+    the relaxation solution's eigengap, read off the same eigenpairs (lambda2
+    is 0 where Pi has rank one); ``converged`` is the conjunction of the ADMM
+    and power-stage flags.
     """
     m = check_matrix(mtx, "sparse_recover")
     p = m.shape[0]
@@ -285,8 +320,9 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     if not math.isfinite(rho):
         raise NumericalError(f"second-moment matrix too small to normalize: tr(M)/p = {scale}")
     fsol = fantope_admm(m / scale, replace(cfg, rho=rho), settle=True)
-    lam1, lam2, v1 = top_two_eigs(fsol.Pi)
-    beta0 = truncate(v1, cfg.s_hat)
+    lam1 = float(fsol.weights[-1])
+    lam2 = float(fsol.weights[-2]) if fsol.weights.size > 1 else 0.0
+    beta0 = truncate(sign_normalize(fsol.vectors[:, -1]), cfg.s_hat)
     report = truncated_power_method(mtx, beta0, cfg)
     stages = {
         "admm_iterations": fsol.iterations,

@@ -34,7 +34,7 @@ from bitspectral import (
 from bitspectral import harness
 from bitspectral.cli import build_parser, config_from_args, main
 from bitspectral.harness import RunConfig, check_csv_path, lowdim_trial, write_csv
-from bitspectral.links import OneBitPR
+from bitspectral.links import OneBitCS, OneBitPR
 
 
 def small_lowdim_cfg(**kw):
@@ -142,6 +142,22 @@ class TestRows:
                         n=(400,), p=(5,), trials=2, seed=3)
         for r in run_experiment(cfg):
             assert r.err == r.err_signfree
+
+    @pytest.mark.parametrize("experiment", ["lowdim", "sparse"])
+    def test_an_even_family_gets_the_sign_free_error(self, experiment, monkeypatch):
+        # the rule is read off the family: a new even family needs its class
+        # and a _MODELS row, and no edit to _row
+        class EvenCS(OneBitCS):
+            even = True
+
+        # the sign of X^T y is turned over, so some signed err differs
+        monkeypatch.setattr(harness, "orient_by_first_moment", lambda beta_hat, xty: -beta_hat)
+        cfg = RunConfig(experiment=experiment, model="cs", sigma=(0.5,), n=(400,), p=(6,),
+                        s=(2,), trials=2, seed=3)
+        assert any(r.err > r.err_signfree for r in run_experiment(cfg))
+        monkeypatch.setitem(harness._MODELS, "cs", harness._MODELS["cs"]._replace(
+            link=lambda cfg, v: EvenCS(sigma=v)))
+        assert all(r.err == r.err_signfree for r in run_experiment(cfg))
 
 
 class TestDeterminism:
@@ -607,7 +623,7 @@ def test_experiment_row_rules_hold_before_any_trial(experiment):
             RunConfig(**{**base, field: ()})
         elif grid in row.crosses:
             RunConfig(**{**base, field: values})
-            with pytest.raises(ConfigError, match="^grids must be nonempty$"):
+            with pytest.raises(ConfigError, match=f"^{field} grid must be nonempty$"):
                 RunConfig(**{**base, field: ()})
         else:
             with pytest.raises(ConfigError, match=re.escape(

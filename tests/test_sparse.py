@@ -30,6 +30,7 @@ from bitspectral import (
     sample_beta_sparse,
     second_moment,
     select_matrix_kind,
+    sign_normalize,
     soft_threshold,
     sparse_recover,
     top_two_eigs,
@@ -454,6 +455,46 @@ class TestFantopeAdmm:
         assert [(r.penalty, r.penalty_updates, r.stop) for r in runs] == \
             [(runs[1].penalty, runs[1].penalty_updates, "cap")] * 2
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        rho=st.sampled_from([0.0, 0.05, 0.3]),
+        max_iter=st.integers(1, 40),
+        settle=st.booleans(),
+        lapack=st.booleans(),
+        data=st.data(),
+    )
+    def test_solution_carries_the_last_projections_eigenpairs(self, p, seed, rho, max_iter,
+                                                             settle, lapack, data):
+        # the weights and vectors rebuild Pi, and give sparse_recover what a
+        # full eigendecomposition of Pi would
+        m = sym(np.random.default_rng(seed).standard_normal((p, p)))
+        cfg = base_cfg(rho=rho, s_hat=data.draw(st.integers(1, p)), admm_max_iter=max_iter)
+        with pytest.MonkeyPatch.context() as mp:
+            if not lapack:
+                mp.setattr(_lapack, "_LAPACKE", None)
+            sol = fantope_admm(m, cfg, settle=settle)
+        w, v = sol.weights, sol.vectors
+        assert w.ndim == 1 and v.shape == (p, w.size) and np.all(w > 0.0)
+        assert np.all(np.diff(w) >= 0.0)
+        np.testing.assert_allclose((v * w) @ v.T, sol.Pi, rtol=0.0, atol=1e-12)
+        lam1, lam2, v1 = top_two_eigs(sol.Pi)
+        assert w[-1] == pytest.approx(lam1, abs=1e-12)
+        assert (w[-2] if w.size > 1 else 0.0) == pytest.approx(lam2, abs=1e-12)
+        if lam1 - lam2 > 1e-4:  # else the leading eigenvector is not determined
+            np.testing.assert_allclose(sign_normalize(v[:, -1]), v1, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_projection_argument_is_a_numerical_error(self, monkeypatch):
+        # M is finite, but M / tau overflows at a start penalty of 1e-300
+        def no_projection(*args):
+            raise AssertionError("a non-finite argument was projected")
+
+        monkeypatch.setattr(sparse_mod, "_fantope_project", no_projection)
+        with pytest.raises(NumericalError, match="^fantope_project requires a finite matrix$"):
+            fantope_admm(1e10 * np.eye(3), base_cfg(admm_penalty=1e-300))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SparseConfig(rho=-0.1, s_hat=2)
@@ -502,7 +543,7 @@ class TestSettleRule:
         def no_iteration(*args):
             raise AssertionError("an ADMM iteration ran")
 
-        monkeypatch.setattr(sparse_mod, "fantope_project", no_iteration)
+        monkeypatch.setattr(sparse_mod, "_fantope_project", no_iteration)
         with pytest.raises(ConfigError, match=r"^s_hat must be <= 4, got 9$"):
             fantope_admm(m, cfg, settle=True)
 
@@ -517,9 +558,10 @@ class TestSettleRule:
         def project(a):
             calls.append(None)
             d = directions[(len(calls) - 1) % len(directions)]
-            return np.outer(d, d) * (1.0 + 0.5 * (len(calls) % 2))
+            c = 1.0 + 0.5 * (len(calls) % 2)
+            return np.outer(d, d) * c, np.array([c]), d[:, None]
 
-        monkeypatch.setattr(sparse_mod, "fantope_project", project)
+        monkeypatch.setattr(sparse_mod, "_fantope_project", project)
 
     @pytest.mark.parametrize("runs", sorted({1, 3, 5, sparse_mod.SETTLE_RUNS, 8}))
     def test_never_settles_before_runs_plus_one(self, runs, monkeypatch):
@@ -794,12 +836,35 @@ class TestSparseRecover:
         report = sparse_recover(m, loose)
         scale = np.trace(m) / data.p  # sparse_recover's ADMM runs on (M/s, rho/s)
         init = fantope_admm(m / scale, replace(loose, rho=loose.rho / scale), settle=True)
-        beta0 = truncate(top_two_eigs(init.Pi)[2], loose.s_hat)
+        beta0 = truncate(sign_normalize(init.vectors[:, -1]), loose.s_hat)
         direct = truncated_power_method(m, beta0, loose)
         np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
         assert report.iterations == direct.iterations
         default = sparse_recover(m, replace(loose, tol=SparseConfig.tol))
         assert report.iterations < default.iterations
+
+    @pytest.mark.skipif(_lapack._LAPACKE is None, reason="numpy's bundled LAPACK is not present")
+    def test_no_eigendecomposition_runs_after_admm(self, monkeypatch):
+        # the initializer and the eigengap come from the last projection's
+        # eigenpairs, which the LAPACK path computes without np.linalg.eigh
+        truth, data = self._cs_dataset(3, 30, 400, 49)
+        m = second_moment(data)
+        cfg = SparseConfig(rho=0.05, s_hat=6)
+        expected = sparse_recover(m, cfg)
+
+        def refuse(*args):
+            raise AssertionError("an eigendecomposition ran")
+
+        calls, check = [], sparse_mod.check_matrix
+        monkeypatch.setattr(sparse_mod, "top_two_eigs", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(sparse_mod, "check_matrix",
+                            lambda *args: calls.append(args[1]) or check(*args))
+        report = sparse_recover(m, cfg)
+        np.testing.assert_array_equal(report.beta_hat, expected.beta_hat)
+        assert report.stages == expected.stages
+        assert report.stages["admm_iterations"] > 1
+        assert calls == ["sparse_recover", "fantope_admm", "truncated_power_method"]
 
     def test_rejects_oversized_width(self):
         truth, data = self._cs_dataset(3, 10, 200, 45)
@@ -835,7 +900,7 @@ class TestSparseRecover:
         def no_iteration(*args):
             raise AssertionError("an ADMM iteration ran")
 
-        monkeypatch.setattr(sparse_mod, "fantope_project", no_iteration)
+        monkeypatch.setattr(sparse_mod, "_fantope_project", no_iteration)
         m = np.eye(4)
         m[at] = m[at[::-1]] = bad
         with pytest.raises(NumericalError, match="finite"):
@@ -845,7 +910,7 @@ class TestSparseRecover:
         def no_iteration(*args):
             raise AssertionError("an ADMM iteration ran")
 
-        monkeypatch.setattr(sparse_mod, "fantope_project", no_iteration)
+        monkeypatch.setattr(sparse_mod, "_fantope_project", no_iteration)
         with pytest.raises(ConfigError, match="^p must be >= 2, got 1$"):
             sparse_recover(np.ones((1, 1)), SparseConfig(rho=0.1, s_hat=1))
 
