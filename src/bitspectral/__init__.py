@@ -2,8 +2,9 @@
 
 Estimates a unit-norm parameter vector from binary observations generated
 through an unknown link function, using pairwise-difference second moments:
-power iteration in the classical regime and a Fantope-initialized truncated
-power method in the sparse high-dimensional regime.
+their top eigenvector (power iteration, or one exact eigensolve) in the
+classical regime and a Fantope-initialized truncated power method in the
+sparse high-dimensional regime.
 """
 
 from .errors import ConfigError, NumericalError

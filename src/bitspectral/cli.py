@@ -30,8 +30,8 @@ _HELP = {
     "n": "sample-size grid, comma separated",
     "p": "dimension grid, comma separated",
     "s": "sparsity grid, comma separated",
-    "tmax": "power-iteration cap",
-    "tol": "power-iteration stop tolerance",
+    "tmax": "iteration cap of the sparse path's truncated power method",
+    "tol": "stop tolerance of the sparse path's truncated power method",
     "rho_const": "rho = rho_const * sqrt(log p / n)",
     "shat": "truncation sparsity (default min(2 s, p))",
     "matrix": "force the difference or sum estimator",

@@ -42,11 +42,10 @@ differences, in the law ``generate_dataset`` gives them.  ``sparse`` hands
 that matrix to ``sparse_recover``.  In ``lowdim`` and ``sparse`` the sign of
 the estimate is set by X^T y (``orient_by_first_moment``).
 
-``lowdim`` finds the top eigenvector by power iteration stepping by M^64,
-then M^16, then M (``_squared_power_method``): the iterate sequence of
-``power_method``, taken every 64th multiply, then every 16th, then at each.
-Its ``iters`` counts multiplies of M, so ``--tmax`` caps multiplies, and
-``--tol 0`` runs all ``--tmax`` of them unless an iterate repeats exactly.
+``lowdim`` takes the top eigenvector of M from one ``np.linalg.eigh``, an
+exact solve with no cap: its rows report ``iters`` 1 and ``converged`` True,
+and ``--tmax`` and ``--tol``, checked as for every experiment, do not reach
+it.  A zero M has no dominant direction and raises ``NumericalError``.
 
 The noisy-sign model is parameterized by the noise standard deviation sigma;
 a variance of 0.1 (the usual figure setting, sometimes written delta^2)
@@ -62,7 +61,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, _check_choice, _check_int, _check_real
+from .errors import (ConfigError, NumericalError, _check_choice, _check_int, _check_real,
+                     check_matrix)
 from .estimator import KIND_DIFFERENCE, KIND_SUM, sample_moment
 # no trial calls these four; perfbench/tracing.py patches them as harness attributes
 from .estimator import second_moment, second_moment_sum
@@ -79,8 +79,9 @@ from .links import (
 )
 from .rng import derive_rng
 from .sparse import SparseConfig, sparse_recover
-from .spectral import _check_unit, _squared_power_method, orient_by_first_moment, top_two_eigs
-from .synth import _unit_gaussian, sample_beta_dense, sample_beta_sparse
+from .spectral import (RecoveryReport, _check_unit, orient_by_first_moment, sign_normalize,
+                       top_two_eigs)
+from .synth import sample_beta_dense, sample_beta_sparse
 
 
 class _Model(NamedTuple):
@@ -299,7 +300,11 @@ def lowdim_trial(cfg: RunConfig, param_value: float, s: None, p: int, n: int,
                  trial: int) -> ExperimentRow:
     rng, model, truth, kind = _draw(cfg, param_value, s, p, n, trial)
     mtx, xty = sample_moment(model, truth, n, kind, rng)
-    report = _squared_power_method(mtx, _unit_gaussian(p, rng), t_max=cfg.tmax, tol=cfg.tol)
+    m = check_matrix(mtx, "lowdim_trial")
+    if not np.any(m):
+        raise NumericalError("no dominant direction: matrix is zero")
+    vals, vecs = np.linalg.eigh(m)
+    report = RecoveryReport(sign_normalize(vecs[:, -1]), 1, vals[-1:], True)
     return _row(cfg, param_value, s, p, n, trial, math.sqrt(p / n), model, truth, report, xty)
 
 

@@ -179,9 +179,11 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     primal and dual residuals within ``BALANCE_RATIO`` of each other, and U is
     rescaled by tau_old/tau_new.  The run stops with ``stop="residual"`` once
     both residuals fall below ``cfg.admm_tol * p``.  M must pass ``check_matrix``,
-    once, at entry.  The loop calls ``_fantope_project``, not the checked door:
-    its argument is built from arrays the loop already holds, so it is only
-    tested to be finite (``NumericalError`` as ``fantope_project`` raises it).
+    once, at entry, and M / ``cfg.admm_penalty`` must be finite (else
+    ``NumericalError``, before the first iteration).  The loop calls
+    ``_fantope_project``, not the checked door: its argument is built from
+    arrays the loop already holds, so it is only tested to be finite
+    (``NumericalError`` as ``fantope_project`` raises it).
 
     The loop holds M/tau (not M), Z, Z_prev, U, Pi with its k eigenvectors, and
     one scratch p-by-p array (the projection's argument, Pi + U, the residual
@@ -201,8 +203,12 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     iteration.  Either stop reports ``converged=True``; the cap returns the
     last iterate with ``stop="cap"`` and ``converged=False``.
     """
-    m_scaled = check_matrix(mtx, "fantope_admm") / cfg.admm_penalty
+    with np.errstate(over="ignore"):  # an M / tau that overflows is refused below
+        m_scaled = check_matrix(mtx, "fantope_admm") / cfg.admm_penalty
     del mtx  # so a caller's temporary M is freed before the first iteration
+    if not np.isfinite(m_scaled).all():
+        raise NumericalError(f"fantope_admm requires a finite M / admm_penalty, "
+                             f"got admm_penalty = {cfg.admm_penalty}")
     p = m_scaled.shape[0]
     if settle:
         _check_int(cfg.s_hat, "s_hat", 1, p)

@@ -6,14 +6,12 @@ root-finder instead of the breakpoint search, moment oracles recompute from
 first principles, and the eigenvalue oracle samples a spiked Wishart law
 directly.  The reference power loop and the reference moment are the
 straightforward forms that the production code computes faster: two products
-per power step, and a weighted sum over every pair.  The phased power loop
-forms each power of M afresh from M and runs its phases as plain loops; it
-shares only the package's normalization and sign rule, so the two agree bit
-for bit.  The reference ADMM loop divides M by the penalty afresh on every
-iteration.  The reference draws (links, labels, datasets and sampled
-moments) are the first formulation of the package's draws, with
-``np.where`` labels, boolean-mask gathers and out-of-place products; the
-package must reproduce them bit for bit from the same generator state.
+per power step, and a weighted sum over every pair.  The reference ADMM
+loop divides M by the penalty afresh on every iteration.  The reference
+draws (links, labels, datasets and sampled moments) are the first
+formulation of the package's draws, with ``np.where`` labels, boolean-mask
+gathers and out-of-place products; the package must reproduce them bit for
+bit from the same generator state.
 """
 
 import math
@@ -26,7 +24,6 @@ from scipy.stats import wishart
 from bitspectral import FlippedLogistic, OneBitCS, OneBitPR
 from bitspectral.links import _ndtr
 from bitspectral.sparse import fantope_project, soft_threshold
-from bitspectral.spectral import _normalize, sign_normalize
 
 TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -132,38 +129,6 @@ def reference_power_method(m: np.ndarray, b: np.ndarray, t_max: int, tol: float)
     if b[int(np.argmax(np.abs(b)))] < 0.0:
         b = -b
     return b, iterations, np.asarray(trace), converged
-
-
-def reference_phased_power_method(m: np.ndarray, b: np.ndarray, t_max: int, tol: float,
-                                  strides: tuple):
-    """Power iteration in phases, each power of M formed afresh from M.
-
-    For each stride q of ``strides`` in turn, M^q is log2(q) squarings of M,
-    each factor first scaled to unit Frobenius norm.  The phase then takes as
-    many steps b <- M^q b / ||M^q b|| as the multiplies left allow.  Returns
-    (beta_hat, iterations, rayleigh_trace, converged) as
-    ``reference_power_method`` does, with iterations counting multiplies of M.
-    """
-    trace = []
-    converged = False
-    iterations = 0
-    left = t_max
-    for q in strides:
-        if left < q:
-            continue
-        a = m
-        for _ in range(int(math.log2(q))):
-            a = _normalize(a.ravel()).reshape(a.shape)
-            a = a @ a
-        while left >= q and not converged:
-            v = _normalize(a @ b)
-            left -= q
-            iterations += q
-            trace.append(float(v @ (m @ v)))
-            minus, plus = v - b, v + b
-            converged = min(math.sqrt(minus @ minus), math.sqrt(plus @ plus)) <= tol
-            b = v
-    return sign_normalize(b), iterations, np.asarray(trace), converged
 
 
 def reference_fantope_admm(m: np.ndarray, cfg, ratio: float, window: int):

@@ -128,14 +128,38 @@ class TestRows:
             assert r.err is None
             assert r.abscissa == r.param_value
 
-    def test_lowdim_iters_count_multiplies_under_the_cap(self):
-        # the squared power loop counts multiplies of M, 16 per squared step
-        for r in run_experiment(small_lowdim_cfg(tmax=40)):
-            assert 1 <= r.iters <= 40
-        for r in run_experiment(small_lowdim_cfg(tmax=7, tol=0.0)):
-            assert r.iters == 7 and r.converged is False
-        for r in run_experiment(small_lowdim_cfg(tmax=37, tol=0.0)):
-            assert r.iters == 37 and r.converged is False
+    def test_lowdim_rows_do_not_read_the_power_iteration_settings(self):
+        # one exact solve: no cap to reach and no tolerance to meet
+        rows = run_experiment(small_lowdim_cfg())
+        assert all(r.iters == 1 and r.converged is True for r in rows)
+        for tmax, tol in itertools.product((7, 40, 500), (0.0, 1e-10)):
+            assert run_experiment(small_lowdim_cfg(tmax=tmax, tol=tol)) == rows
+
+    @pytest.mark.parametrize("model, noise", [("cs", {"sigma": (0.5,)}),
+                                              ("flr", {"pe": (0.1,)}),
+                                              ("pr", {"theta": (1.0,)})],
+                             ids=["cs", "flr", "pr"])
+    def test_lowdim_estimate_is_the_top_eigenvector_of_its_draw(self, model, noise,
+                                                                monkeypatch):
+        # beta_hat is eigh's last eigenvector of the trial's own M, sign-normalized,
+        # then oriented by its X^T y
+        oriented = []
+
+        def orient(beta_hat, xty):
+            oriented.append(bitspectral.orient_by_first_moment(beta_hat, xty))
+            return oriented[-1]
+
+        monkeypatch.setattr(harness, "orient_by_first_moment", orient)
+        cfg = small_lowdim_cfg(model=model, **noise)
+        rows = run_experiment(cfg)
+        assert len(oriented) == len(rows) == 6
+        for r, got in zip(rows, oriented):
+            rng, link, truth, kind = harness._draw(cfg, r.param_value, None, r.p, r.n, r.trial)
+            mtx, xty = bitspectral.sample_moment(link, truth, r.n, kind, rng)
+            top = np.linalg.eigh(mtx)[1][:, -1]
+            want = bitspectral.orient_by_first_moment(bitspectral.sign_normalize(top), xty)
+            np.testing.assert_array_equal(got, want)
+            assert r.err_signfree == estimation_error(want, truth.beta_star, True)
 
     def test_pr_uses_sign_invariant_default_metric(self):
         cfg = RunConfig(experiment="lowdim", model="pr", theta=(1.0,),

@@ -72,7 +72,6 @@ from bitspectral import (
 )
 from bitspectral import harness
 from bitspectral.errors import check_matrix
-from bitspectral.spectral import _squared_power_method
 
 CFG = SparseConfig(rho=0.1, s_hat=1)
 E1 = np.array([1.0, 0.0])
@@ -80,7 +79,6 @@ ASYMMETRIC = np.array([[2.0, 1.0], [0.0, 2.0]])
 
 ENTRY_POINTS = {
     "power_method": lambda a: power_method(a, E1),
-    "_squared_power_method": lambda a: _squared_power_method(a, E1),
     "truncated_power_method": lambda a: truncated_power_method(a, E1, CFG),
     "top_two_eigs": top_two_eigs,
     "fantope_project": fantope_project,
@@ -186,9 +184,8 @@ def test_refusal_is_scale_free(data, p, e0, d, k):
                          ids=["short", "2-d"])
 @pytest.mark.parametrize("solver", [
     power_method,
-    _squared_power_method,
     lambda m, b0: truncated_power_method(m, b0, SparseConfig(rho=0.1, s_hat=2)),
-], ids=["power_method", "_squared_power_method", "truncated_power_method"])
+], ids=["power_method", "truncated_power_method"])
 def test_start_vector_not_of_shape_p_is_a_config_error(solver, start):
     with pytest.raises(ConfigError, match=r"beta0 must have shape \(3,\)"):
         solver(np.diag([3.0, 2.0, 1.0]), start)

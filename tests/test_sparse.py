@@ -485,14 +485,31 @@ class TestFantopeAdmm:
         if lam1 - lam2 > 1e-4:  # else the leading eigenvector is not determined
             np.testing.assert_allclose(sign_normalize(v[:, -1]), v1, rtol=0.0, atol=1e-10)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_projection_argument_is_a_numerical_error(self, monkeypatch):
-        # M is finite, but M / tau overflows at a start penalty of 1e-300
-        def no_projection(*args):
-            raise AssertionError("a non-finite argument was projected")
+        # the first projection returns a NaN Pi, so the second argument, Z - U + M/tau, is NaN
+        calls = []
 
-        monkeypatch.setattr(sparse_mod, "_fantope_project", no_projection)
+        def nan_once(a):
+            if calls:
+                raise AssertionError("a non-finite argument was projected")
+            calls.append(a)
+            return np.full(a.shape, np.nan), np.ones(1), np.eye(a.shape[0], 1)
+
+        monkeypatch.setattr(sparse_mod, "_fantope_project", nan_once)
         with pytest.raises(NumericalError, match="^fantope_project requires a finite matrix$"):
+            fantope_admm(np.eye(3), base_cfg())
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_m_over_penalty_is_refused_by_name(self, monkeypatch):
+        # M is finite, but M / tau overflows at a start penalty of 1e-300: no warning,
+        # and the error names the call and the setting, before any iteration
+        def no_iteration(*args):
+            raise AssertionError("ADMM iterated")
+
+        monkeypatch.setattr(sparse_mod, "_fantope_project", no_iteration)
+        with pytest.raises(NumericalError, match=r"^fantope_admm requires a finite "
+                                                 r"M / admm_penalty, got admm_penalty = 1e-300$"):
             fantope_admm(1e10 * np.eye(3), base_cfg(admm_penalty=1e-300))
 
     def test_config_validation(self):

@@ -1,7 +1,6 @@
 """Power method and top-eigenpair extraction."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -22,9 +21,8 @@ from bitspectral import (
     top_two_eigs,
     truncated_power_method,
 )
-from bitspectral.spectral import _squared_power_method
 
-from _oracles import reference_phased_power_method, reference_power_method
+from _oracles import reference_power_method
 
 
 def random_psd(p, rng, scale=1.0):
@@ -107,10 +105,9 @@ class TestPowerMethod:
     def test_iterate_whose_squared_norm_underflows_is_still_unit(self, scale):
         # M b has entries below 1e-154, so b @ b is subnormal or 0 before the rescale
         m = scale * np.diag([1.0, 0.5])
-        for solver in (power_method, _squared_power_method):
-            got = solver(m, unit([0.6, 0.8]), t_max=1, tol=0.0)
-            assert np.linalg.norm(got.beta_hat) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(got.beta_hat, unit([0.6, 0.4]), rtol=1e-12)
+        got = power_method(m, unit([0.6, 0.8]), t_max=1, tol=0.0)
+        assert np.linalg.norm(got.beta_hat) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(got.beta_hat, unit([0.6, 0.4]), rtol=1e-12)
 
     def test_rejects_non_unit_start(self):
         with pytest.raises(ConfigError):
@@ -123,9 +120,8 @@ class TestPowerMethod:
     @pytest.mark.parametrize("t_max", [True, 2.5], ids=["bool", "fraction"])
     def test_rejects_a_tmax_that_is_not_an_integer(self, t_max):
         m, b0 = np.diag([2.0, 1.0]), np.array([0.6, 0.8])
-        for solver in (power_method, _squared_power_method):
-            with pytest.raises(ConfigError, match="t_max must be an integer"):
-                solver(m, b0, t_max=t_max)
+        with pytest.raises(ConfigError, match="t_max must be an integer"):
+            power_method(m, b0, t_max=t_max)
         assert power_method(m, b0, t_max=np.int64(2)).iterations == 2
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
@@ -161,10 +157,9 @@ class TestPowerMethod:
     def test_finite_matrix_beyond_the_range_of_a_norm(self):
         # M b has entries near 1e200, so v @ v overflows though M b is finite
         m = np.diag([1e200, 1e199, 1.0])
-        for run in (power_method, _squared_power_method):
-            report = run(m, unit([1.0, 1.0, 1.0]))
-            np.testing.assert_allclose(report.beta_hat, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-9)
-            assert report.converged
+        report = power_method(m, unit([1.0, 1.0, 1.0]))
+        np.testing.assert_allclose(report.beta_hat, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-9)
+        assert report.converged
 
 
 class TestOneProductPerStep:
@@ -212,126 +207,6 @@ class TestOneProductPerStep:
             outcomes.add((top, got.converged))
         assert (1.001, False) in outcomes
         assert tol == 0.0 or (2.0, True) in outcomes
-
-
-PHASES = (64, 16, 1)  # multiplies of M per step of the squared path, phase by phase
-
-
-def squared_step_ends(t_max):
-    """Multiplies of M taken by the end of each step of the squared path under cap t_max."""
-    sizes, left = [], t_max
-    for q in PHASES:
-        sizes += [q] * (left // q)
-        left %= q
-    return np.cumsum(sizes)
-
-
-def slow_pair(rng):
-    """A 20-by-20 PSD matrix with lambda2/lambda1 = 0.97 and a unit start.
-
-    0.97 is the slow end of the lowdim grids: no iterate repeats exactly
-    within 500 multiplies, so tol=0 runs to the cap.
-    """
-    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    m = (q * np.r_[1.0, 0.97, rng.uniform(0.0, 0.9, 18)]) @ q.T
-    return m, unit(rng.standard_normal(20))
-
-
-class TestSquaredPowerPath:
-    """lowdim's power loop: steps by M^64, M^16 and M in turn, counts multiplies of M,
-    stops by power_method's rule."""
-
-    @pytest.mark.parametrize("t_max", [1, 7, 16, 37, 64, 83, 500])
-    def test_fixed_budget_matches_reference(self, t_max):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            m, b0 = slow_pair(rng)
-            got = _squared_power_method(m, b0, t_max=t_max, tol=0.0)
-            beta, iterations, _, _ = reference_power_method(m, b0, t_max, 0.0)
-            assert got.iterations == iterations == t_max
-            assert not got.converged
-            assert len(got.rayleigh_trace) == len(squared_step_ends(t_max))
-            assert np.linalg.norm(got.beta_hat - beta) <= 1e-9
-            if t_max < 16:  # no squared step: power_method's run
-                plain = power_method(m, b0, t_max=t_max, tol=0.0)
-                assert np.array_equal(got.beta_hat, plain.beta_hat)
-                assert np.array_equal(got.rayleigh_trace, plain.rayleigh_trace)
-
-    @pytest.mark.parametrize("t_max, steps", [(15, 15), (16, 1), (63, 3 + 15), (64, 1),
-                                              (83, 1 + 1 + 3), (500, 7 + 3 + 4)])
-    def test_trace_has_one_entry_per_step_of_each_phase(self, t_max, steps):
-        m, b0 = slow_pair(np.random.default_rng(32))
-        got = _squared_power_method(m, b0, t_max=t_max, tol=0.0)
-        assert got.iterations == t_max and not got.converged
-        assert len(got.rayleigh_trace) == len(squared_step_ends(t_max)) == steps
-
-    @pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-4])
-    def test_steps_match_the_phased_reference_bit_for_bit(self, tol):
-        # below 64 multiplies the run forms no M^64 and steps by M^16, then M;
-        # a random PSD matrix of p = 6 often stops early
-        rng = np.random.default_rng(33)
-        for t_max in (*range(1, 64), 64, 83, 500):
-            m, b0 = slow_pair(rng)
-            if t_max % 2:
-                m, b0 = random_psd(6, rng), unit(rng.standard_normal(6))
-            got = _squared_power_method(m, b0, t_max=t_max, tol=tol)
-            beta, iterations, trace, converged = reference_phased_power_method(
-                m, b0, t_max, tol, (16, 1) if t_max < 64 else PHASES)
-            assert np.array_equal(got.beta_hat, beta)
-            assert np.array_equal(got.rayleigh_trace, trace)
-            assert (got.iterations, got.converged) == (iterations, converged)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        factor=st.tuples(st.integers(1, 10), st.integers(1, 12)).flatmap(
-            lambda shape: arrays(np.float64, shape, elements=st.floats(-4.0, 4.0, width=64))),
-        start=st.integers(0, 2**32 - 1),
-        t_max=st.integers(1, 120),
-        tol=st.sampled_from([0.0, 1e-10, 1e-4, 0.5]),
-    )
-    def test_report_and_stop_rule(self, factor, start, t_max, tol):
-        m = factor @ factor.T
-        assume(np.any(m))
-        b0 = unit(np.random.default_rng(start).standard_normal(m.shape[0]))
-        try:
-            got = _squared_power_method(m, b0, t_max=t_max, tol=tol)
-        except NumericalError:
-            assume(False)
-        beta = got.beta_hat
-        assert 1 <= got.iterations <= t_max
-        ends = list(squared_step_ends(t_max))
-        assert got.iterations in ends  # runs stop at the end of a step
-        steps = ends.index(got.iterations) + 1
-        assert len(got.rayleigh_trace) == steps
-        assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
-        assert np.array_equal(beta, sign_normalize(beta))
-        if not got.converged:
-            assert got.iterations == t_max
-            return
-        # the stop test, redone between the last iterate and the one a step before;
-        # a run capped at the end of any step takes the same steps up to there
-        before = ends[steps - 2] if steps > 1 else 0
-        prev = b0 if before == 0 else _squared_power_method(m, b0, t_max=before, tol=0.0).beta_hat
-        minus, plus = beta - prev, beta + prev
-        assert min(math.sqrt(minus @ minus), math.sqrt(plus @ plus)) <= tol
-
-    @pytest.mark.parametrize("mtx, b0, kwargs", [
-        (np.zeros((3, 3)), unit([1.0, 1.0, 1.0]), {}),  # zero matrix
-        (np.diag([1.0, 0.0]), np.array([0.0, 1.0]), {}),  # annihilated start
-        (np.diag([1.0, 0.0]), np.array([0.0, 1.0]), {"t_max": 5}),
-        (np.diag([np.nan, 1.0, 1.0]), unit([1.0, 1.0, 1.0]), {}),  # non-finite matrix
-        (np.eye(2), np.array([1.0, 1.0]), {}),  # non-unit start
-        (np.eye(2), np.array([np.nan, 0.0]), {}),
-        (np.eye(2), np.array([1.0, 0.0]), {"t_max": 0}),
-        (np.eye(2), np.array([1.0, 0.0]), {"tol": math.nan}),
-        (np.eye(2), np.array([1.0, 0.0]), {"tol": -1.0}),
-        (np.eye(2), np.array([1.0, 0.0]), {"tol": math.inf}),
-    ])
-    def test_errors_match_power_method(self, mtx, b0, kwargs):
-        with pytest.raises((ConfigError, NumericalError)) as plain:
-            power_method(mtx, b0, **kwargs)
-        with pytest.raises(plain.type, match=re.escape(str(plain.value))):
-            _squared_power_method(mtx, b0, **kwargs)
 
 
 class TestTopTwoEigs:

@@ -53,13 +53,13 @@ CONFIGS = [
     ["lowdim", "--model", "cs", *LOWDIM],
     ["lowdim", "--model", "pr", "--theta", "0.4", *LOWDIM],
     ["lowdim", "--model", "pr", "--theta", "1", "--matrix", "sum", *LOWDIM],
+    # --tmax and --tol do not reach lowdim, which solves exactly: these four print the
+    # hash of the plain cs config above
     ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "7", *LOWDIM],
-    # fixed budgets: below 64 multiplies, two M^16 steps and then single multiplies;
-    # one M^64 step alone; and every phase, 64 + 16 + 3 multiplies
     ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "37", *LOWDIM],
     ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "64", *LOWDIM],
     ["lowdim", "--model", "cs", "--tol", "0", "--tmax", "83", *LOWDIM],
-    # a small eigengap (flr, pe 0.1), where trials can stop on the 500-multiply cap
+    # a small eigengap (flr, pe 0.1), where a 500-multiply power iteration can stop on its cap
     ["lowdim", "--model", "flr", "--pe", "0.1", "--n", "7840", "--p", "5", "--trials", "2",
      "--seed", "4"],
     # odd n (trimmed), too few rows, and one pair per trial, so k = 0 weighted pairs can occur
