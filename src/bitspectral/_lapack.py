@@ -4,7 +4,7 @@ numpy wheels bundle OpenBLAS as ``numpy.libs/libscipy_openblas64_-*.so`` and
 have it mapped once numpy is imported, so binding its LAPACKE symbols loads
 nothing new.  When the library or a symbol is missing (other numpy builds
 link a system LAPACK under other names), ``spectrum`` returns (None, None),
-as it does when a routine reports failure.
+as it does when a routine reports failure or the tridiagonal form splits.
 """
 
 import ctypes
@@ -46,14 +46,12 @@ _LAPACKE = _bind()
 def spectrum(a: np.ndarray):
     """Ascending eigenvalues of the symmetric matrix ``a``, and ``top(k)``.
 
-    One Householder reduction to tridiagonal form T (dsytrd) serves both.
-    T is cut into blocks where its off-diagonal is negligible (dstebz's
-    rule), and each block's eigenvalues come from dsterf.  ``top(k)`` hands
-    the k largest of them, grouped by block, to inverse iteration (dstein),
-    whose vectors are exactly zero off their block, and maps the vectors back
-    (dormtr).  It returns them as the columns of a p x k array in ascending
-    order of eigenvalue, or None when LAPACK does not deliver k finite
-    vectors.  T is left intact, so ``top`` may be called more than once.
+    One Householder reduction to tridiagonal form T (dsytrd) serves both, and
+    the eigenvalues come from T by dsterf.  ``top(k)`` hands the k largest to
+    inverse iteration (dstein) and maps the vectors back (dormtr).  It returns
+    them as the columns of a p x k array in ascending order of eigenvalue, or
+    None when LAPACK does not deliver k finite vectors.  A T that splits, with
+    an off-diagonal entry negligible by dstebz's rule, returns (None, None).
     """
     f = _LAPACKE
     if f is None or a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
@@ -64,27 +62,22 @@ def spectrum(a: np.ndarray):
     if f["dsytrd"](_COL_MAJOR, b"L", n, h, n, d, e, tau) != 0:
         return None, None
     with np.errstate(over="ignore"):  # entries above about 1e154 overflow to inf: no split
-        split = e[:-1] ** 2 < _ULP2 * np.abs(d[:-1] * d[1:]) + _SAFEMIN
-    ends = np.append(np.flatnonzero(split) + 1, n)  # dstein's 1-based ISPLIT
-    w, sub = d.copy(), e.copy()  # dsterf overwrites both; dstein reads d and e
-    start = 0
-    for end in ends:
-        if f["dsterf"](end - start, w[start:end], sub[start:end]) != 0:
+        if np.any(e[:-1] ** 2 < _ULP2 * np.abs(d[:-1] * d[1:]) + _SAFEMIN):
             return None, None
-        start = end
-    block = np.repeat(np.arange(1, ends.size + 1), np.diff(ends, prepend=0))
-    order = np.argsort(w, kind="stable")  # w is ascending only within each block
+    w, sub = d.copy(), e.copy()  # dsterf overwrites both; dstein reads d and e
+    if f["dsterf"](n, w, sub) != 0:
+        return None, None
 
     def top(k: int):
-        want = order[n - k:]
-        pick = np.sort(want)  # the same eigenvalues, grouped by block as dstein needs
         z, ifail, vals = np.empty((k, n)), np.empty(k, dtype=np.int64), np.zeros(n)
-        vals[:k] = w[pick]  # LAPACKE's NaN check reads n entries, dstein the first k
-        info = f["dstein"](_COL_MAJOR, n, d, e, k, vals, block[pick], ends, z, n, ifail)
+        vals[:k] = w[n - k:]  # LAPACKE's NaN check reads n entries, dstein the first k
+        # IBLOCK and ISPLIT of one block: every eigenvalue is in block 1, which ends at row n
+        info = f["dstein"](_COL_MAJOR, n, d, e, k, vals, np.ones(k, dtype=np.int64),
+                           np.array([n], dtype=np.int64), z, n, ifail)
         if info != 0 or not np.isfinite(z).all():
             return None
         if f["dormtr"](_COL_MAJOR, b"L", b"L", b"N", n, k, h, n, tau, z, n) != 0:
             return None
-        return z[np.searchsorted(pick, want)].T
+        return z.T
 
-    return w[order], top
+    return w, top

@@ -124,10 +124,10 @@ def _fantope_project(a: np.ndarray):
     The eigenpairs come from numpy's bundled LAPACK: one reduction to
     tridiagonal form, every eigenvalue from the tridiagonal, then eigenvectors
     for the k weighted eigenvalues only, by inverse iteration on those
-    eigenvalues, mapped back.  Where that LAPACK is not present, or it does
-    not deliver k finite eigenvectors (inverse iteration can fail to converge
-    on a large cluster of tied eigenvalues), the eigenpairs come from
-    ``np.linalg.eigh`` instead.
+    eigenvalues, mapped back.  ``np.linalg.eigh`` gives them instead where that
+    LAPACK is not present, where the tridiagonal splits (a diagonal or
+    block-diagonal ``a``, say), or where LAPACK does not deliver k finite
+    eigenvectors (inverse iteration can fail on a large tied cluster).
     """
     lam, top = _lapack.spectrum(a)
     vecs = None
@@ -179,8 +179,8 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     primal and dual residuals within ``BALANCE_RATIO`` of each other, and U is
     rescaled by tau_old/tau_new.  The run stops with ``stop="residual"`` once
     both residuals fall below ``cfg.admm_tol * p``.  M must pass ``check_matrix``,
-    once, at entry, and M / ``cfg.admm_penalty`` must be finite (else
-    ``NumericalError``, before the first iteration).  The loop calls
+    once, at entry, and M/tau must be finite at entry and after each halving of
+    tau (else ``NumericalError``, naming the penalty reached).  The loop calls
     ``_fantope_project``, not the checked door: its argument is built from
     arrays the loop already holds, so it is only tested to be finite
     (``NumericalError`` as ``fantope_project`` raises it).
@@ -206,9 +206,7 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     with np.errstate(over="ignore"):  # an M / tau that overflows is refused below
         m_scaled = check_matrix(mtx, "fantope_admm") / cfg.admm_penalty
     del mtx  # so a caller's temporary M is freed before the first iteration
-    if not np.isfinite(m_scaled).all():
-        raise NumericalError(f"fantope_admm requires a finite M / admm_penalty, "
-                             f"got admm_penalty = {cfg.admm_penalty}")
+    _check_scaled(m_scaled, "admm_penalty", cfg.admm_penalty)
     p = m_scaled.shape[0]
     if settle:
         _check_int(cfg.s_hat, "s_hat", 1, p)
@@ -253,12 +251,21 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
         else:
             continue
         tau *= scale
-        u /= scale
-        m_scaled /= scale
+        with np.errstate(over="ignore"):  # a halving tau can overflow M / tau: refused below
+            u /= scale
+            m_scaled /= scale
+        if scale < 1.0:
+            _check_scaled(m_scaled, "penalty", tau)
         t = min(cfg.rho / tau, _FLOAT_MAX)
         updates += 1
     return FantopeSolution(pi, iterations, primal, dual, tau, updates, "cap", weights,
                            vectors)
+
+
+def _check_scaled(m_scaled: np.ndarray, name: str, tau: float) -> None:
+    """Refuse a non-finite M / tau with a ``NumericalError`` that names tau as ``name``."""
+    if not np.isfinite(m_scaled).all():
+        raise NumericalError(f"fantope_admm requires a finite M / {name}, got {name} = {tau}")
 
 
 def _top_support(v: np.ndarray, s_hat: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from bitspectral import (
     generate_dataset,
     power_method,
     sample_beta_sparse,
+    sample_moment,
     second_moment,
     select_matrix_kind,
     sign_normalize,
@@ -251,31 +252,33 @@ class TestFantopeLapackPath:
             monkeypatch.undo()
 
     def test_diagonal_input(self, monkeypatch):
-        # a fully split tridiagonal: every off-diagonal entry is zero
+        # a fully split tridiagonal: every off-diagonal entry is zero, so
+        # np.linalg.eigh takes the call
         a = np.diag([0.3, 2.0, -1.0, 1.6, 1.2, 0.0])
-        lam, top = _lapack.spectrum(a)
-        np.testing.assert_array_equal(lam, np.sort(np.diag(a)))
+        assert _lapack.spectrum(a) == (None, None)
         calls = count_eigh(monkeypatch)
         out = fantope_project(a)
-        assert calls == []
+        assert len(calls) == 1
         np.testing.assert_allclose(out, np.diag([0, 0.7, 0, 0.3, 0, 0]), rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("sizes", [(3, 1, 4), (60, 1, 80, 59), (5, 5)])
     def test_block_diagonal_input(self, sizes, monkeypatch):
-        # dense blocks with exact zero coupling split the tridiagonal; two equal
-        # sizes repeat one block, so every eigenvalue is tied across the blocks
+        # dense blocks with exact zero coupling split the tridiagonal, so
+        # np.linalg.eigh takes the call; two equal sizes repeat one block, so
+        # every eigenvalue is tied across the blocks
         rng = np.random.default_rng(21)
         blocks = [rotated(rng.uniform(0.0, 2.0, m), rng) for m in sizes]
         if len(set(sizes)) == 1:
             blocks = blocks[:1] * len(sizes)
         a, off = block_diagonal(blocks)
+        expected = exact_fantope_projection(a)
         calls = count_eigh(monkeypatch)
         out = fantope_project(a)
-        assert calls == []
+        assert len(calls) == 1
         assert np.all(out[off] == 0.0)
         weight = np.add.reduceat(np.diag(out), np.cumsum((0,) + sizes[:-1]))
         assert np.count_nonzero(weight) >= 2  # the k weighted vectors span blocks
-        np.testing.assert_allclose(out, eigh_fallback(a), rtol=0.0,
+        np.testing.assert_allclose(out, expected, rtol=0.0,
                                    atol=1e-12 * max(1.0, float(np.linalg.norm(a))))
 
     @pytest.mark.parametrize("a", [np.ones(3), np.ones((0, 0))], ids=["1-d", "0x0"])
@@ -310,12 +313,19 @@ class TestFantopeLapackPath:
         lam = np.array(lam) * scale
         lam = np.append(lam, [lam.max() - 1.0] * at_cut)
         rng = np.random.default_rng(seed)
-        a, off = block_diagonal([rotated(part, rng) for part in np.array_split(lam, blocks)
-                                 if part.size])
-        out = fantope_project(a)
+        parts = [rotated(part, rng) for part in np.array_split(lam, blocks) if part.size]
+        a, off = block_diagonal(parts)
+        # exact zero coupling splits the tridiagonal; so may a tie within one block
+        split = _lapack.spectrum(a)[0] is None
+        assert split or len(parts) == 1
+        expected = exact_fantope_projection(a) if split else eigh_fallback(a)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_eigh(mp)
+            out = fantope_project(a)
+        assert len(calls) == split  # np.linalg.eigh takes a split call, and only that
         assert np.all(out[off] == 0.0)
         tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
-        np.testing.assert_allclose(out, eigh_fallback(a), rtol=0.0, atol=tol)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=tol)
 
 
 def test_suite_runs_one_blas_thread():
@@ -511,6 +521,15 @@ class TestFantopeAdmm:
         with pytest.raises(NumericalError, match=r"^fantope_admm requires a finite "
                                                  r"M / admm_penalty, got admm_penalty = 1e-300$"):
             fantope_admm(1e10 * np.eye(3), base_cfg(admm_penalty=1e-300))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_on_a_halved_penalty_is_refused_by_name(self):
+        # M / admm_penalty is finite, but residual balancing halves tau at the
+        # first iteration and M / tau overflows: no warning, and the error names
+        # the call and the penalty reached
+        with pytest.raises(NumericalError, match=r"^fantope_admm requires a finite "
+                                                 r"M / penalty, got penalty = 0.5$"):
+            fantope_admm(1.7e308 * np.diag([1.0, 0.5, 0.25]), base_cfg(admm_max_iter=200))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -863,11 +882,20 @@ class TestSparseRecover:
     @pytest.mark.skipif(_lapack._LAPACKE is None, reason="numpy's bundled LAPACK is not present")
     def test_no_eigendecomposition_runs_after_admm(self, monkeypatch):
         # the initializer and the eigengap come from the last projection's
-        # eigenpairs, which the LAPACK path computes without np.linalg.eigh
+        # eigenpairs, which the LAPACK path computes without np.linalg.eigh.
+        # The two sample_moment draws are benchmark points (sparse-capped at
+        # s = 10, p = 200; sparse-default at sigma^2 = 0.1, s = 5, p = 100): none
+        # of their projections may split the tridiagonal or take the fallback
         truth, data = self._cs_dataset(3, 30, 400, 49)
-        m = second_moment(data)
-        cfg = SparseConfig(rho=0.05, s_hat=6)
-        expected = sparse_recover(m, cfg)
+        cases = [(second_moment(data), SparseConfig(rho=0.05, s_hat=6))]
+        for sigma, s, p, max_iter in [(0.0, 10, 200, 75),
+                                      (math.sqrt(0.1), 5, 100, SparseConfig.admm_max_iter)]:
+            rng = np.random.default_rng([49, s])
+            m, _ = sample_moment(OneBitCS(sigma), sample_beta_sparse(p, s, rng), 1000,
+                                 "difference", rng)
+            cases.append((m, SparseConfig(rho=math.sqrt(math.log(p) / 1000), s_hat=2 * s,
+                                          admm_max_iter=max_iter)))
+        expected = [sparse_recover(m, cfg) for m, cfg in cases]
 
         def refuse(*args):
             raise AssertionError("an eigendecomposition ran")
@@ -877,11 +905,13 @@ class TestSparseRecover:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(sparse_mod, "check_matrix",
                             lambda *args: calls.append(args[1]) or check(*args))
-        report = sparse_recover(m, cfg)
-        np.testing.assert_array_equal(report.beta_hat, expected.beta_hat)
-        assert report.stages == expected.stages
-        assert report.stages["admm_iterations"] > 1
-        assert calls == ["sparse_recover", "fantope_admm", "truncated_power_method"]
+        for (m, cfg), want in zip(cases, expected):
+            calls.clear()
+            report = sparse_recover(m, cfg)
+            np.testing.assert_array_equal(report.beta_hat, want.beta_hat)
+            assert report.stages == want.stages
+            assert report.stages["admm_iterations"] > 1
+            assert calls == ["sparse_recover", "fantope_admm", "truncated_power_method"]
 
     def test_rejects_oversized_width(self):
         truth, data = self._cs_dataset(3, 10, 200, 45)
