@@ -11,7 +11,9 @@ opened for writing is one, found before any trial), 3 numerical failure.
 """
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -108,7 +110,35 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return default_config(args.experiment, **updates)
 
 
+def _keep_freed_heap() -> None:
+    """Fix glibc's malloc thresholds at the ceilings of its dynamic rule; a no-op elsewhere.
+
+    Under the dynamic rule a trial's freed n-length and p x p arrays, a few MiB at the
+    top of the heap, pass the trim threshold, go back to the kernel and are faulted in
+    again, page by page, by the next trial.  With the thresholds fixed the next trial
+    reuses them.  Setting either threshold turns the rule off, so both are set.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name: not glibc
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD at DEFAULT_MMAP_THRESHOLD_MAX (64-bit)
+    mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD at twice that, the ratio the rule keeps
+
+
 def main(argv=None) -> int:
+    """Run one command line; return its exit code.
+
+    It first fixes glibc's malloc thresholds (``_keep_freed_heap``) for the whole
+    process, a process that embeds this call included, and they stay set after it
+    returns.  The library itself, ``run_experiment`` included, leaves the allocator
+    alone.
+    """
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)

@@ -95,9 +95,10 @@ class OneBitCS:
     def f(self, z):
         if self.sigma == 0.0:
             return _sign_pos(z)
-        with np.errstate(over="ignore"):  # a subnormal sigma sends z / sigma to +-inf, f to +-1
-            scaled = z / self.sigma
-        return 2.0 * _ndtr(scaled) - 1.0
+        out = _ndtr(z, self.sigma)  # 2 Phi(z / sigma) - 1, in Phi's own buffer
+        out *= 2.0
+        out -= 1.0
+        return out[()]
 
     def _moments(self, quad_order: int):
         # Writing f(z) = 2 Phi(z/sigma) - 1 and integrating by parts against
@@ -204,34 +205,63 @@ _MAXLOG = 7.09782712893383996843e2  # erfc(x) is taken as 0 once x^2 exceeds thi
 
 
 def _polevl(x, coef, monic=False):
-    """Horner's rule in Cephes order; ``monic`` prepends an implicit leading 1."""
-    out = x + coef[0] if monic else coef[0] * x + coef[1]
+    """Horner's rule in Cephes order, in one new array; ``monic`` prepends an implicit
+    leading 1."""
+    if monic:
+        out = x + coef[0]
+    else:
+        out = x * coef[0]
+        out += coef[1]
     for c in coef[1 if monic else 2:]:
         out *= x
         out += c
     return out
 
 
-def _ndtr(a):
-    """Standard normal CDF, elementwise: a numpy port of Cephes ``ndtr``.
+def _ndtr(a, sigma=1.0):
+    """Standard normal CDF of a / sigma, elementwise: a numpy port of Cephes ``ndtr``.
 
-    With x = a/sqrt(2), Phi(a) = (1 + erf(x))/2 for |x| < 1 and erfc(|x|)/2,
+    With x = a/(sigma sqrt(2)), Phi = (1 + erf(x))/2 for |x| < 1 and erfc(|x|)/2,
     reflected for x > 0, beyond.  Every branch is evaluated on the whole array
     and the right one selected, which is cheaper than gathering the branches.
-    Phi(+inf) = 1, Phi(-inf) = 0 and NaN stays NaN.
+    Each step writes into an array it owns, so at most six n-length arrays are
+    live at once.  Phi(+inf) = 1, Phi(-inf) = 0 and NaN stays NaN.  A 0-d
+    result is a 0-d array.
     """
-    x = np.asarray(a, dtype=float) * _SQRT1_2
-    z = np.minimum(np.abs(x), 64.0)  # keeps z * z finite; NaN passes through
+    x = np.array(a, dtype=float, ndmin=1)  # a copy, so every step below may write in place
+    with np.errstate(over="ignore"):  # a subnormal sigma sends a / sigma to +-inf, Phi to 0 or 1
+        x /= sigma
+    x *= _SQRT1_2
+    z = np.abs(x)
+    np.minimum(z, 64.0, out=z)  # keeps z * z finite; NaN passes through
     w = z * z
-    erf = z * _polevl(w, _ERF_T) / _polevl(w, _ERF_U, monic=True)
-    p = _polevl(z, _ERFC_P)
-    q = _polevl(z, _ERFC_Q, monic=True)
+    erf = _polevl(w, _ERF_T)
+    erf *= z
+    erf /= _polevl(w, _ERF_U, monic=True)
+    # erfc(z)/2 = exp(-w) p/q / 2, with the far-tail p/q where z >= 8
+    half = np.negative(w)
+    np.exp(half, out=half)
+    underflow = w > _MAXLOG
+    del w
     far = z >= 8.0
-    if far.any():
-        p = np.where(far, _polevl(z, _ERFC_R), p)
-        q = np.where(far, _polevl(z, _ERFC_S, monic=True), q)
-    half = np.where(w > _MAXLOG, 0.0, 0.5 * (np.exp(-w) * p / q))
-    return np.where(z < 1.0, 0.5 + 0.5 * np.copysign(erf, x), np.where(x > 0.0, 1.0 - half, half))
+    tail = far.any()
+    p = _polevl(z, _ERFC_P)
+    if tail:
+        np.copyto(p, _polevl(z, _ERFC_R), where=far)
+    half *= p
+    del p  # before q, so the two are never live together
+    q = _polevl(z, _ERFC_Q, monic=True)
+    if tail:
+        np.copyto(q, _polevl(z, _ERFC_S, monic=True), where=far)
+    half /= q
+    half *= 0.5
+    np.copyto(half, 0.0, where=underflow)
+    np.subtract(1.0, half, out=half, where=x > 0.0)
+    np.copysign(erf, x, out=erf)
+    erf *= 0.5
+    erf += 0.5
+    np.copyto(half, erf, where=z < 1.0)
+    return half.reshape(np.shape(a))
 
 
 def normal_cdf(x):

@@ -31,7 +31,7 @@ from bitspectral import (
     run_experiment,
     select_matrix_kind,
 )
-from bitspectral import harness
+from bitspectral import cli, harness
 from bitspectral.cli import build_parser, config_from_args, main
 from bitspectral.harness import RunConfig, check_csv_path, lowdim_trial, write_csv
 from bitspectral.links import OneBitCS, OneBitPR
@@ -567,6 +567,77 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith(CSV_HEADER)
         assert len(out.strip().split("\n")) == 3
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestHeapPolicy:
+    """``cli.main`` fixes glibc's malloc thresholds; the library leaves them alone."""
+
+    @pytest.mark.skipif(not _on_glibc(), reason="the thresholds are glibc's")
+    def test_a_second_run_reuses_the_first_runs_heap(self, tmp_path):
+        # each flr trial at n = 125,448 frees about 2.6 MiB at the top of the
+        # heap; under glibc's dynamic thresholds that is trimmed, and the next
+        # trial faults it in again, about 640 minor faults per trial
+        src = str(Path(bitspectral.__file__).resolve().parent.parent)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        trials = 5
+        argv = ["lowdim", "--model", "flr", "--pe", "0.1", "--n", "125448", "--p", "20",
+                "--trials", str(trials), "--seed", "0", "--out", str(tmp_path / "rows.csv")]
+        script = ("import resource, sys\n"
+                  "from bitspectral import cli\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 50 * trials, done.stdout
+
+    @pytest.mark.parametrize("libc", [None, ValueError, "glibc 2.36"])
+    def test_a_no_op_off_glibc_or_without_mallopt(self, libc, monkeypatch):
+        def confstr(name):
+            assert name == "CS_GNU_LIBC_VERSION"
+            if libc is ValueError:
+                raise ValueError("unrecognized configuration name")
+            return libc
+
+        opened = []
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or object())
+        cli._keep_freed_heap()
+        assert opened == ([None] if libc == "glibc 2.36" else [])
+
+    def test_sets_both_thresholds_where_mallopt_exists(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        cli._keep_freed_heap()
+        # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at twice that
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    def test_only_cli_main_sets_the_allocator(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(None))
+        assert run_experiment(small_lowdim_cfg(trials=1))
+        assert calls == []
+        assert main(["lowdim", "--n", "200", "--p", "4", "--trials", "1"]) == 0
+        assert calls == [None]
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
 
 
 class TestStatisticalExamples:

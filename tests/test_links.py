@@ -1,6 +1,7 @@
 """Link models, moment functionals, and theory constants."""
 
 import math
+import tracemalloc
 import typing
 import warnings
 
@@ -137,6 +138,21 @@ class TestLinkContract:
         zero_d = np.array(0.7)
         model.f(zero_d)
         assert zero_d == 0.7
+
+    def test_cs_link_peak_memory(self):
+        # with sigma > 0, f holds at most six n-length arrays at once (x, |x|,
+        # the erf and erfc branches, one erfc polynomial and its far-tail twin)
+        # and two boolean masks; one more n-length array breaks the bound
+        z = np.random.default_rng(5).standard_normal(7_860)
+        z[:2] = (4.0, -4.0)  # z / (sigma sqrt 2) past 8, so the far-tail polynomials run too
+        model = OneBitCS(math.sqrt(0.1))
+        tracemalloc.start()
+        try:
+            model.f(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * z.nbytes, peak / z.nbytes
 
     @pytest.mark.parametrize("model", [OneBitCS(0.0), OneBitPR(1.0)], ids=repr)
     def test_sign_links_map_nan_to_minus_one(self, model):
