@@ -52,14 +52,20 @@ def spectrum(a: np.ndarray):
     them as the columns of a p x k array in ascending order of eigenvalue, or
     None when LAPACK does not deliver k finite vectors.  A T that splits, with
     an off-diagonal entry negligible by dstebz's rule, returns (None, None).
+
+    The reduction runs in place: ``a``, a C-contiguous float64 array, becomes
+    the Householder reflectors that ``top`` reads, so only a caller that holds
+    ``a`` as scratch, with its values kept elsewhere or rebuildable, may hand
+    it over, and must leave it alone until ``top`` has run.  It is overwritten
+    on every return that reaches LAPACK, (None, None) and a None ``top(k)``
+    included; only the two refusals before LAPACK leave it as it was.
     """
     f = _LAPACKE
     if f is None or a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
         return None, None  # LAPACK would read an n x n matrix past a malformed buffer
     n = a.shape[0]
-    h = np.array(a, dtype=float, order="C")  # becomes the Householder reflectors
     d, e, tau = np.empty(n), np.zeros(n), np.empty(max(n - 1, 1))
-    if f["dsytrd"](_COL_MAJOR, b"L", n, h, n, d, e, tau) != 0:
+    if f["dsytrd"](_COL_MAJOR, b"L", n, a, n, d, e, tau) != 0:  # a becomes the reflectors
         return None, None
     with np.errstate(over="ignore"):  # entries above about 1e154 overflow to inf: no split
         if np.any(e[:-1] ** 2 < _ULP2 * np.abs(d[:-1] * d[1:]) + _SAFEMIN):
@@ -76,7 +82,7 @@ def spectrum(a: np.ndarray):
                            np.array([n], dtype=np.int64), z, n, ifail)
         if info != 0 or not np.isfinite(z).all():
             return None
-        if f["dormtr"](_COL_MAJOR, b"L", b"L", b"N", n, k, h, n, tau, z, n) != 0:
+        if f["dormtr"](_COL_MAJOR, b"L", b"L", b"N", n, k, a, n, tau, z, n) != 0:
             return None
         return z.T
 

@@ -40,9 +40,10 @@ class SparseConfig:
     adapts it by residual balancing (see ``fantope_admm``), and stops once both
     residuals fall below ``admm_tol * p`` or at ``admm_max_iter``;
     ``sparse_recover`` also stops it once its leading direction settles.
-    ``sparse_recover`` runs ADMM on (M/s, rho/s) with s = tr(M)/p, which has
-    the same minimizer and puts M's mean eigenvalue at 1; there
-    ``admm_penalty`` and ``admm_tol`` apply to that normalized problem.
+    ``sparse_recover`` runs ADMM on (M/s, rho/s) with s = |tr(M)|/p, which has
+    the same minimizer and puts M's mean eigenvalue at 1 (at -1 for a negative
+    trace); there ``admm_penalty`` and ``admm_tol`` apply to that normalized
+    problem.
     """
 
     rho: float
@@ -102,17 +103,27 @@ def fantope_project(a: np.ndarray) -> np.ndarray:
     """Frobenius projection onto {0 <= Pi <= I, Tr Pi = 1}.
 
     ``a`` must pass ``check_matrix``; the projection itself is ``_fantope_project``,
-    which ``fantope_admm`` calls directly.
+    which ``fantope_admm`` calls directly.  ``a`` is read, never written: the
+    reduction runs on a copy.
     """
-    return _fantope_project(check_matrix(a, "fantope_project"))[0]
+    a = check_matrix(a, "fantope_project")
+    return _fantope_project(np.array(a, order="C"), np.empty(a.shape), lambda: a)[0]
 
 
-def _fantope_project(a: np.ndarray):
+def _fantope_project(a: np.ndarray, out: np.ndarray, argument):
     """``fantope_project`` of a finite symmetric ``a``, with Pi's nonzero eigenpairs.
 
-    Returns (Pi, weights, vectors): the k nonzero eigenvalues of Pi in ascending
-    order and their eigenvectors as the columns of a p x k array, so that
-    Pi = (vectors * weights) @ vectors.T up to rounding.
+    Returns (Pi, weights, vectors): Pi written into ``out``, the k nonzero
+    eigenvalues of Pi in ascending order and their eigenvectors as the columns
+    of a p x k array, so that Pi = (vectors * weights) @ vectors.T up to rounding.
+
+    ``a`` and ``out`` are the caller's p x p C-contiguous float64 scratch, two
+    distinct arrays.  The reduction to tridiagonal form overwrites ``a`` (see
+    ``_lapack.spectrum``), so only a caller that can produce its values again
+    may hand it over: ``argument()`` returns an array equal to ``a`` as handed
+    over, for the ``np.linalg.eigh`` fallback below, and is called only there.
+    ``fantope_project`` hands over a copy and its own array; ``fantope_admm``
+    its scratch argument and the function that rebuilds Z - U + M/tau in it.
 
     Eigenvalues are shifted by a scalar gamma and clipped to [0, 1] so the
     clipped values sum to one; the eigenvectors are untouched.  gamma is exact:
@@ -135,11 +146,12 @@ def _fantope_project(a: np.ndarray):
         weights = _fantope_weights(lam)
         vecs = top(weights.size)
     if vecs is None:
-        lam, vecs = np.linalg.eigh(a)
+        lam, vecs = np.linalg.eigh(argument())
         weights = _fantope_weights(lam)
         vecs = vecs[:, -weights.size:].copy()  # not a view that holds all p vectors
     w = vecs * np.sqrt(weights)
-    return w @ w.T, weights, vecs  # A @ A.T is computed as a symmetric rank-k update
+    # A @ A.T, into out or not, is computed as a symmetric rank-k update
+    return np.matmul(w, w.T, out=out), weights, vecs
 
 
 def _fantope_weights(lam: np.ndarray) -> np.ndarray:
@@ -185,11 +197,17 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     arrays the loop already holds, so it is only tested to be finite
     (``NumericalError`` as ``fantope_project`` raises it).
 
-    The loop holds M/tau (not M), Z, Z_prev, U, Pi with its k eigenvectors, and
-    one scratch p-by-p array (the projection's argument, Pi + U, the residual
-    differences).  As tau only doubles or halves, M/tau is rescaled in place,
-    which repeats M / tau bit for bit unless an entry is subnormal (nonzero,
-    below 2.2e-308 in magnitude).
+    The loop allocates its p-by-p arrays once and holds six: M/tau (not M), Z,
+    Z_prev, U, Pi, and one scratch array (the projection's argument, Pi + U,
+    the residual differences), besides Pi's k eigenvectors.  The projection
+    writes Pi into the one buffer, which the solution returns, and reduces
+    the argument in place, with no copy; where it then falls back to
+    ``np.linalg.eigh`` (a split tridiagonal, a failed inverse iteration, no
+    LAPACK), the loop rebuilds Z - U + M/tau in the scratch array by the same
+    two operations, so the fallback sees the argument bit for bit.  As tau
+    only doubles or halves, M/tau is rescaled in place, which repeats M / tau
+    bit for bit unless an entry is subnormal (nonzero, below 2.2e-308 in
+    magnitude).
 
     With ``settle`` the loop also tracks a unit vector, one product
     v <- Pi v / ||Pi v|| per iteration, started from Pi's column with the
@@ -213,17 +231,20 @@ def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolu
     tau = cfg.admm_penalty
     threshold = cfg.admm_tol * p
     z, z_prev, u = (np.zeros((p, p)) for _ in range(3))
-    arg = np.empty((p, p))  # reused every iteration
+    arg, pi = np.empty((p, p)), np.empty((p, p))  # reused every iteration
+
+    def argument():  # Z - U + M/tau, built in arg; the projection may rebuild it
+        np.subtract(z, u, out=arg)
+        return np.add(arg, m_scaled, out=arg)
+
     t = min(cfg.rho / tau, _FLOAT_MAX)
     primal = dual = math.inf
     iterations = updates = runs = 0
     v = support = None
     for iterations in range(1, cfg.admm_max_iter + 1):
-        np.subtract(z, u, out=arg)
-        np.add(arg, m_scaled, out=arg)
-        if not np.isfinite(arg).all():
+        if not np.isfinite(argument()).all():
             raise NumericalError("fantope_project requires a finite matrix")
-        pi, weights, vectors = _fantope_project(arg)
+        pi, weights, vectors = _fantope_project(arg, pi, argument)
         z, z_prev = z_prev, z
         np.add(pi, u, out=arg)
         soft_threshold(arg, t, out=z)
@@ -315,10 +336,10 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     the ADMM solution, read off the eigenpairs of the last Fantope projection
     (no eigendecomposition runs after ADMM), sign-normalized, truncated to
     s_hat and renormalized; ADMM runs with the settle rule
-    (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = tr(M)/p.  That
-    program has the same minimizer as (M, rho), and every stop test of the
-    loop is scale-free: M c^2 with rho c^2, c a power of two, repeats the run
-    bit for bit.  The truncated power method reads the raw M.  ``stages``
+    (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = |tr(M)|/p.  As
+    s > 0, that program has the same minimizer as (M, rho), and every stop test
+    of the loop is scale-free: M c^2 with rho c^2, c a power of two, repeats the
+    run bit for bit.  The truncated power method reads the raw M.  ``stages``
     carries the ADMM residuals and stop reason (in the normalized units) and
     the relaxation solution's eigengap, read off the same eigenpairs (lambda2
     is 0 where Pi has rank one); ``converged`` is the conjunction of the ADMM
@@ -327,11 +348,12 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     m = check_matrix(mtx, "sparse_recover")
     p = m.shape[0]
     _check_int(p, "p", 2)  # the initializer reads the top two eigenvalues
-    # M is PSD, so tr(M) = 0 only for M = 0, which the power stage reports
-    scale = float(np.trace(m)) / p or 1.0
+    # a PSD M, as every trial's is, has tr(M) = 0 only for M = 0, which the power
+    # stage reports; an indefinite M of zero trace runs unscaled
+    scale = abs(float(np.trace(m))) / p or 1.0
     rho = cfg.rho / scale
     if not math.isfinite(rho):
-        raise NumericalError(f"second-moment matrix too small to normalize: tr(M)/p = {scale}")
+        raise NumericalError(f"second-moment matrix too small to normalize: |tr(M)|/p = {scale}")
     fsol = fantope_admm(m / scale, replace(cfg, rho=rho), settle=True)
     lam1 = float(fsol.weights[-1])
     lam2 = float(fsol.weights[-2]) if fsol.weights.size > 1 else 0.0

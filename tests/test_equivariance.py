@@ -9,7 +9,7 @@ stages run a fixed number of steps (zero tolerances), so both sides of each
 comparison take the same path.  The settle rule of ``fantope_admm`` decides
 its own stop, so its property also checks that both sides stop alike.
 Scaling the covariates by a power of two c scales M by c^2 exactly, and
-``sparse_recover`` runs ADMM on M/s with s = tr(M)/p, so with rho scaled by
+``sparse_recover`` runs ADMM on M/s with s = |tr(M)|/p, so with rho scaled by
 c^2 the whole sparse path repeats itself bit for bit.
 """
 

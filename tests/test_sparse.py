@@ -3,7 +3,7 @@
 import ctypes
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from bitspectral import _lapack
 from bitspectral import (
     ConfigError,
     Dataset,
+    FantopeSolution,
     FlippedLogistic,
     GroundTruth,
     NumericalError,
@@ -255,7 +256,7 @@ class TestFantopeLapackPath:
         # a fully split tridiagonal: every off-diagonal entry is zero, so
         # np.linalg.eigh takes the call
         a = np.diag([0.3, 2.0, -1.0, 1.6, 1.2, 0.0])
-        assert _lapack.spectrum(a) == (None, None)
+        assert _lapack.spectrum(a.copy()) == (None, None)  # it reduces its argument in place
         calls = count_eigh(monkeypatch)
         out = fantope_project(a)
         assert len(calls) == 1
@@ -280,6 +281,48 @@ class TestFantopeLapackPath:
         assert np.count_nonzero(weight) >= 2  # the k weighted vectors span blocks
         np.testing.assert_allclose(out, expected, rtol=0.0,
                                    atol=1e-12 * max(1.0, float(np.linalg.norm(a))))
+
+    def test_the_callers_array_is_never_written(self):
+        # the reduction runs in place, on a copy: at p = 40, above dsytrd's
+        # blocking crossover, on the LAPACK path, after a failed inverse
+        # iteration and on a split tridiagonal, a keeps its bytes
+        rng = np.random.default_rng(23)
+        dense = sym(rng.standard_normal((40, 40)))
+        split, _ = block_diagonal([rotated(rng.uniform(0.0, 2.0, 20), rng)] * 2)
+        assert _lapack.spectrum(split.copy())[0] is None
+        for a, dstein_fails in [(dense, False), (dense, True), (split, False),
+                                (np.asfortranarray(dense), False)]:
+            before = a.copy()
+            with pytest.MonkeyPatch.context() as mp:
+                if dstein_fails:
+                    mp.setitem(_lapack._LAPACKE, "dstein", lambda *args: 1)
+                calls = count_eigh(mp)
+                fantope_project(a)
+            assert len(calls) == (dstein_fails or a is split)
+            np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize("settle", [False, True])
+    def test_admm_after_failed_inverse_iterations_repeats_the_eigh_path(self, settle,
+                                                                        monkeypatch):
+        # a dstein that fails makes every projection reduce its argument in
+        # place and then fall back, so the loop must rebuild Z - U + M/tau for
+        # np.linalg.eigh: the run is then the one without LAPACK, bit for bit
+        m = sym(np.random.default_rng(24).standard_normal((40, 40)))
+        cfg = base_cfg(rho=0.05, s_hat=4, admm_max_iter=30)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_lapack, "_LAPACKE", None)
+            want = fantope_admm(m, cfg, settle=settle)
+        monkeypatch.setitem(_lapack._LAPACKE, "dstein", lambda *args: 1)
+        calls = count_eigh(monkeypatch)
+        got = fantope_admm(m, cfg, settle=settle)
+        assert len(calls) == got.iterations > 2
+        for field in fields(FantopeSolution):
+            ours, theirs = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(ours, np.ndarray):
+                assert ours.shape == theirs.shape, field.name
+                assert ours.tobytes() == theirs.tobytes(), field.name
+            else:
+                assert ours == theirs, field.name
 
     @pytest.mark.parametrize("a", [np.ones(3), np.ones((0, 0))], ids=["1-d", "0x0"])
     def test_malformed_shape_is_refused_before_lapack(self, a):
@@ -316,7 +359,7 @@ class TestFantopeLapackPath:
         parts = [rotated(part, rng) for part in np.array_split(lam, blocks) if part.size]
         a, off = block_diagonal(parts)
         # exact zero coupling splits the tridiagonal; so may a tie within one block
-        split = _lapack.spectrum(a)[0] is None
+        split = _lapack.spectrum(a.copy())[0] is None  # it reduces its argument in place
         assert split or len(parts) == 1
         expected = exact_fantope_projection(a) if split else eigh_fallback(a)
         with pytest.MonkeyPatch.context() as mp:
@@ -499,11 +542,12 @@ class TestFantopeAdmm:
         # the first projection returns a NaN Pi, so the second argument, Z - U + M/tau, is NaN
         calls = []
 
-        def nan_once(a):
+        def nan_once(a, out, argument):
             if calls:
                 raise AssertionError("a non-finite argument was projected")
             calls.append(a)
-            return np.full(a.shape, np.nan), np.ones(1), np.eye(a.shape[0], 1)
+            out.fill(np.nan)
+            return out, np.ones(1), np.eye(a.shape[0], 1)
 
         monkeypatch.setattr(sparse_mod, "_fantope_project", nan_once)
         with pytest.raises(NumericalError, match="^fantope_project requires a finite matrix$"):
@@ -591,11 +635,12 @@ class TestSettleRule:
         residual rule cannot fire."""
         calls = []
 
-        def project(a):
+        def project(a, out, argument):
             calls.append(None)
             d = directions[(len(calls) - 1) % len(directions)]
             c = 1.0 + 0.5 * (len(calls) % 2)
-            return np.outer(d, d) * c, np.array([c]), d[:, None]
+            np.multiply(np.outer(d, d), c, out=out)
+            return out, np.array([c]), d[:, None]
 
         monkeypatch.setattr(sparse_mod, "_fantope_project", project)
 
@@ -864,6 +909,25 @@ class TestSparseRecover:
         tiny = Dataset(labels=data.labels, covariates=1e-160 * data.covariates)
         with pytest.raises(NumericalError, match="too small"):
             sparse_recover(second_moment(tiny), SparseConfig(rho=0.05, s_hat=3))
+
+    @pytest.mark.parametrize("m", [
+        -np.eye(4),
+        np.diag([1.0, -3.0, 0.5, 0.2]),
+        sym(np.random.default_rng(25).standard_normal((8, 8))) - 2.0 * np.eye(8),
+    ], ids=["minus-identity", "diagonal", "random"])
+    def test_negative_trace_scales_by_its_magnitude(self, m):
+        # ADMM runs on (M/c, rho/c) with c = |tr M|/p > 0: the caller's rho,
+        # never a negative one, and the same minimizer as (M, rho)
+        cfg = SparseConfig(rho=0.1, s_hat=2)
+        c = abs(float(np.trace(m))) / m.shape[0]
+        assert np.trace(m) < 0.0
+        init = fantope_admm(m / c, replace(cfg, rho=cfg.rho / c), settle=True)
+        beta0 = truncate(sign_normalize(init.vectors[:, -1]), cfg.s_hat)
+        direct = truncated_power_method(m, beta0, cfg)
+        report = sparse_recover(m, cfg)
+        np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
+        assert report.iterations == direct.iterations
+        assert report.stages["admm_iterations"] == init.iterations
 
     def test_stop_tolerance_reaches_truncated_power(self):
         truth, data = self._cs_dataset(3, 30, 400, 47)

@@ -100,6 +100,11 @@ CONFIGS = [
      "--trials", "2", "--admm-max-iter", "75"],
     ["sparse", "--model", "cs", "--sigma", "0", "--s", "10", "--p", "200", "--n", "1000,4000",
      "--trials", "2", "--admm-max-iter", "75"],
+    # p = 33, the smallest size at which dsytrd's blocked reduction (crossover 32) runs
+    # and gives another tridiagonal than the unblocked one, and the sparse-default
+    # benchmark's noise at its p = 100
+    ["sparse", "--model", "cs", "--sigma", "0.31622776601683794", "--s", "5", "--p", "33,100",
+     "--n", "1000", "--trials", "2", "--seed", "4", "--admm-max-iter", "75"],
     # a start penalty that puts up to 45 of 60 eigenvalues in the projection's active set
     ["sparse", "--model", "cs", "--s", "3", "--p", "60", "--n", "1000", "--trials", "2",
      "--seed", "5", "--admm-max-iter", "40", "--admm-penalty", "100"],
