@@ -8,9 +8,12 @@ by ADMM to obtain an initializer whose leading eigenvector is close enough to
 the signal direction, then refines it with power iterations interleaved with
 hard truncation to the top-s_hat coordinates.  The initializer only has to
 land in the attraction basin of the truncated iteration ("tighten after
-relax"), so ``sparse_recover`` stops ADMM once the leading direction of its
-iterate stays finite on one top-s_hat support for ``SETTLE_RUNS`` iterations
-in a row, however it turns within it.  The residual rule and the iteration
+relax"), so ``sparse_recover`` first screens: it solves the program on the
+K = min(p, SCREEN_FACTOR * s_hat) coordinates with the largest diagonal entries
+of M (Johnstone and Lu 2009; Ma 2013), not on all p, and stops ADMM once the
+leading direction of its iterate stays finite on one top-s_hat support for
+``SETTLE_RUNS`` iterations in a row, however it turns within it.  The truncated
+power method then reads the whole M.  The residual rule and the iteration
 cap stay as upper bounds; ADMM that stops on its cap is demoted to
 ``converged=False`` but still used.  Each ADMM step runs one
 eigendecomposition, in the Fantope projection, and the initializer is read
@@ -40,10 +43,11 @@ class SparseConfig:
     adapts it by residual balancing (see ``fantope_admm``), and stops once both
     residuals fall below ``admm_tol * p`` or at ``admm_max_iter``;
     ``sparse_recover`` also stops it once its leading direction settles.
-    ``sparse_recover`` runs ADMM on (M/s, rho/s) with s = |tr(M)|/p, which has
-    the same minimizer and puts M's mean eigenvalue at 1 (at -1 for a negative
-    trace); there ``admm_penalty`` and ``admm_tol`` apply to that normalized
-    problem.
+    ``sparse_recover`` runs ADMM on the K x K block B of M's K = min(p, 4 s_hat)
+    largest diagonal entries, as (B/s, rho/s) with s = |tr(B)|/K, which has the
+    same minimizer as (B, rho) and puts B's mean eigenvalue at 1 (at -1 for a
+    negative trace); there ``admm_penalty`` and ``admm_tol`` apply to that
+    normalized problem, and ``admm_tol`` is multiplied by K, not p.
     """
 
     rho: float
@@ -179,6 +183,12 @@ _FLOAT_MAX = np.finfo(float).max  # a threshold rho/tau above it clips as +inf w
 # (a sine below 1e-2 as well, 5 runs), by tests fixed before the runs at seeds
 # no test uses (BENCH_settle_support.json).
 SETTLE_RUNS = 2
+
+# sparse_recover's screening width over s_hat: ADMM runs on the K = min(p, 4 s_hat)
+# coordinates of M's largest diagonal entries (K = 8s at the trials' s_hat = 2s).
+# It was kept against the unscreened program, K = p, by a one-sided sign test on
+# 2,800 paired trials stated before the runs (tools/screen_gate.py, BENCH_screen.json).
+SCREEN_FACTOR = 4
 
 
 def fantope_admm(mtx, cfg: SparseConfig, *, settle: bool = False) -> FantopeSolution:
@@ -329,35 +339,50 @@ def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
 
 
 def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
-    """Sparse pipeline on M: ADMM initializer, then truncated power method.
+    """Sparse pipeline on M: screened ADMM initializer, then truncated power method.
 
     ``mtx`` is an array passing ``check_matrix``, p >= 2 (else ``ConfigError``
-    before any ADMM iteration).  The initializer is the leading eigenvector of
-    the ADMM solution, read off the eigenpairs of the last Fantope projection
-    (no eigendecomposition runs after ADMM), sign-normalized, truncated to
-    s_hat and renormalized; ADMM runs with the settle rule
-    (``fantope_admm(..., settle=True)``) on (M/s, rho/s), s = |tr(M)|/p.  As
-    s > 0, that program has the same minimizer as (M, rho), and every stop test
-    of the loop is scale-free: M c^2 with rho c^2, c a power of two, repeats the
-    run bit for bit.  The truncated power method reads the raw M.  ``stages``
-    carries the ADMM residuals and stop reason (in the normalized units) and
-    the relaxation solution's eigengap, read off the same eigenpairs (lambda2
-    is 0 where Pi has rank one); ``converged`` is the conjunction of the ADMM
-    and power-stage flags.
+    before any ADMM iteration).  The paper's estimator has two stages: a convex
+    Fantope relaxation whose solution only has to land in the basin of the
+    second stage, the truncated power method on M.  The first stage runs here
+    on a screened block: the K = min(p, ``SCREEN_FACTOR`` * s_hat) coordinates
+    with the largest diagonal entries of M (stable order, ties to the lower
+    index), kept in increasing index order, as B = M[keep][:, keep].  That is
+    the relaxation with Pi constrained to the kept coordinates, the diagonal
+    screening of Johnstone and Lu (2009) and of the first step of Ma's (2013)
+    iterative thresholding; where 4 s_hat >= p, K = p and B is M itself.  ADMM
+    runs with the settle rule (``fantope_admm(..., settle=True)``) on
+    (B/s, rho/s), s = |tr(B)|/K.  As s > 0, that program has the same minimizer
+    as (B, rho), and every stop test of the loop is scale-free: M c^2 with
+    rho c^2, c a power of two, repeats the run bit for bit.  The initializer is
+    the leading eigenvector of the ADMM solution, read off the eigenpairs of
+    the last Fantope projection (no eigendecomposition runs after ADMM),
+    embedded in R^p with zeros off the kept coordinates, sign-normalized,
+    truncated to s_hat and renormalized.  The truncated power method reads the
+    raw, whole M.  ``stages`` carries the ADMM residuals and stop reason (in the
+    normalized units), the relaxation solution's eigengap, read off the same
+    eigenpairs (lambda2 is 0 where Pi has rank one), and ``screen_size``, K;
+    ``converged`` is the conjunction of the ADMM and power-stage flags.
     """
     m = check_matrix(mtx, "sparse_recover")
     p = m.shape[0]
     _check_int(p, "p", 2)  # the initializer reads the top two eigenvalues
-    # a PSD M, as every trial's is, has tr(M) = 0 only for M = 0, which the power
-    # stage reports; an indefinite M of zero trace runs unscaled
-    scale = abs(float(np.trace(m))) / p or 1.0
+    k = min(p, SCREEN_FACTOR * cfg.s_hat)
+    keep = np.sort(np.argsort(-np.diag(m), kind="stable")[:k])
+    block = m if k == p else m[np.ix_(keep, keep)]
+    # a PSD M, as every trial's is, has tr(B) = 0 only for B = 0, which the power
+    # stage reports; an indefinite B of zero trace runs unscaled
+    scale = abs(float(np.trace(block))) / k or 1.0
     rho = cfg.rho / scale
     if not math.isfinite(rho):
-        raise NumericalError(f"second-moment matrix too small to normalize: |tr(M)|/p = {scale}")
-    fsol = fantope_admm(m / scale, replace(cfg, rho=rho), settle=True)
+        raise NumericalError("second-moment matrix too small to normalize: "
+                             f"|tr|/K = {scale} on its K = {k} screened coordinates")
+    fsol = fantope_admm(block / scale, replace(cfg, rho=rho), settle=True)
     lam1 = float(fsol.weights[-1])
     lam2 = float(fsol.weights[-2]) if fsol.weights.size > 1 else 0.0
-    beta0 = truncate(sign_normalize(fsol.vectors[:, -1]), cfg.s_hat)
+    lead = np.zeros(p)
+    lead[keep] = fsol.vectors[:, -1]
+    beta0 = truncate(sign_normalize(lead), cfg.s_hat)
     report = truncated_power_method(mtx, beta0, cfg)
     stages = {
         "admm_iterations": fsol.iterations,
@@ -368,5 +393,6 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
         "admm_final_penalty": fsol.penalty,
         "admm_penalty_updates": fsol.penalty_updates,
         "init_eigengap": lam1 - lam2,
+        "screen_size": k,
     }
     return replace(report, converged=bool(report.converged and fsol.converged), stages=stages)

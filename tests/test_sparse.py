@@ -877,7 +877,9 @@ class TestSparseRecover:
         stages = report.stages
         assert set(stages) == {"admm_iterations", "admm_primal_residual",
                                "admm_dual_residual", "admm_converged", "init_eigengap",
-                               "admm_final_penalty", "admm_penalty_updates", "admm_stop"}
+                               "admm_final_penalty", "admm_penalty_updates", "admm_stop",
+                               "screen_size"}
+        assert stages["screen_size"] == 24  # min(p, 4 s_hat) at p = 30, s_hat = 6
         assert stages["admm_stop"] in ("residual", "settled", "cap")
         assert stages["init_eigengap"] >= -1e-9
         # tau only ever doubles or halves, once per counted update
@@ -929,19 +931,83 @@ class TestSparseRecover:
         assert report.iterations == direct.iterations
         assert report.stages["admm_iterations"] == init.iterations
 
+    @staticmethod
+    def _screened_start(m, cfg, keep):
+        """The initializer sparse_recover builds from the block on ``keep``, by hand."""
+        block = m[np.ix_(keep, keep)]
+        scale = abs(float(np.trace(block))) / keep.size  # ADMM runs on (B/s, rho/s)
+        init = fantope_admm(block / scale, replace(cfg, rho=cfg.rho / scale), settle=True)
+        lead = np.zeros(m.shape[0])
+        lead[keep] = init.vectors[:, -1]
+        return truncate(sign_normalize(lead), cfg.s_hat), init
+
     def test_stop_tolerance_reaches_truncated_power(self):
         truth, data = self._cs_dataset(3, 30, 400, 47)
         loose = SparseConfig(rho=0.05, s_hat=6, admm_max_iter=50, tol=0.5)
         m = second_moment(data)
         report = sparse_recover(m, loose)
-        scale = np.trace(m) / data.p  # sparse_recover's ADMM runs on (M/s, rho/s)
-        init = fantope_admm(m / scale, replace(loose, rho=loose.rho / scale), settle=True)
-        beta0 = truncate(sign_normalize(init.vectors[:, -1]), loose.s_hat)
+        # K = min(p, 4 s_hat) = 24 of the 30 coordinates: the largest diagonal entries
+        keep = np.sort(np.argsort(-np.diag(m), kind="stable")[:24])
+        beta0, _ = self._screened_start(m, loose, keep)
         direct = truncated_power_method(m, beta0, loose)
         np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
         assert report.iterations == direct.iterations
         default = sparse_recover(m, replace(loose, tol=SparseConfig.tol))
         assert report.iterations < default.iterations
+
+    @pytest.mark.parametrize("s, p, n, s_hat", [(3, 12, 400, 3), (5, 20, 1000, 5),
+                                                (2, 20, 400, 6), (5, 100, 1000, 25)])
+    def test_wide_screen_is_the_unscreened_composition(self, s, p, n, s_hat):
+        # with 4 s_hat >= p nothing is screened: ADMM on M/(|tr M|/p), then
+        # truncate and the truncated power method, as before screening
+        truth, data = self._cs_dataset(s, p, n, [50, p])
+        cfg = SparseConfig(rho=math.sqrt(math.log(p) / n), s_hat=s_hat)
+        m = second_moment(data)
+        report = sparse_recover(m, cfg)
+        scale = abs(float(np.trace(m))) / p
+        init = fantope_admm(m / scale, replace(cfg, rho=cfg.rho / scale), settle=True)
+        beta0 = truncate(sign_normalize(init.vectors[:, -1]), cfg.s_hat)
+        direct = truncated_power_method(m, beta0, cfg)
+        np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
+        assert report.iterations == direct.iterations
+        assert report.stages["admm_iterations"] == init.iterations
+        assert report.stages["admm_primal_residual"] == init.primal_residual
+        assert report.stages["screen_size"] == p
+
+    def test_admm_receives_the_largest_diagonal_block(self, monkeypatch):
+        # p = 12, s_hat = 2, so K = 8: the five largest diagonal entries, then three
+        # of the seven tied at 2, those of the lowest indices
+        d = np.array([2.0, 9.0, 2.0, 7.0, 2.0, 8.0, 2.0, 6.0, 2.0, 2.0, 5.0, 2.0])
+        m = 0.1 * sym(np.random.default_rng(51).standard_normal((12, 12)))
+        m[np.diag_indices(12)] = d
+        keep = np.array([0, 1, 2, 3, 4, 5, 7, 10])
+        cfg = SparseConfig(rho=0.05, s_hat=2)
+        seen, admm, power = {}, sparse_mod.fantope_admm, sparse_mod.truncated_power_method
+
+        def record_admm(mtx, scfg, **kw):
+            seen["admm"] = (mtx.copy(), scfg)
+            return admm(mtx, scfg, **kw)
+
+        def record_start(mtx, beta0, scfg):
+            seen["beta0"] = beta0.copy()
+            return power(mtx, beta0, scfg)
+
+        monkeypatch.setattr(sparse_mod, "fantope_admm", record_admm)
+        monkeypatch.setattr(sparse_mod, "truncated_power_method", record_start)
+        report = sparse_recover(m, cfg)
+        block = m[np.ix_(keep, keep)]
+        scale = abs(float(np.trace(block))) / 8
+        mtx, scfg = seen["admm"]
+        np.testing.assert_array_equal(mtx, block / scale)
+        assert scfg == replace(cfg, rho=cfg.rho / scale)
+        outside = np.setdiff1d(np.arange(12), keep)
+        assert not seen["beta0"][outside].any()
+        assert report.stages["screen_size"] == 8
+        monkeypatch.undo()
+        beta0, _ = self._screened_start(m, cfg, keep)
+        np.testing.assert_array_equal(seen["beta0"], beta0)
+        direct = truncated_power_method(m, beta0, cfg)
+        np.testing.assert_array_equal(report.beta_hat, direct.beta_hat)
 
     @pytest.mark.skipif(_lapack._LAPACKE is None, reason="numpy's bundled LAPACK is not present")
     def test_no_eigendecomposition_runs_after_admm(self, monkeypatch):
