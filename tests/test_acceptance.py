@@ -34,6 +34,11 @@ into the buffer of f(z), in twelve runs of each side alternated (faster in
 11 of the 12 pairs).  With ``lowdim``'s one exact ``eigh`` in place of that
 power loop it took 1.4-2.0 s, against 1.4-2.1 s for the loop, in four runs
 of each side alternated: the draw, not the solve, sets its time.
+With ``sparse_recover``'s Fantope stage run on the K = 4 s_hat largest-diagonal
+block of M (K = 40 or 80 on this grid), not on all p coordinates, the
+criterion 5 fixture took 2.3 s in each of three runs, against 6.6-7.3 s for
+the unscreened program, in three runs alternated with them; its R^2 read
+0.9774 against 0.9069.
 """
 
 import math

@@ -8,9 +8,13 @@ permutations, so that is the group its property is stated for.  The iterative
 stages run a fixed number of steps (zero tolerances), so both sides of each
 comparison take the same path.  The settle rule of ``fantope_admm`` decides
 its own stop, so its property also checks that both sides stop alike.
-Scaling the covariates by a power of two c scales M by c^2 exactly, and
-``sparse_recover`` runs ADMM on M/s with s = |tr(M)|/p, so with rho scaled by
-c^2 the whole sparse path repeats itself bit for bit.
+``sparse_recover`` screens before ADMM: it keeps the K = min(p, 4 s_hat)
+coordinates with the largest diagonal entries of M, a choice a signed
+permutation carries along (it permutes the diagonal and flips no sign of it).
+Scaling the covariates by a power of two c scales M by c^2 exactly, so the
+same K coordinates are kept, and ``sparse_recover`` runs ADMM on B/s, B the
+kept K x K block of M and s = |tr(B)|/K, so with rho scaled by c^2 the whole
+sparse path repeats itself bit for bit.
 """
 
 from dataclasses import replace

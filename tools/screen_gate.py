@@ -46,7 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,7 +58,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from bitspectral import _lapack, cli, harness, sparse  # noqa: E402
+from bitspectral import _lapack, cli, harness, sample_moment, sparse  # noqa: E402
 
 SQRT_01 = math.sqrt(0.1)
 CAPPED = {"admm_max_iter": 75}
@@ -122,7 +122,7 @@ def run_gate(points=POINTS, seeds=SEEDS, trials=TRIALS) -> dict:
         b = sum(a < b for *_, b, a in pairs)
         worse, better = worse + w, better + b
         rows.append({"point": {"model": model, noise: value, "s": s, "p": p, "n": n, **extra},
-                     "screen_size": min(p, 4 * min(2 * s, p)),
+                     "screen_size": min(p, sparse.SCREEN_FACTOR * min(2 * s, p)),
                      "median_unscreened": statistics.median(pair[2] for pair in pairs),
                      "median_screened": statistics.median(pair[3] for pair in pairs),
                      "worse": w, "better": b, "ties": len(pairs) - w - b,
@@ -175,13 +175,9 @@ def count_projections(calls) -> dict:
 
     _lapack.spectrum = counted
     try:
-        for argv in calls:
-            with open(os.devnull, "w") as sink:
-                stdout, sys.stdout = sys.stdout, sink
-                try:
-                    cli.main(argv)
-                finally:
-                    sys.stdout = stdout
+        with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
+            for argv in calls:
+                cli.main(argv)
     finally:
         _lapack.spectrum = spectrum
     return counts
@@ -193,7 +189,7 @@ def project_ms(k: int, calls: int = 400) -> float:
     cfg = harness.RunConfig(experiment="sparse", sigma=(0.0,), s=(s,), p=(200,), n=(1000,),
                             seed=93000)
     rng, model, truth, kind = harness._draw(cfg, 0.0, s, 200, 1000, 0)
-    m, _ = harness.sample_moment(model, truth, 1000, kind, rng)
+    m, _ = sample_moment(model, truth, 1000, kind, rng)
     keep = np.sort(np.argsort(-np.diag(m), kind="stable")[:k])
     block = m[np.ix_(keep, keep)]
     block /= abs(np.trace(block)) / k
