@@ -377,7 +377,7 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     rho = cfg.rho / scale
     if not math.isfinite(rho):
         raise NumericalError("second-moment matrix too small to normalize: "
-                             f"|tr|/K = {scale} on its K = {k} screened coordinates")
+                             f"|tr|/K = {scale} over its K = {k} kept coordinates")
     fsol = fantope_admm(block / scale, replace(cfg, rho=rho), settle=True)
     lam1 = float(fsol.weights[-1])
     lam2 = float(fsol.weights[-2]) if fsol.weights.size > 1 else 0.0
