@@ -881,7 +881,9 @@ def test_screen_gate_core_repeats_itself():
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("_screen_gate", root / "tools" / "screen_gate.py")
     gate = importlib.util.module_from_spec(spec)
+    environ, path = dict(os.environ), list(sys.path)
     spec.loader.exec_module(gate)
+    assert (dict(os.environ), sys.path) == (environ, path)  # importing it changes neither
     points = [("cs", "sigma", 0.0, 2, 20, 400, {"admm_max_iter": 60}),
               ("flr", "pe", 0.1, 2, 12, 800, {})]
     first, second = (gate.run_gate(points, seeds=(4,), trials=2) for _ in range(2))

@@ -359,13 +359,17 @@ class TestFantopeLapackPath:
         parts = [rotated(part, rng) for part in np.array_split(lam, blocks) if part.size]
         a, off = block_diagonal(parts)
         # exact zero coupling splits the tridiagonal; so may a tie within one block
-        split = _lapack.spectrum(a.copy())[0] is None  # it reduces its argument in place
+        lam, top = _lapack.spectrum(a.copy())  # it reduces its argument in place
+        split = lam is None
         assert split or len(parts) == 1
+        # inverse iteration can fail on a tied cluster, -1e-3 * I of size 4 for one
+        failed = not split and top(sparse_mod._fantope_weights(lam).size) is None
         expected = exact_fantope_projection(a) if split else eigh_fallback(a)
         with pytest.MonkeyPatch.context() as mp:
             calls = count_eigh(mp)
             out = fantope_project(a)
-        assert len(calls) == split  # np.linalg.eigh takes a split call, and only that
+        # np.linalg.eigh takes a split call or a failed inverse iteration, and only those
+        assert len(calls) == (split or failed)
         assert np.all(out[off] == 0.0)
         tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
         np.testing.assert_allclose(out, expected, rtol=0.0, atol=tol)

@@ -2,12 +2,13 @@
 
     python tools/screen_gate.py gate [--out BENCH_screen.json]
     python tools/screen_gate.py lapack [--out BENCH_screen.json]
-    python tools/screen_gate.py bench BASE HEAD [--pairs 5] [--out BENCH_screen.json]
+    python tools/screen_gate.py bench BASE HEAD [--out BENCH_screen.json]
 
 Run from the root of a checkout; the package is imported from its ``src/``,
 with one BLAS thread.  Each subcommand rewrites one key of the JSON record
 (``gate``, ``lapack`` or ``benchmark``) and keeps the others, so the record
-holds everything in one layout.  ``gate`` and the counts of ``lapack`` are
+holds everything in one layout.  ``bench`` runs ``PAIRS`` (10) alternated
+pairs per workload.  ``gate`` and the counts of ``lapack`` are
 deterministic: run again, ``gate`` writes the same bytes.
 
 The rule of ``gate``, fixed before any run:
@@ -50,11 +51,11 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is imported
-
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+if __name__ == "__main__":  # imported as a module, the caller's environment and path stand
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"  # before numpy is imported
+    sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -73,6 +74,7 @@ POINTS = [
 ]
 SEEDS = (170000, 170001, 170002, 170003)
 TRIALS = 50
+PAIRS = 10  # alternated base/head pairs per workload in ``bench``
 LEVEL = 0.05
 RULE = {
     "arms": {"unscreened": "K = p", "screened": "K = min(p, 4 s_hat), s_hat = 2s"},
@@ -229,15 +231,15 @@ def _perfbench(checkout: str, workload: str) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def run_bench(base: str, head: str, pairs: int) -> dict:
-    """``pairs`` alternated seed-0 runs of each workload in BASE and HEAD, and their medians."""
+def run_bench(base: str, head: str) -> dict:
+    """``PAIRS`` alternated seed-0 runs of each workload in BASE and HEAD, and their medians."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
     out = {}
     for workload in WORKLOADS:
         runs = []
-        for i in range(pairs):
+        for i in range(PAIRS):
             order = [("base", base), ("head", head)][:: 1 if i % 2 == 0 else -1]
             runs.append({side: _perfbench(path, workload) for side, path in order})
         summary = {}
@@ -250,7 +252,7 @@ def run_bench(base: str, head: str, pairs: int) -> dict:
                                                      for r in runs)
         out[workload] = {"runs": runs, "summary": summary}
     return {"command": "perfbench/run.py --seed 0 --seconds 30 --trace 0, base and head "
-                       "alternated, base first in even pairs", "pairs": pairs,
+                       "alternated, base first in even pairs", "pairs": PAIRS,
             "workloads": out}
 
 
@@ -258,7 +260,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("what", choices=("gate", "lapack", "bench"))
     ap.add_argument("checkouts", nargs="*", help="bench: BASE and HEAD checkout roots")
-    ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--out", default=str(ROOT / "BENCH_screen.json"))
     args = ap.parse_args(argv)
     if (args.what == "bench") != (len(args.checkouts) == 2):
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
     elif args.what == "lapack":
         record["lapack"] = run_lapack()
     else:
-        record["benchmark"] = run_bench(*args.checkouts, args.pairs)
+        record["benchmark"] = run_bench(*args.checkouts)
     order = ("name", "rule", "gate", "lapack", "benchmark")
     path.write_text(json.dumps({k: record[k] for k in order if k in record}, indent=1) + "\n")
     if args.what == "gate":
