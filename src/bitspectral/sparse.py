@@ -316,6 +316,11 @@ def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
 
 def _truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     """``truncate`` without its overflow guard, for loops that hold the guard already."""
+    return _truncate_kept(v, s_hat)[0]
+
+
+def _truncate_kept(v: np.ndarray, s_hat: int):
+    """``_truncate``'s unit vector, and the kept coordinates in increasing order."""
     v = _check_array(v, "truncate's v", ndim=1)
     _check_int(s_hat, "s_hat", 1, v.shape[0])
     if not np.isfinite(v).all():
@@ -323,20 +328,66 @@ def _truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
     keep = _top_support(v, s_hat)
     out = np.zeros_like(v)
     out[keep] = v[keep]
-    return _normalize(out)
+    return _normalize(out), keep
+
+
+def _block_top(m: np.ndarray, keep: np.ndarray):
+    """Top eigenvector of M[keep, keep], or None where power iteration on that block
+    need not converge: its top eigenvalue is not simple and above |lambda_min|."""
+    lam, vecs = np.linalg.eigh(m[np.ix_(keep, keep)])
+    if not (lam[-1] > -lam[0] and (lam.size == 1 or lam[-1] > lam[-2])):
+        return None
+    return vecs[:, -1]
 
 
 def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
-    """Power iteration with per-step truncation to s_hat coordinates.
+    """Power iteration with per-step truncation to s_hat coordinates, finished exactly.
 
     With s_hat = p the truncation is the identity and the iterate sequence
     coincides exactly with ``power_method``.  A denser-than-s_hat start is
     accepted; the first multiply-and-truncate makes every iterate s_hat-sparse.
     Stops when successive iterates differ by at most ``cfg.tol`` after sign
-    alignment, or at ``cfg.t_max``.
+    alignment, or at ``cfg.t_max``; ``iterations`` counts multiplies of M.
+
+    Finish (s_hat < p): once ``SETTLE_RUNS`` consecutive steps have kept the
+    same top-s_hat support S, the loop is the power method on the block
+    M[S, S], whose limit is that block's top eigenvector.  So that step's
+    iterate is replaced by it, from one ``np.linalg.eigh`` of the s_hat x s_hat
+    block, embedded in R^p with zeros off S and sign-aligned with the iterate
+    it replaces, and the loop goes on unchanged: if S is a fixed point of
+    multiply-and-truncate, the next step repeats the vector to rounding and
+    the ``cfg.tol`` rule stops the loop; if not, iteration carries on from
+    there.  The block solve is skipped where the block's top eigenvalue is
+    tied or not above |lambda_min| (there power iteration on it need not
+    converge), and runs at most once per support.  ``stages`` carries
+    ``block_solves``, the number of solves taken.  For PSD M the Rayleigh
+    quotient still never decreases: the block's top eigenvector has the
+    largest quotient of all vectors on S.
     """
     m = check_matrix(mtx, "truncated_power_method")
-    return _power_iterate(m, beta0, cfg.t_max, cfg.tol, lambda mb: _truncate(mb, cfg.s_hat))
+    s_hat = cfg.s_hat
+    if s_hat >= m.shape[0]:  # the identity (or, above p, refused on the first step)
+        report = _power_iterate(m, beta0, cfg.t_max, cfg.tol, lambda mb: _truncate(mb, s_hat))
+        return replace(report, stages={"block_solves": 0})
+    support, runs, tried, solves = None, 0, set(), 0
+
+    def step(mb):
+        nonlocal support, runs, solves
+        v, keep = _truncate_kept(mb, s_hat)
+        runs = runs + 1 if np.array_equal(keep, support) else 0
+        support = keep
+        if runs >= SETTLE_RUNS and keep.tobytes() not in tried:
+            tried.add(keep.tobytes())
+            top = _block_top(m, keep)
+            if top is not None:
+                solves += 1
+                top = -top if top @ v[keep] < 0.0 else top
+                v = np.zeros_like(v)
+                v[keep] = top
+        return v
+
+    report = _power_iterate(m, beta0, cfg.t_max, cfg.tol, step)
+    return replace(report, stages={"block_solves": solves})
 
 
 def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
@@ -395,5 +446,6 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
         "admm_penalty_updates": fsol.penalty_updates,
         "init_eigengap": lam1 - lam2,
         "screen_size": k,
+        "tpm_block_solves": report.stages["block_solves"],
     }
     return replace(report, converged=bool(report.converged and fsol.converged), stages=stages)

@@ -896,3 +896,28 @@ def test_screen_gate_core_repeats_itself():
     assert first["points"][1]["ties"] == 2
     assert first["decision"] in ("pass", "fail")
     assert gate.sign_test(0, 0) == 1.0 and gate.sign_test(3, 0) == 0.125
+
+
+def test_finish_gate_core_repeats_itself():
+    """tools/screen_gate.py's finish core, run twice on 2 trials at 2 points, gives the
+    same record, with both arms' iterations, and leaves the shipped method in place."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("_screen_gate", root / "tools" / "screen_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    shipped = gate.sparse.truncated_power_method
+    points = [("cs", "sigma", 0.0, 2, 20, 400, {"admm_max_iter": 60}),
+              ("cs", "sigma", 0.0, 3, 12, 400, {})]
+    first, second = (gate.run_finish(points, seeds=(4,), trials=2) for _ in range(2))
+    assert json.dumps(first) == json.dumps(second)
+    assert gate.sparse.truncated_power_method is shipped
+    for r in first["points"]:
+        pairs = r["pairs_seed_trial_plain_finish_iters_plain_finish"]
+        assert [pair[:2] for pair in pairs] == [[4, 0], [4, 1]]
+        assert r["iters_plain"] == sum(pair[4] for pair in pairs) > 0
+        assert r["iters_finish"] == sum(pair[5] for pair in pairs) > 0
+        assert r["moved"] == r["worse"] + r["better"] <= 2
+    # s_hat = 4 < p = 20: the finish takes fewer multiplies
+    assert first["points"][0]["iters_finish"] < first["points"][0]["iters_plain"]
+    assert first["pooled"]["iters_plain"] == sum(r["iters_plain"] for r in first["points"])
+    assert first["decision"] in ("pass", "fail")

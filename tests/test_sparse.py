@@ -39,6 +39,7 @@ from bitspectral import (
     truncate,
     truncated_power_method,
 )
+from bitspectral.spectral import _power_iterate
 
 from _oracles import exact_fantope_projection, random_fantope_point, reference_fantope_admm
 
@@ -854,6 +855,88 @@ class TestTruncatedPower:
             assert np.count_nonzero(report.beta_hat) <= s_hat
             assert np.linalg.norm(report.beta_hat) == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def _plain(m, beta0, cfg):
+        """The loop without its finish: multiply and truncate until ``tol`` or ``t_max``."""
+        return _power_iterate(m, beta0, cfg.t_max, cfg.tol, lambda mb: truncate(mb, cfg.s_hat))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_settled_support_finishes_on_the_block_eigenvector(self, seed):
+        # a PSD M whose top two eigenvectors lie on S, eigenvalues 3 and 1.5, so
+        # the plain loop needs about 30 steps of ratio 1/2 to reach tol = 1e-10;
+        # the finish solves M[S, S] once S has held for SETTLE_RUNS steps
+        rng = np.random.default_rng([71, seed])
+        p, k = 30, 5
+        support = np.sort(rng.choice(p, k, replace=False))
+        q, _ = np.linalg.qr(rng.standard_normal((k, 2)))
+        u, w = np.zeros(p), np.zeros(p)
+        u[support], w[support] = q[:, 0], q[:, 1]
+        a = rng.standard_normal((p, p))
+        m = 3.0 * np.outer(u, u) + 1.5 * np.outer(w, w) + 0.05 * a @ a.T / p
+        beta0 = truncate(u + 0.3 * rng.standard_normal(p), k)
+        report = truncated_power_method(m, beta0, base_cfg(s_hat=k))
+        np.testing.assert_array_equal(np.flatnonzero(report.beta_hat), support)
+        lam, vecs = np.linalg.eigh(m[np.ix_(support, support)])
+        top = np.zeros(p)
+        top[support] = sign_normalize(vecs[:, -1])
+        np.testing.assert_allclose(report.beta_hat, top, rtol=0, atol=1e-12)
+        assert report.converged and report.iterations <= sparse_mod.SETTLE_RUNS + 3
+        assert report.stages == {"block_solves": 1}
+        assert report.rayleigh_trace[-1] == pytest.approx(lam[-1], rel=1e-14)
+
+    @pytest.mark.parametrize("diagonal", [[2.0, -3.0, 1.0, 0.1, 0.05],
+                                          [2.0, 2.0, 1.0, 0.1, 0.05]],
+                             ids=["indefinite", "tied"])
+    def test_block_without_a_dominant_top_eigenvalue_runs_the_plain_loop(self, diagonal):
+        # S = {0, 1, 2} from the first step on; on it |lambda_min| = 3 > lambda_1 = 2,
+        # or lambda_1 = lambda_2 = 2: power iteration on the block need not reach
+        # its top eigenvector, so no block solve replaces an iterate
+        m = np.diag(diagonal)
+        beta0 = np.full(5, 1.0 / math.sqrt(5.0))
+        cfg = base_cfg(s_hat=3)
+        report = truncated_power_method(m, beta0, cfg)
+        plain = self._plain(m, beta0, cfg)
+        assert report.stages == {"block_solves": 0}
+        assert report.iterations == plain.iterations > sparse_mod.SETTLE_RUNS + 3
+        assert report.converged == plain.converged
+        np.testing.assert_array_equal(report.beta_hat, plain.beta_hat)
+        np.testing.assert_array_equal(report.rayleigh_trace, plain.rayleigh_trace)
+
+    def test_finish_off_a_fixed_point_goes_on(self):
+        # S = {0, 1} holds for three steps, and M[S, S] = diag(1, 0.9) has top
+        # eigenvector e0; but M e0 = (1, 0, 0.1) keeps {0, 2}, so the loop leaves S
+        # and settles on {0, 2}, solved in turn, where the plain loop also ends
+        m = np.array([[1.0, 0.0, 0.1], [0.0, 0.9, -0.1], [0.1, -0.1, 0.5]])
+        beta0 = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        cfg = base_cfg(s_hat=2)
+        report = truncated_power_method(m, beta0, cfg)
+        plain = self._plain(m, beta0, cfg)
+        runs = sparse_mod.SETTLE_RUNS
+        assert report.rayleigh_trace[runs] == 1.0  # e0's quotient: the solve on {0, 1}
+        assert report.stages == {"block_solves": 2}
+        assert report.converged and runs + 2 < report.iterations < plain.iterations
+        assert np.flatnonzero(report.beta_hat).tolist() == [0, 2]
+        np.testing.assert_allclose(report.beta_hat, plain.beta_hat, rtol=0, atol=1e-9)
+        capped = truncated_power_method(m, beta0, replace(cfg, t_max=runs + 2))
+        assert not capped.converged and capped.iterations == runs + 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(3, 12), seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-10]),
+           data=st.data())
+    def test_rayleigh_trace_never_decreases_on_psd(self, p, seed, tol, data):
+        # for PSD M, x -> x^T M x is convex, and the truncated step maximizes
+        # <M b, x> over s_hat-sparse unit x; the block's top eigenvector has the
+        # largest quotient of all vectors on its support
+        s_hat = data.draw(st.integers(1, p - 1))
+        rank = data.draw(st.integers(1, p))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p, rank))
+        m = a @ a.T
+        beta0 = rng.standard_normal(p)
+        beta0 /= np.linalg.norm(beta0)
+        r = truncated_power_method(m, beta0, base_cfg(s_hat=s_hat, t_max=60, tol=tol))
+        assert np.all(np.diff(r.rayleigh_trace) >= -1e-10 * np.abs(r.rayleigh_trace[:-1]))
+
 
 class TestSparseRecover:
     def _cs_dataset(self, s, p, n, seed):
@@ -882,8 +965,9 @@ class TestSparseRecover:
         assert set(stages) == {"admm_iterations", "admm_primal_residual",
                                "admm_dual_residual", "admm_converged", "init_eigengap",
                                "admm_final_penalty", "admm_penalty_updates", "admm_stop",
-                               "screen_size"}
+                               "screen_size", "tpm_block_solves"}
         assert stages["screen_size"] == 24  # min(p, 4 s_hat) at p = 30, s_hat = 6
+        assert stages["tpm_block_solves"] in (0, 1)  # one support solved, at most
         assert stages["admm_stop"] in ("residual", "settled", "cap")
         assert stages["init_eigengap"] >= -1e-9
         # tau only ever doubles or halves, once per counted update
@@ -1016,9 +1100,11 @@ class TestSparseRecover:
     @pytest.mark.skipif(_lapack._LAPACKE is None, reason="numpy's bundled LAPACK is not present")
     def test_no_eigendecomposition_runs_after_admm(self, monkeypatch):
         # the initializer and the eigengap come from the last projection's
-        # eigenpairs, which the LAPACK path computes without np.linalg.eigh.
-        # The two sample_moment draws are benchmark points (sparse-capped at
-        # s = 10, p = 200; sparse-default at sigma^2 = 0.1, s = 5, p = 100): none
+        # eigenpairs, which the LAPACK path computes without np.linalg.eigh.  The
+        # one eigendecomposition after ADMM is the truncated power method's finish:
+        # an s_hat x s_hat principal block of the M it was handed, once per settled
+        # support.  The two sample_moment draws are benchmark points (sparse-capped
+        # at s = 10, p = 200; sparse-default at sigma^2 = 0.1, s = 5, p = 100): none
         # of their projections may split the tridiagonal or take the fallback
         truth, data = self._cs_dataset(3, 30, 400, 49)
         cases = [(second_moment(data), SparseConfig(rho=0.05, s_hat=6))]
@@ -1034,18 +1120,39 @@ class TestSparseRecover:
         def refuse(*args):
             raise AssertionError("an eigendecomposition ran")
 
+        eigh, power, blocks, inside = np.linalg.eigh, sparse_mod.truncated_power_method, [], []
+
+        def block_only(a):
+            # m and cfg are the case being run
+            if not inside or a.shape != (cfg.s_hat, cfg.s_hat):
+                raise AssertionError(f"an eigendecomposition of shape {a.shape} ran")
+            kept = np.flatnonzero(np.isin(np.diag(m), np.diag(a)))
+            np.testing.assert_array_equal(a, m[np.ix_(kept, kept)])
+            blocks.append(kept)
+            return eigh(a)
+
+        def power_stage(*args):
+            inside.append(True)
+            try:
+                return power(*args)
+            finally:
+                inside.clear()
+
         calls, check = [], sparse_mod.check_matrix
         monkeypatch.setattr(sparse_mod, "top_two_eigs", refuse)
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", block_only)
+        monkeypatch.setattr(sparse_mod, "truncated_power_method", power_stage)
         monkeypatch.setattr(sparse_mod, "check_matrix",
                             lambda *args: calls.append(args[1]) or check(*args))
         for (m, cfg), want in zip(cases, expected):
             calls.clear()
+            blocks.clear()
             report = sparse_recover(m, cfg)
             np.testing.assert_array_equal(report.beta_hat, want.beta_hat)
             assert report.stages == want.stages
             assert report.stages["admm_iterations"] > 1
             assert calls == ["sparse_recover", "fantope_admm", "truncated_power_method"]
+            assert len(blocks) == report.stages["tpm_block_solves"] == 1
 
     def test_rejects_oversized_width(self):
         truth, data = self._cs_dataset(3, 10, 200, 45)

@@ -1,15 +1,18 @@
-"""Paired gate for the screened sparse initializer, and the record it writes.
+"""Paired gates for the sparse path's shortcuts, and the records they write.
 
     python tools/screen_gate.py gate [--out BENCH_screen.json]
+    python tools/screen_gate.py finish [--out BENCH_tpm_finish.json]
     python tools/screen_gate.py lapack [--out BENCH_screen.json]
     python tools/screen_gate.py bench BASE HEAD [--out BENCH_screen.json]
 
 Run from the root of a checkout; the package is imported from its ``src/``,
 with one BLAS thread.  Each subcommand rewrites one key of the JSON record
-(``gate``, ``lapack`` or ``benchmark``) and keeps the others, so the record
-holds everything in one layout.  ``bench`` runs ``PAIRS`` (10) alternated
-pairs per workload.  ``gate`` and the counts of ``lapack`` are
-deterministic: run again, ``gate`` writes the same bytes.
+(``gate``, ``finish``, ``lapack`` or ``benchmark``) and keeps the others, so
+a record holds everything in one layout.  ``gate`` names its record
+``screen``, ``finish`` names its own ``tpm_finish``; each writes its rule
+beside it.  ``bench`` runs ``PAIRS`` (10) alternated pairs per workload.
+``gate``, ``finish`` and the counts of ``lapack`` are deterministic: run
+again, ``gate`` and ``finish`` write the same bytes.
 
 The rule of ``gate``, fixed before any run:
 
@@ -37,6 +40,31 @@ The rule of ``gate``, fixed before any run:
 * Decision.  Pass only if the test does not reject at 0.05 pooled over all
   pairs, and does not reject at 0.05/14 at any single point.  If the gate
   fails, no other K is tried, and no screening ships.
+
+The rule of ``finish``, fixed before any run:
+
+* Arms.  The plain truncated power loop, which multiplies and truncates
+  until ``tol`` or ``t_max`` (composed here from ``spectral._power_iterate``
+  and ``sparse.truncate`` and set in place of
+  ``sparse.truncated_power_method``), and ``truncated_power_method`` as
+  shipped, which replaces the iterate by the top eigenvector of M[S, S] once
+  its support S has settled.  Both arms run ``harness.sparse_trial`` on the
+  same ``sample_moment`` draw for each ``harness.trial_rng`` key, with
+  s_hat = 2s, rho = sqrt(log p / n), ``tol`` 1e-10 and ``t_max`` 500; the
+  start beta0 that ADMM hands to either arm is checked to be the same bytes.
+  The paired value is each row's ``err_signfree``; each arm's ``iters``
+  (truncated-power multiplies) are summed per point and pooled.
+* Points: the 14 of ``gate``.
+* Seeds 180000-180003, 50 trials per point per seed: 200 pairs per point,
+  2,800 in all.
+* Test.  A pair is moved when |finished - plain| > 1e-8 in ``err_signfree``.
+  A moved pair is worse when the finished arm's error is above the plain
+  one's, better when below.  Over the moved pairs, the one-sided exact sign
+  test of "finish worse" is the test of ``gate``.  The largest |difference|
+  over the unmoved pairs is reported too.
+* Decision.  Pass only if the test does not reject at 0.05 pooled over all
+  moved pairs, and does not reject at 0.05/14 at any single point.  If the
+  gate fails, no finish ships.
 """
 
 import argparse
@@ -48,6 +76,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,7 +88,7 @@ if __name__ == "__main__":  # imported as a module, the caller's environment and
 
 import numpy as np  # noqa: E402
 
-from bitspectral import _lapack, cli, harness, sample_moment, sparse  # noqa: E402
+from bitspectral import _lapack, cli, harness, sample_moment, sparse, spectral  # noqa: E402
 
 SQRT_01 = math.sqrt(0.1)
 CAPPED = {"admm_max_iter": 75}
@@ -86,6 +115,19 @@ RULE = {
     "test": "one-sided exact sign test of screened worse, ties dropped; rejects at p <= level",
     "pass": f"no rejection at {LEVEL} pooled, none at {LEVEL}/{len(POINTS)} at any point",
 }
+FINISH_SEEDS = (180000, 180001, 180002, 180003)
+MOVED = 1e-8  # |difference| in err_signfree above which a finish pair counts as moved
+FINISH_RULE = {
+    "arms": {"plain": "multiply and truncate until tol or t_max",
+             "finish": "truncated_power_method as shipped: the block solve on a settled support"},
+    "value": "err_signfree of harness.sparse_trial's row; iters summed per arm",
+    "points": RULE["points"],
+    "seeds": list(FINISH_SEEDS),
+    "trials_per_seed": TRIALS,
+    "moved": f"|finish - plain| > {MOVED}",
+    "test": "one-sided exact sign test of finish worse over moved pairs; rejects at p <= level",
+    "pass": RULE["pass"],
+}
 
 
 @contextmanager
@@ -106,38 +148,101 @@ def sign_test(worse: int, better: int) -> float:
     return float(Fraction(tail, 2**total))
 
 
-def run_gate(points=POINTS, seeds=SEEDS, trials=TRIALS) -> dict:
-    """Every pair of the rule's arms, the counts and p-values per point and pooled, and
-    the decision."""
-    rows, worse, better = [], 0, 0
+def _paired_rows(points, seeds, trials, plain):
+    """For each point, its config fields and every (seed, trial, row before, row after):
+    the row under the ``plain()`` context, then as shipped, on one trial key."""
     for model, noise, value, s, p, n, extra in points:
         pairs = []
         for seed in seeds:
             cfg = harness.RunConfig(experiment="sparse", model=model, **{noise: (value,)},
                                     s=(s,), p=(p,), n=(n,), trials=trials, seed=seed, **extra)
             for t in range(trials):
-                with unscreened():
-                    before = harness.sparse_trial(cfg, value, s, p, n, t).err_signfree
-                after = harness.sparse_trial(cfg, value, s, p, n, t).err_signfree
-                pairs.append([seed, t, before, after])
+                with plain():
+                    before = harness.sparse_trial(cfg, value, s, p, n, t)
+                pairs.append((seed, t, before, harness.sparse_trial(cfg, value, s, p, n, t)))
+        yield {"model": model, noise: value, "s": s, "p": p, "n": n, **extra}, pairs
+
+
+def _decide(rows, worse, better, **pooled) -> dict:
+    """The pooled sign test over the per-point ``rows`` and the decision of the rule."""
+    p_value = sign_test(worse, better)
+    per_point = LEVEL / len(rows)
+    passed = p_value > LEVEL and all(r["p_value"] > per_point for r in rows)
+    return {"points": rows,
+            "pooled": {"worse": worse, "better": better, **pooled, "p_value": p_value},
+            "levels": {"pooled": LEVEL, "per_point": per_point},
+            "decision": "pass" if passed else "fail"}
+
+
+def run_gate(points=POINTS, seeds=SEEDS, trials=TRIALS) -> dict:
+    """Every pair of the rule's arms, the counts and p-values per point and pooled, and
+    the decision."""
+    rows, worse, better = [], 0, 0
+    for point, rowpairs in _paired_rows(points, seeds, trials, unscreened):
+        pairs = [[seed, t, b.err_signfree, a.err_signfree] for seed, t, b, a in rowpairs]
         w = sum(a > b for *_, b, a in pairs)
         b = sum(a < b for *_, b, a in pairs)
         worse, better = worse + w, better + b
-        rows.append({"point": {"model": model, noise: value, "s": s, "p": p, "n": n, **extra},
+        s, p = point["s"], point["p"]
+        rows.append({"point": point,
                      "screen_size": min(p, sparse.SCREEN_FACTOR * min(2 * s, p)),
                      "median_unscreened": statistics.median(pair[2] for pair in pairs),
                      "median_screened": statistics.median(pair[3] for pair in pairs),
                      "worse": w, "better": b, "ties": len(pairs) - w - b,
                      "p_value": sign_test(w, b),
                      "pairs_seed_trial_unscreened_screened": pairs})
-    pooled = sign_test(worse, better)
-    per_point = LEVEL / len(points)
-    passed = pooled > LEVEL and all(r["p_value"] > per_point for r in rows)
-    return {"points": rows,
-            "pooled": {"worse": worse, "better": better,
-                       "ties": sum(r["ties"] for r in rows), "p_value": pooled},
-            "levels": {"pooled": LEVEL, "per_point": per_point},
-            "decision": "pass" if passed else "fail"}
+    return _decide(rows, worse, better, ties=sum(r["ties"] for r in rows))
+
+
+def run_finish(points=POINTS, seeds=FINISH_SEEDS, trials=TRIALS) -> dict:
+    """Every pair of the finish rule's arms with both arms' iterations, the counts and
+    p-values per point and pooled, the largest unmoved |difference|, and the decision."""
+    shipped, starts, arm = sparse.truncated_power_method, [], ["finish"]
+
+    def either(mtx, beta0, cfg):  # the plain loop inside plain(), else the shipped method
+        starts.append(beta0.tobytes())
+        if arm[0] == "finish":
+            return shipped(mtx, beta0, cfg)
+        report = spectral._power_iterate(mtx, beta0, cfg.t_max, cfg.tol,
+                                         lambda mb: sparse.truncate(mb, cfg.s_hat))
+        return replace(report, stages={"block_solves": 0})
+
+    @contextmanager
+    def plain():
+        arm[0] = "plain"
+        try:
+            yield
+        finally:
+            arm[0] = "finish"
+
+    rows, worse, better = [], 0, 0
+    sparse.truncated_power_method = either
+    try:
+        for point, rowpairs in _paired_rows(points, seeds, trials, plain):
+            if starts[0::2] != starts[1::2]:
+                raise AssertionError(f"the two arms started from different vectors at {point}")
+            starts.clear()
+            pairs = [[seed, t, b.err_signfree, a.err_signfree, b.iters, a.iters]
+                     for seed, t, b, a in rowpairs]
+            change = [abs(pair[3] - pair[2]) for pair in pairs]
+            moved = [pair for pair, d in zip(pairs, change) if d > MOVED]
+            w = sum(a > b for _, _, b, a, *_ in moved)
+            b = sum(a < b for _, _, b, a, *_ in moved)
+            worse, better = worse + w, better + b
+            rows.append({"point": point,
+                         "iters_plain": sum(pair[4] for pair in pairs),
+                         "iters_finish": sum(pair[5] for pair in pairs),
+                         "moved": len(moved), "worse": w, "better": b,
+                         "largest_unmoved_change": max((d for d in change if d <= MOVED),
+                                                       default=0.0),
+                         "p_value": sign_test(w, b),
+                         "pairs_seed_trial_plain_finish_iters_plain_finish": pairs})
+    finally:
+        sparse.truncated_power_method = shipped
+    return _decide(rows, worse, better, moved=sum(r["moved"] for r in rows),
+                   iters_plain=sum(r["iters_plain"] for r in rows),
+                   iters_finish=sum(r["iters_finish"] for r in rows),
+                   largest_unmoved_change=max(r["largest_unmoved_change"] for r in rows))
 
 
 def _workload_argv() -> list:
@@ -258,25 +363,30 @@ def run_bench(base: str, head: str) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("what", choices=("gate", "lapack", "bench"))
+    ap.add_argument("what", choices=("gate", "finish", "lapack", "bench"))
     ap.add_argument("checkouts", nargs="*", help="bench: BASE and HEAD checkout roots")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_screen.json"))
+    ap.add_argument("--out", help="the JSON record (default BENCH_tpm_finish.json for "
+                                  "finish, BENCH_screen.json otherwise)")
     args = ap.parse_args(argv)
     if (args.what == "bench") != (len(args.checkouts) == 2):
         ap.error("bench takes BASE and HEAD, the others no checkout")
-    path = Path(args.out)
+    default = "BENCH_tpm_finish.json" if args.what == "finish" else "BENCH_screen.json"
+    path = Path(args.out or ROOT / default)
     record = json.loads(path.read_text()) if path.exists() else {}
-    record.update(name="screen", rule=RULE)
-    if args.what == "gate":
-        record["gate"] = run_gate()
+    if args.what == "finish":
+        record.update(name="tpm_finish", rule=FINISH_RULE)
+    elif args.what == "gate" or not record:
+        record.update(name="screen", rule=RULE)
+    if args.what in ("gate", "finish"):
+        record[args.what] = (run_gate if args.what == "gate" else run_finish)()
     elif args.what == "lapack":
         record["lapack"] = run_lapack()
     else:
         record["benchmark"] = run_bench(*args.checkouts)
-    order = ("name", "rule", "gate", "lapack", "benchmark")
+    order = ("name", "rule", "gate", "finish", "lapack", "benchmark")
     path.write_text(json.dumps({k: record[k] for k in order if k in record}, indent=1) + "\n")
-    if args.what == "gate":
-        print(record["gate"]["decision"], record["gate"]["pooled"])
+    if args.what in ("gate", "finish"):
+        print(record[args.what]["decision"], record[args.what]["pooled"])
     return 0
 
 
