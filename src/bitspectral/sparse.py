@@ -17,7 +17,10 @@ power method then reads the whole M.  The residual rule and the iteration
 cap stay as upper bounds; ADMM that stops on its cap is demoted to
 ``converged=False`` but still used.  Each ADMM step runs one
 eigendecomposition, in the Fantope projection, and the initializer is read
-off the last projection's eigenpairs, so none runs after the loop.
+off the last projection's eigenpairs, so none of that size runs after the
+loop.  Once the truncated iteration has kept one support S for
+``SETTLE_RUNS`` steps in a row, one eigensolve of the s_hat x s_hat block
+M[S, S] finishes it exactly (see ``truncated_power_method``).
 """
 
 import math
@@ -332,8 +335,8 @@ def _truncate_kept(v: np.ndarray, s_hat: int):
 
 
 def _block_top(m: np.ndarray, keep: np.ndarray):
-    """Top eigenvector of M[keep, keep], or None where power iteration on that block
-    need not converge: its top eigenvalue is not simple and above |lambda_min|."""
+    """Top eigenvector of M[keep, keep], or None where the block's top eigenvalue is
+    tied or not above |lambda_min|, so that power iteration on it need not converge."""
     lam, vecs = np.linalg.eigh(m[np.ix_(keep, keep)])
     if not (lam[-1] > -lam[0] and (lam.size == 1 or lam[-1] > lam[-2])):
         return None
@@ -408,13 +411,16 @@ def sparse_recover(mtx, cfg: SparseConfig) -> RecoveryReport:
     as (B, rho), and every stop test of the loop is scale-free: M c^2 with
     rho c^2, c a power of two, repeats the run bit for bit.  The initializer is
     the leading eigenvector of the ADMM solution, read off the eigenpairs of
-    the last Fantope projection (no eigendecomposition runs after ADMM),
+    the last Fantope projection (no eigendecomposition of B runs after ADMM),
     embedded in R^p with zeros off the kept coordinates, sign-normalized,
     truncated to s_hat and renormalized.  The truncated power method reads the
     raw, whole M.  ``stages`` carries the ADMM residuals and stop reason (in the
     normalized units), the relaxation solution's eigengap, read off the same
-    eigenpairs (lambda2 is 0 where Pi has rank one), and ``screen_size``, K;
-    ``converged`` is the conjunction of the ADMM and power-stage flags.
+    eigenpairs (lambda2 is 0 where Pi has rank one), ``screen_size``, K, and
+    ``tpm_block_solves``, the truncated power method's ``block_solves`` (its
+    one s_hat x s_hat eigensolve per settled support, the only
+    eigendecomposition after ADMM); ``converged`` is the conjunction of the
+    ADMM and power-stage flags.
     """
     m = check_matrix(mtx, "sparse_recover")
     p = m.shape[0]

@@ -21,8 +21,9 @@ class RecoveryReport:
     ``sparse_recover`` it also requires that ADMM did not stop on its cap.
     ``lowdim``'s exact solve reports one step, converged, with lambda1 as
     its trace.
-    ``stages`` carries optional upstream diagnostics (e.g. the sparse
-    pipeline's initialization).
+    ``stages`` carries optional diagnostics: from ``truncated_power_method``
+    its ``block_solves``, from ``sparse_recover`` the sparse pipeline's
+    initialization, screening and those solves (``tpm_block_solves``).
     """
 
     beta_hat: np.ndarray
