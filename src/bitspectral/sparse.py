@@ -314,16 +314,12 @@ def truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
 
     A non-real or non-1-D ``v`` raises ``ConfigError``; any non-finite entry ``NumericalError``.
     """
-    return _truncate(v, s_hat)
+    return _truncate(v, s_hat)[0]
 
 
-def _truncate(v: np.ndarray, s_hat: int) -> np.ndarray:
-    """``truncate`` without its overflow guard, for loops that hold the guard already."""
-    return _truncate_kept(v, s_hat)[0]
-
-
-def _truncate_kept(v: np.ndarray, s_hat: int):
-    """``_truncate``'s unit vector, and the kept coordinates in increasing order."""
+def _truncate(v: np.ndarray, s_hat: int):
+    """``truncate``'s unit vector and the kept coordinates, in increasing order, without
+    its overflow guard, for loops that hold the guard already."""
     v = _check_array(v, "truncate's v", ndim=1)
     _check_int(s_hat, "s_hat", 1, v.shape[0])
     if not np.isfinite(v).all():
@@ -369,17 +365,15 @@ def truncated_power_method(mtx, beta0, cfg: SparseConfig) -> RecoveryReport:
     """
     m = check_matrix(mtx, "truncated_power_method")
     s_hat = cfg.s_hat
-    if s_hat >= m.shape[0]:  # the identity (or, above p, refused on the first step)
-        report = _power_iterate(m, beta0, cfg.t_max, cfg.tol, lambda mb: _truncate(mb, s_hat))
-        return replace(report, stages={"block_solves": 0})
     support, runs, tried, solves = None, 0, set(), 0
 
     def step(mb):
         nonlocal support, runs, solves
-        v, keep = _truncate_kept(mb, s_hat)
+        v, keep = _truncate(mb, s_hat)
         runs = runs + 1 if np.array_equal(keep, support) else 0
         support = keep
-        if runs >= SETTLE_RUNS and keep.tobytes() not in tried:
+        # at s_hat = p the truncation is the identity: no finish
+        if runs >= SETTLE_RUNS and s_hat < v.size and keep.tobytes() not in tried:
             tried.add(keep.tobytes())
             top = _block_top(m, keep)
             if top is not None:

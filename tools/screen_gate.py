@@ -197,11 +197,11 @@ def run_gate(points=POINTS, seeds=SEEDS, trials=TRIALS) -> dict:
 def run_finish(points=POINTS, seeds=FINISH_SEEDS, trials=TRIALS) -> dict:
     """Every pair of the finish rule's arms with both arms' iterations, the counts and
     p-values per point and pooled, the largest unmoved |difference|, and the decision."""
-    shipped, starts, arm = sparse.truncated_power_method, [], ["finish"]
+    shipped, starts, plain_arm = sparse.truncated_power_method, [], False
 
     def either(mtx, beta0, cfg):  # the plain loop inside plain(), else the shipped method
         starts.append(beta0.tobytes())
-        if arm[0] == "finish":
+        if not plain_arm:
             return shipped(mtx, beta0, cfg)
         report = spectral._power_iterate(mtx, beta0, cfg.t_max, cfg.tol,
                                          lambda mb: sparse.truncate(mb, cfg.s_hat))
@@ -209,11 +209,12 @@ def run_finish(points=POINTS, seeds=FINISH_SEEDS, trials=TRIALS) -> dict:
 
     @contextmanager
     def plain():
-        arm[0] = "plain"
+        nonlocal plain_arm
+        plain_arm = True
         try:
             yield
         finally:
-            arm[0] = "finish"
+            plain_arm = False
 
     rows, worse, better = [], 0, 0
     sparse.truncated_power_method = either
@@ -372,13 +373,11 @@ def main(argv=None) -> int:
         ap.error("bench takes BASE and HEAD, the others no checkout")
     default = "BENCH_tpm_finish.json" if args.what == "finish" else "BENCH_screen.json"
     path = Path(args.out or ROOT / default)
-    record = json.loads(path.read_text()) if path.exists() else {}
-    if args.what == "finish":
-        record.update(name="tpm_finish", rule=FINISH_RULE)
-    elif args.what == "gate" or not record:
-        record.update(name="screen", rule=RULE)
-    if args.what in ("gate", "finish"):
-        record[args.what] = (run_gate if args.what == "gate" else run_finish)()
+    record = json.loads(path.read_text()) if path.exists() else {"name": "screen", "rule": RULE}
+    if args.what == "gate":
+        record.update(name="screen", rule=RULE, gate=run_gate())
+    elif args.what == "finish":
+        record.update(name="tpm_finish", rule=FINISH_RULE, finish=run_finish())
     elif args.what == "lapack":
         record["lapack"] = run_lapack()
     else:
